@@ -212,67 +212,29 @@ def stack_rows(vars_: Sequence[Var]) -> Var:
     return out
 
 
-def take_rows(a: Var, idx) -> Var:
-    """Gather rows of a matrix; duplicate indices accumulate gradient."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Var(a.value[idx], (a,))
+def index(a: Var, key) -> Var:
+    """``a.value[key]`` for any numpy index: an int, a slice, a tuple of
+    them, or a list or array of row indices.
+
+    The backward pass scatters into ``a``'s gradient, so duplicate indices
+    accumulate.
+    """
+    out = Var(a.value[key], (a,))
 
     def bw(g: np.ndarray) -> None:
         if a.grad is None:
             a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, idx, g)
+        np.add.at(a.grad, key, g)
 
     out._bw = bw
     return out
 
 
-def row(a: Var, i: int) -> Var:
-    """One row of a matrix as a vector."""
-    out = Var(a.value[i], (a,))
+def transpose(a: Var) -> Var:
+    out = Var(a.value.T, (a,))
 
     def bw(g: np.ndarray) -> None:
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[i] += g
-
-    out._bw = bw
-    return out
-
-
-def slice0(a: Var, start: int, stop: int) -> Var:
-    """Contiguous slice along the first axis."""
-    out = Var(a.value[start:stop], (a,))
-
-    def bw(g: np.ndarray) -> None:
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[start:stop] += g
-
-    out._bw = bw
-    return out
-
-
-def pick(a: Var, i: int) -> Var:
-    """Scalar element of a vector."""
-    out = Var(a.value[i], (a,))
-
-    def bw(g: np.ndarray) -> None:
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[i] += g
-
-    out._bw = bw
-    return out
-
-
-def at(a: Var, i: int, j: int) -> Var:
-    """Scalar element of a matrix."""
-    out = Var(a.value[i, j], (a,))
-
-    def bw(g: np.ndarray) -> None:
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[i, j] += g
+        a._accumulate(g.T)
 
     out._bw = bw
     return out

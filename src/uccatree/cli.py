@@ -17,21 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .conversion import graph_to_tree, tree_from_sexpr, tree_to_graph, tree_to_sexpr
+from .conversion import graph_to_tree, tree_from_sexpr, tree_to_sexpr
 from .evaluation import report_json, score_corpus
 from .generator import SyntheticSpec, generate
-from .graph_model import (
-    ConstituentTree,
-    Edge,
-    UccaGraph,
-    dump_corpus,
-    load_corpus,
-    load_token_lines,
-)
-from .neural_core import BoundParams, ModelParams, embed, encode
-from .remote_recovery import predict_remotes
+from .graph_model import ConstituentTree, UccaGraph, dump_corpus, load_corpus, load_token_lines
+from .neural_core import ModelParams
 from .stats import discontinuity_stats
-from .training import TrainConfig, parse_pipeline, train
+from .training import TrainConfig, encode_sentence, parse_pipeline, restore_graph, train
 
 
 class CliError(Exception):
@@ -125,20 +117,8 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     trees = _read_trees(args.infile, args.format, args.lang)
     restored = []
     for tree in trees:
-        graph, marked = tree_to_graph(tree)
-        bound = BoundParams(params)
-        inputs = embed(tree.tokens, args.lang, bound)
-        enc = encode(inputs, bound)
-        remotes = predict_remotes(graph, marked, enc, bound)
-        if remotes:
-            graph = UccaGraph(
-                tokens=graph.tokens,
-                root=graph.root,
-                nonterminals=graph.nonterminals,
-                edges=graph.edges
-                + tuple(Edge(p, c, label, remote=True) for p, c, label in remotes),
-            )
-        restored.append(graph)
+        bound, enc = encode_sentence(tree.tokens, params)
+        restored.append(restore_graph(tree, enc, bound))
     dump_corpus(restored, args.out)
     print(f"restored {len(restored)} graphs to {args.out}")
     return 0
@@ -245,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--remotes-model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["sexpr", "jsonl"], default="sexpr")
-    p.add_argument("--lang", default="")
+    p.add_argument("--lang", default="", help="language of sexpr trees, which carry none")
     p.set_defaults(func=_cmd_restore)
 
     p = sub.add_parser("train", help="train a parser and remote classifier jointly")

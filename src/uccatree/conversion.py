@@ -30,6 +30,8 @@ from .graph_model import (
     Token,
     TreeNode,
     UccaGraph,
+    graph_from_children,
+    node_yields,
 )
 
 REMOTE_SUFFIX = "-remote"
@@ -124,28 +126,11 @@ class _MutableTree:
             raise ConversionError("remove_discontinuities expects a remote-free graph")
         self.n = graph.n
         self.root = graph.root
-        self.nonterminals = set(graph.nonterminals)
         self.parent = dict(graph.primary_parent)
         self.label = dict(graph.primary_label)
         self.children: dict[int, list[int]] = {v: [] for v in graph.node_ids}
         for e in graph.primary_edges:
             self.children[e.parent].append(e.child)
-
-    def yields(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, tuple[int, ...]] = {}
-
-        def visit(v: int) -> tuple[int, ...]:
-            if v <= self.n:
-                return (v,)
-            acc: list[int] = []
-            for c in self.children[v]:
-                acc.extend(visit(c))
-            y = tuple(sorted(acc))
-            out[v] = y
-            return y
-
-        visit(self.root)
-        return out
 
     def depth(self, v: int) -> int:
         d = 0
@@ -165,26 +150,6 @@ class _MutableTree:
         self.children[old].remove(child)
         self.children[new_parent].append(child)
         self.parent[child] = new_parent
-
-    def to_graph(self, tokens: tuple[Token, ...]) -> UccaGraph:
-        yields = self.yields()
-        yields.update({t: (t,) for t in range(1, self.n + 1)})
-        edges: list[Edge] = []
-
-        def emit(v: int) -> None:
-            kids = sorted(self.children[v], key=lambda c: yields[c][0])
-            for c in kids:
-                edges.append(Edge(v, c, self.label[c]))
-                if c > self.n:
-                    emit(c)
-
-        emit(self.root)
-        return UccaGraph(
-            tokens=tokens,
-            root=self.root,
-            nonterminals=frozenset(self.nonterminals),
-            edges=tuple(edges),
-        )
 
 
 def _discontinuity_pairs(yields: dict[int, tuple[int, ...]]) -> int:
@@ -214,7 +179,7 @@ def remove_discontinuities(
 
     previous_pairs: int | None = None
     for _ in range(guard + 1):
-        yields = state.yields()
+        yields = node_yields(state.children, state.root, state.n)
         pairs = _discontinuity_pairs(yields)
         if previous_pairs is not None and pairs >= previous_pairs:
             raise ConversionError(
@@ -226,7 +191,8 @@ def remove_discontinuities(
             v for v, y in yields.items() if (y[-1] - y[0] + 1) != len(y)
         }
         if not discontinuous:
-            return state.to_graph(graph.tokens), tuple(moves)
+            projective = graph_from_children(graph.tokens, state.root, state.children, state.label)
+            return projective, tuple(moves)
 
         a = min(discontinuous, key=lambda v: (yields[v][0], -state.depth(v)))
         ya = set(yields[a])
@@ -413,36 +379,7 @@ def tree_to_graph(tree: ConstituentTree) -> tuple[UccaGraph, tuple[int, ...]]:
         children[target].append(ident)
         parent[ident] = target
 
-    yields: dict[int, tuple[int, ...]] = {}
-
-    def collect(v: int) -> tuple[int, ...]:
-        if v <= n:
-            return (v,)
-        acc: list[int] = []
-        for c in children[v]:
-            acc.extend(collect(c))
-        y = tuple(sorted(acc))
-        yields[v] = y
-        return y
-
-    collect(root_id)
-
-    edges: list[Edge] = []
-
-    def emit(v: int) -> None:
-        kids = sorted(children[v], key=lambda c: c if c <= n else yields[c][0])
-        for c in kids:
-            edges.append(Edge(v, c, labels[c]))
-            if c > n:
-                emit(c)
-
-    emit(root_id)
-    graph = UccaGraph(
-        tokens=tree.tokens,
-        root=root_id,
-        nonterminals=frozenset(v for v in children if v > n),
-        edges=tuple(edges),
-    )
+    graph = graph_from_children(tree.tokens, root_id, children, labels)
     return graph, tuple(remote_marked)
 
 

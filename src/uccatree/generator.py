@@ -11,11 +11,11 @@ tree conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import Edge, Token, UccaGraph
+from .graph_model import Edge, Token, UccaGraph, graph_from_children, node_yields
 
 _POS_TAGS = ("NOUN", "VERB", "ADJ", "DET")
 _NER_TAGS = ("O", "PER", "LOC")
@@ -101,24 +101,6 @@ class _Builder:
             child = self._new_node(parent, self._random_label())
             self._fill(child, a, b, depth + 1)
 
-    # -- yields over the current structure ------------------------------
-
-    def yields(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, tuple[int, ...]] = {}
-
-        def visit(v: int) -> tuple[int, ...]:
-            if v <= self.n:
-                return (v,)
-            acc: list[int] = []
-            for c in self.children[v]:
-                acc.extend(visit(c))
-            y = tuple(sorted(acc))
-            out[v] = y
-            return y
-
-        visit(min(v for v in self.children if v > self.n))
-        return out
-
     def inject_discontinuity(self, root: int) -> bool:
         """Lift one interior nonterminal child above its parent.
 
@@ -126,7 +108,7 @@ class _Builder:
         recorded distance-one move are eligible; returns False when the
         tree offers none.
         """
-        yields = self.yields()
+        yields = node_yields(self.children, root, self.n)
         candidates: list[tuple[int, int]] = []
         for a in sorted(self.children):
             if a <= self.n or a == root:
@@ -184,24 +166,8 @@ class _Builder:
         return remotes
 
     def to_graph(self, tokens: tuple[Token, ...], root: int, remotes: list[Edge]) -> UccaGraph:
-        yields = self.yields()
-        edges: list[Edge] = []
-
-        def emit(v: int) -> None:
-            kids = sorted(self.children[v], key=lambda c: c if c <= self.n else yields[c][0])
-            for c in kids:
-                edges.append(Edge(v, c, self.label[c]))
-                if c > self.n:
-                    emit(c)
-
-        emit(root)
-        edges.extend(remotes)
-        return UccaGraph(
-            tokens=tokens,
-            root=root,
-            nonterminals=frozenset(v for v in self.children if v > self.n),
-            edges=tuple(edges),
-        )
+        primary = graph_from_children(tokens, root, self.children, self.label)
+        return replace(primary, edges=primary.edges + tuple(remotes))
 
 
 def generate(spec: SyntheticSpec, seed: int, lang: str = "en") -> list[UccaGraph]:

@@ -15,14 +15,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
-
-PRIMARY = "primary"
-REMOTE = "remote"
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 NodeId = int
 
@@ -38,6 +36,31 @@ class Token:
     lang: str = ""
 
 
+# Graph and tree records share their token part: a "tokens" list of
+# feature objects and one "lang" for the whole sentence.
+
+
+def tokens_to_json(tokens: Sequence[Token]) -> dict:
+    return {
+        "tokens": [{"form": t.form, "pos": t.pos, "ner": t.ner, "dep": t.dep} for t in tokens],
+        "lang": tokens[0].lang if tokens else "",
+    }
+
+
+def tokens_from_json(data: dict) -> tuple[Token, ...]:
+    lang = data.get("lang", "")
+    return tuple(
+        Token(
+            form=t["form"],
+            pos=t.get("pos", ""),
+            ner=t.get("ner", ""),
+            dep=t.get("dep", ""),
+            lang=lang,
+        )
+        for t in data["tokens"]
+    )
+
+
 @dataclass(frozen=True)
 class Edge:
     """A labeled parent->child edge, either primary (tree) or remote."""
@@ -46,10 +69,6 @@ class Edge:
     child: NodeId
     label: str
     remote: bool = False
-
-    @property
-    def kind(self) -> str:
-        return REMOTE if self.remote else PRIMARY
 
 
 @dataclass(frozen=True)
@@ -116,37 +135,11 @@ class UccaGraph:
             children[e.parent].append(e.child)
         return {v: tuple(cs) for v, cs in children.items()}
 
-    @cached_property
-    def depth(self) -> dict[NodeId, int]:
-        depths = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for c in self.primary_children[v]:
-                depths[c] = depths[v] + 1
-                stack.append(c)
-        return depths
-
     # -- yields ---------------------------------------------------------
 
     @cached_property
     def _yields(self) -> dict[NodeId, tuple[int, ...]]:
-        yields: dict[NodeId, tuple[int, ...]] = {}
-
-        def visit(v: NodeId) -> tuple[int, ...]:
-            if v in self.terminals:
-                return (v,)
-            out: list[int] = []
-            for c in self.primary_children[v]:
-                out.extend(visit(c))
-            result = tuple(sorted(out))
-            yields[v] = result
-            return result
-
-        visit(self.root)
-        for t in self.terminals:
-            yields[t] = (t,)
-        return yields
+        return node_yields(self.primary_children, self.root, self.n)
 
     def yield_of(self, node: NodeId) -> tuple[int, ...]:
         """Sorted token positions reachable from ``node`` via primary edges."""
@@ -165,20 +158,6 @@ class UccaGraph:
         """(min position - 1, max position) of the node's yield."""
         y = self.yield_of(node)
         return (y[0] - 1, y[-1])
-
-    def lca(self, a: NodeId, b: NodeId) -> NodeId:
-        """Lowest common ancestor of two nodes in the primary tree."""
-        da, db = self.depth[a], self.depth[b]
-        while da > db:
-            a = self.primary_parent[a]
-            da -= 1
-        while db > da:
-            b = self.primary_parent[b]
-            db -= 1
-        while a != b:
-            a = self.primary_parent[a]
-            b = self.primary_parent[b]
-        return a
 
     # -- validation -----------------------------------------------------
 
@@ -228,12 +207,11 @@ class UccaGraph:
             elif len(parents) != 1:
                 problems.append(f"node {v} has {len(parents)} primary parents, expected 1")
 
+        primary_pairs = {(e.parent, e.child) for e in self.edges if not e.remote}
         for e in self.edges:
             if e.remote and e.child in terminals:
                 problems.append(f"remote edge {e.parent}->{e.child} points at a terminal")
-            if e.remote and (e.parent, e.child) in {
-                (pe.parent, pe.child) for pe in self.edges if not pe.remote
-            }:
+            if e.remote and (e.parent, e.child) in primary_pairs:
                 problems.append(f"remote edge {e.parent}->{e.child} duplicates a primary edge")
 
         if problems:
@@ -303,20 +281,12 @@ class UccaGraph:
         graphs that differ only in nonterminal numbering map to the same
         canonical ids.  Terminals map to themselves.
         """
+        ids = itertools.count(self.n + 1)
         mapping: dict[NodeId, NodeId] = {t: t for t in self.terminals}
-        next_id = self.n + 1
-
-        def visit(v: NodeId) -> None:
-            nonlocal next_id
-            if v in self.terminals:
-                return
-            mapping[v] = next_id
-            next_id += 1
-            kids = sorted(self.primary_children[v], key=lambda c: self.yield_of(c)[0])
-            for c in kids:
-                visit(c)
-
-        visit(self.root)
+        mapping[self.root] = next(ids)
+        for _, child in preorder_edges(self.primary_children, self.root, self.n, self._yields):
+            if child > self.n:
+                mapping[child] = next(ids)
         return mapping
 
     def canonical(self) -> UccaGraph:
@@ -346,13 +316,8 @@ class UccaGraph:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
-        lang = self.tokens[0].lang if self.tokens else ""
         return {
-            "tokens": [
-                {"form": t.form, "pos": t.pos, "ner": t.ner, "dep": t.dep}
-                for t in self.tokens
-            ],
-            "lang": lang,
+            **tokens_to_json(self.tokens),
             "nodes": sorted(self.nonterminals),
             "root": self.root,
             "edges": [
@@ -363,17 +328,6 @@ class UccaGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> UccaGraph:
-        lang = data.get("lang", "")
-        tokens = tuple(
-            Token(
-                form=t["form"],
-                pos=t.get("pos", ""),
-                ner=t.get("ner", ""),
-                dep=t.get("dep", ""),
-                lang=lang,
-            )
-            for t in data["tokens"]
-        )
         edges = tuple(
             Edge(
                 parent=int(e["parent"]),
@@ -384,26 +338,103 @@ class UccaGraph:
             for e in data["edges"]
         )
         return cls(
-            tokens=tokens,
+            tokens=tokens_from_json(data),
             root=int(data["root"]),
             nonterminals=frozenset(int(v) for v in data["nodes"]),
             edges=edges,
         )
 
 
-def load_corpus(path: str) -> list[UccaGraph]:
-    """Read one graph per line from a JSONL file."""
-    graphs = []
+# ---------------------------------------------------------------------------
+# Trees held as children maps
+
+
+def node_yields(
+    children: Mapping[NodeId, Sequence[NodeId]], root: NodeId, n: int
+) -> dict[NodeId, tuple[int, ...]]:
+    """Sorted terminal yield of each terminal and of every nonterminal
+    below ``root``.
+
+    ``children`` maps each nonterminal to its children; ids 1..n are the
+    terminals.  Raises ValueError when the walk reaches more nonterminals
+    than the map holds, as a cycle in unvalidated input makes it do.
+    """
+    reached: list[NodeId] = []  # nonterminals, parents before children
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if v > n:
+            reached.append(v)
+            if len(reached) > len(children):
+                raise ValueError(f"the children below node {root} do not form a tree")
+            stack.extend(children[v])
+    yields: dict[NodeId, tuple[int, ...]] = {t: (t,) for t in range(1, n + 1)}
+    for v in reversed(reached):
+        acc: list[int] = []
+        for c in children[v]:
+            acc.extend(yields[c])
+        yields[v] = tuple(sorted(acc))
+    return yields
+
+
+def preorder_edges(
+    children: Mapping[NodeId, Sequence[NodeId]],
+    root: NodeId,
+    n: int,
+    yields: Mapping[NodeId, tuple[int, ...]],
+) -> Iterator[tuple[NodeId, NodeId]]:
+    """(parent, child) pairs below ``root`` in preorder, the children of
+    each node ordered by their leftmost terminal."""
+
+    def reversed_children(v: NodeId) -> Iterator[NodeId]:
+        return reversed(sorted(children[v], key=lambda c: yields[c][0]))
+
+    stack = [(root, c) for c in reversed_children(root)]
+    while stack:
+        parent, child = stack.pop()
+        yield parent, child
+        if child > n:
+            stack.extend((child, c) for c in reversed_children(child))
+
+
+def graph_from_children(
+    tokens: tuple[Token, ...],
+    root: NodeId,
+    children: Mapping[NodeId, Sequence[NodeId]],
+    labels: Mapping[NodeId, str],
+) -> UccaGraph:
+    """The remote-free graph of a tree held as a children map.
+
+    ``labels`` holds the label of the edge above each node.  Edges come
+    in the order of :func:`preorder_edges`.
+    """
+    n = len(tokens)
+    pairs = preorder_edges(children, root, n, node_yields(children, root, n))
+    return UccaGraph(
+        tokens=tokens,
+        root=root,
+        nonterminals=frozenset(v for v in children if v > n),
+        edges=tuple(Edge(p, c, labels[c]) for p, c in pairs),
+    )
+
+
+def _load_jsonl(path: str, decode: Callable[[dict], object], what: str) -> list:
+    records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                graphs.append(UccaGraph.from_json(json.loads(line)))
+                records.append(decode(json.loads(line)))
             except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed graph record: {exc}") from exc
-    return graphs
+                raise ValueError(f"{path}:{lineno}: malformed {what} record: {exc}") from exc
+    return records
+
+
+def load_corpus(path: str) -> list[UccaGraph]:
+    """Read one graph per line from a JSONL file."""
+    return _load_jsonl(path, UccaGraph.from_json, "graph")
 
 
 def dump_corpus(graphs: Iterable[UccaGraph], path: str) -> None:
@@ -414,30 +445,7 @@ def dump_corpus(graphs: Iterable[UccaGraph], path: str) -> None:
 
 def load_token_lines(path: str) -> list[tuple[Token, ...]]:
     """Read token sequences from corpus JSONL, ignoring any graph part."""
-    sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                lang = data.get("lang", "")
-                sentences.append(
-                    tuple(
-                        Token(
-                            form=t["form"],
-                            pos=t.get("pos", ""),
-                            ner=t.get("ner", ""),
-                            dep=t.get("dep", ""),
-                            lang=lang,
-                        )
-                        for t in data["tokens"]
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed token record: {exc}") from exc
-    return sentences
+    return _load_jsonl(path, tokens_from_json, "token")
 
 
 # ---------------------------------------------------------------------------
@@ -529,30 +537,10 @@ class ConstituentTree:
                 return {"leaf": node.leaf}
             return {"label": node.label, "children": [encode(c) for c in node.children]}
 
-        lang = self.tokens[0].lang if self.tokens else ""
-        return {
-            "tokens": [
-                {"form": t.form, "pos": t.pos, "ner": t.ner, "dep": t.dep}
-                for t in self.tokens
-            ],
-            "lang": lang,
-            "tree": encode(self.root),
-        }
+        return {**tokens_to_json(self.tokens), "tree": encode(self.root)}
 
     @classmethod
     def from_json(cls, data: dict) -> ConstituentTree:
-        lang = data.get("lang", "")
-        tokens = tuple(
-            Token(
-                form=t["form"],
-                pos=t.get("pos", ""),
-                ner=t.get("ner", ""),
-                dep=t.get("dep", ""),
-                lang=lang,
-            )
-            for t in data["tokens"]
-        )
-
         def decode(node: dict) -> TreeNode:
             if "leaf" in node:
                 return TreeNode(leaf=int(node["leaf"]))
@@ -561,4 +549,4 @@ class ConstituentTree:
                 children=tuple(decode(c) for c in node["children"]),
             )
 
-        return cls(tokens=tokens, root=decode(data["tree"]))
+        return cls(tokens=tokens_from_json(data), root=decode(data["tree"]))

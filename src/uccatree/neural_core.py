@@ -2,15 +2,15 @@
 representations, MLP scoring heads and a biaffine pair scorer.
 
 Everything runs on numpy through the :mod:`uccatree.autodiff` tape, in
-64-bit floats by default, with fully seeded initialization so that two
-runs from the same seed produce bit-identical parameters.
+64-bit floats, with fully seeded initialization so that two runs from the
+same seed produce bit-identical parameters.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,13 +28,9 @@ class OptimizationError(Exception):
 
 
 @dataclass
-class ModelConfig:
-    """Dimensions, feature toggles and vocabularies of one model.
-
-    Vocabulary lists carry their reserved first entry explicitly: index 0
-    is ``<unk>`` for token-feature vocabularies, the empty label for span
-    labels, and ``NOT-PARENT`` for remote labels.
-    """
+class ModelHyperparams:
+    """Dimensions and feature toggles: set by a training config, stored
+    with the model."""
 
     word_dim: int = 100
     tag_dim: int = 50
@@ -46,11 +42,26 @@ class ModelConfig:
     use_ner: bool = True
     use_dep: bool = True
     multilingual: bool = False
-    pretrained_dim: int = 0
     freeze_pretrained: bool = False
     external_dim: int = 0
     share_span_hidden: bool = False
-    dtype: str = "float64"
+
+    def hyperparams(self) -> dict:
+        """The :class:`ModelHyperparams` fields of this object."""
+        return {f.name: getattr(self, f.name) for f in fields(ModelHyperparams)}
+
+
+@dataclass
+class ModelConfig(ModelHyperparams):
+    """Hyperparameters and vocabularies of one model.
+
+    ``pretrained_dim`` is the width of the pretrained vectors, 0 without
+    them.  Vocabulary lists carry their reserved first entry explicitly:
+    index 0 is ``<unk>`` for token-feature vocabularies, the empty label
+    for span labels, and ``NOT-PARENT`` for remote labels.
+    """
+
+    pretrained_dim: int = 0
     words: list[str] = field(default_factory=lambda: [UNK])
     pos_tags: list[str] = field(default_factory=lambda: [UNK])
     ner_tags: list[str] = field(default_factory=lambda: [UNK])
@@ -59,10 +70,6 @@ class ModelConfig:
     pretrained_words: list[str] = field(default_factory=list)
     labels: list[str] = field(default_factory=lambda: [""])
     remote_labels: list[str] = field(default_factory=lambda: [NOT_PARENT])
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        return np.dtype({"float64": np.float64, "float32": np.float32}[self.dtype])
 
     @property
     def input_dim(self) -> int:
@@ -83,17 +90,23 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> ModelConfig:
+        # Checkpoints written while the tensor type was an option name it;
+        # their tensors are float64 like every checkpoint's.
+        data = dict(data)
+        dtype = data.pop("dtype", "float64")
+        if dtype != "float64":
+            raise ValueError(f"unsupported checkpoint dtype {dtype!r}: tensors are float64")
         return cls(**data)
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     fan_in, fan_out = shape[-1], shape[0]
     limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape)
 
 
-def _embedding(rng: np.random.Generator, rows: int, dim: int, dtype) -> np.ndarray:
-    return rng.uniform(-0.01, 0.01, size=(rows, dim)).astype(dtype)
+def _embedding(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    return rng.uniform(-0.01, 0.01, size=(rows, dim))
 
 
 class Vocab:
@@ -138,19 +151,18 @@ class ModelParams:
         pretrained: np.ndarray | None = None,
     ) -> ModelParams:
         rng = np.random.default_rng(seed)
-        dt = config.np_dtype
         h = config.lstm_hidden
         tensors: dict[str, np.ndarray] = {}
 
-        tensors["emb_word"] = _embedding(rng, len(config.words), config.word_dim, dt)
+        tensors["emb_word"] = _embedding(rng, len(config.words), config.word_dim)
         if config.use_pos:
-            tensors["emb_pos"] = _embedding(rng, len(config.pos_tags), config.tag_dim, dt)
+            tensors["emb_pos"] = _embedding(rng, len(config.pos_tags), config.tag_dim)
         if config.use_ner:
-            tensors["emb_ner"] = _embedding(rng, len(config.ner_tags), config.tag_dim, dt)
+            tensors["emb_ner"] = _embedding(rng, len(config.ner_tags), config.tag_dim)
         if config.use_dep:
-            tensors["emb_dep"] = _embedding(rng, len(config.dep_labels), config.tag_dim, dt)
+            tensors["emb_dep"] = _embedding(rng, len(config.dep_labels), config.tag_dim)
         if config.multilingual:
-            tensors["emb_lang"] = _embedding(rng, len(config.languages), config.lang_dim, dt)
+            tensors["emb_lang"] = _embedding(rng, len(config.languages), config.lang_dim)
         if config.pretrained_dim:
             if pretrained is not None:
                 if pretrained.shape != (len(config.pretrained_words) + 1, config.pretrained_dim):
@@ -158,42 +170,42 @@ class ModelParams:
                         f"pretrained matrix shape {pretrained.shape} does not match "
                         f"{len(config.pretrained_words) + 1} words x {config.pretrained_dim}"
                     )
-                tensors["emb_pre"] = pretrained.astype(dt)
+                tensors["emb_pre"] = pretrained.astype(np.float64)
             else:
                 tensors["emb_pre"] = _embedding(
-                    rng, len(config.pretrained_words) + 1, config.pretrained_dim, dt
+                    rng, len(config.pretrained_words) + 1, config.pretrained_dim
                 )
 
         in_dims = [config.input_dim, 2 * h]
         for layer, d_in in enumerate(in_dims, start=1):
             for direction in ("f", "b"):
                 prefix = f"lstm{layer}{direction}"
-                tensors[prefix + "_wx"] = _glorot(rng, (4 * h, d_in), dt)
-                tensors[prefix + "_wh"] = _glorot(rng, (4 * h, h), dt)
-                bias = np.zeros(4 * h, dtype=dt)
+                tensors[prefix + "_wx"] = _glorot(rng, (4 * h, d_in))
+                tensors[prefix + "_wh"] = _glorot(rng, (4 * h, h))
+                bias = np.zeros(4 * h)
                 bias[h : 2 * h] = 1.0  # encourage remembering at the start
                 tensors[prefix + "_b"] = bias
 
         span_dim = config.span_dim
         if config.share_span_hidden:
-            tensors["head_hidden_w"] = _glorot(rng, (config.mlp_hidden, span_dim), dt)
-            tensors["head_hidden_b"] = np.zeros(config.mlp_hidden, dtype=dt)
+            tensors["head_hidden_w"] = _glorot(rng, (config.mlp_hidden, span_dim))
+            tensors["head_hidden_b"] = np.zeros(config.mlp_hidden)
         else:
-            tensors["label_hidden_w"] = _glorot(rng, (config.mlp_hidden, span_dim), dt)
-            tensors["label_hidden_b"] = np.zeros(config.mlp_hidden, dtype=dt)
-            tensors["span_hidden_w"] = _glorot(rng, (config.mlp_hidden, span_dim), dt)
-            tensors["span_hidden_b"] = np.zeros(config.mlp_hidden, dtype=dt)
-        tensors["label_out_w"] = _glorot(rng, (len(config.labels), config.mlp_hidden), dt)
-        tensors["label_out_b"] = np.zeros(len(config.labels), dtype=dt)
-        tensors["span_out_w"] = _glorot(rng, (1, config.mlp_hidden), dt)
-        tensors["span_out_b"] = np.zeros(1, dtype=dt)
+            tensors["label_hidden_w"] = _glorot(rng, (config.mlp_hidden, span_dim))
+            tensors["label_hidden_b"] = np.zeros(config.mlp_hidden)
+            tensors["span_hidden_w"] = _glorot(rng, (config.mlp_hidden, span_dim))
+            tensors["span_hidden_b"] = np.zeros(config.mlp_hidden)
+        tensors["label_out_w"] = _glorot(rng, (len(config.labels), config.mlp_hidden))
+        tensors["label_out_b"] = np.zeros(len(config.labels))
+        tensors["span_out_w"] = _glorot(rng, (1, config.mlp_hidden))
+        tensors["span_out_b"] = np.zeros(1)
 
         dc = dp = config.remote_mlp_dim
-        tensors["remote_child_w"] = _glorot(rng, (dc, span_dim), dt)
-        tensors["remote_child_b"] = np.zeros(dc, dtype=dt)
-        tensors["remote_parent_w"] = _glorot(rng, (dp, span_dim), dt)
-        tensors["remote_parent_b"] = np.zeros(dp, dtype=dt)
-        tensors["biaffine_w"] = _glorot(rng, (dc + 1, len(config.remote_labels), dp), dt)
+        tensors["remote_child_w"] = _glorot(rng, (dc, span_dim))
+        tensors["remote_child_b"] = np.zeros(dc)
+        tensors["remote_parent_w"] = _glorot(rng, (dp, span_dim))
+        tensors["remote_parent_b"] = np.zeros(dp)
+        tensors["biaffine_w"] = _glorot(rng, (dc + 1, len(config.remote_labels), dp))
         return cls(config, tensors)
 
     # -- checkpointing --------------------------------------------------
@@ -229,7 +241,7 @@ class ModelParams:
         tensors = {}
         for name, spec in payload["tensors"].items():
             raw = np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8")
-            tensors[name] = raw.reshape(spec["shape"]).astype(config.np_dtype)
+            tensors[name] = raw.reshape(spec["shape"]).astype(np.float64)
         return cls(config, tensors)
 
     def copy_tensors(self) -> dict[str, np.ndarray]:
@@ -274,24 +286,24 @@ def embed(
     n = len(tokens)
     parts: list[Var] = []
     word_ids = [p.words.lookup(t.form) for t in tokens]
-    parts.append(ad.take_rows(bound["emb_word"], word_ids))
+    parts.append(ad.index(bound["emb_word"], word_ids))
     if cfg.use_pos:
-        parts.append(ad.take_rows(bound["emb_pos"], [p.pos_tags.lookup(t.pos) for t in tokens]))
+        parts.append(ad.index(bound["emb_pos"], [p.pos_tags.lookup(t.pos) for t in tokens]))
     if cfg.use_ner:
-        parts.append(ad.take_rows(bound["emb_ner"], [p.ner_tags.lookup(t.ner) for t in tokens]))
+        parts.append(ad.index(bound["emb_ner"], [p.ner_tags.lookup(t.ner) for t in tokens]))
     if cfg.use_dep:
-        parts.append(ad.take_rows(bound["emb_dep"], [p.dep_labels.lookup(t.dep) for t in tokens]))
+        parts.append(ad.index(bound["emb_dep"], [p.dep_labels.lookup(t.dep) for t in tokens]))
     if cfg.multilingual:
-        parts.append(ad.take_rows(bound["emb_lang"], [p.languages.lookup(lang)] * n))
+        parts.append(ad.index(bound["emb_lang"], [p.languages.lookup(lang)] * n))
     if cfg.pretrained_dim:
         assert p.pretrained_words is not None
         parts.append(
-            ad.take_rows(bound["emb_pre"], [p.pretrained_words.lookup(t.form) for t in tokens])
+            ad.index(bound["emb_pre"], [p.pretrained_words.lookup(t.form) for t in tokens])
         )
     if cfg.external_dim:
         if external is None:
             raise ValueError("model expects external feature vectors but none were given")
-        external = np.asarray(external, dtype=cfg.np_dtype)
+        external = np.asarray(external, dtype=np.float64)
         if external.shape != (n, cfg.external_dim):
             raise ValueError(
                 f"external feature shape {external.shape} does not match "
@@ -323,19 +335,18 @@ class Encoding:
 def _lstm_direction(
     inputs: list[Var], bound: BoundParams, prefix: str, reverse: bool
 ) -> list[Var]:
-    cfg = bound.config
-    h_dim = cfg.lstm_hidden
+    h_dim = bound.config.lstm_hidden
     wx, wh, b = bound[prefix + "_wx"], bound[prefix + "_wh"], bound[prefix + "_b"]
-    zeros = Var(np.zeros(h_dim, dtype=cfg.np_dtype))
+    zeros = Var(np.zeros(h_dim))
     h, c = zeros, zeros
     outputs: list[Var] = []
     order = reversed(inputs) if reverse else inputs
     for x in order:
         gates = ad.matmul(wx, x) + ad.matmul(wh, h) + b
-        i = ad.sigmoid(ad.slice0(gates, 0, h_dim))
-        f = ad.sigmoid(ad.slice0(gates, h_dim, 2 * h_dim))
-        o = ad.sigmoid(ad.slice0(gates, 2 * h_dim, 3 * h_dim))
-        g = ad.tanh(ad.slice0(gates, 3 * h_dim, 4 * h_dim))
+        i = ad.sigmoid(ad.index(gates, slice(0, h_dim)))
+        f = ad.sigmoid(ad.index(gates, slice(h_dim, 2 * h_dim)))
+        o = ad.sigmoid(ad.index(gates, slice(2 * h_dim, 3 * h_dim)))
+        g = ad.tanh(ad.index(gates, slice(3 * h_dim, 4 * h_dim)))
         c = f * c + i * g
         h = o * ad.tanh(c)
         outputs.append(h)
@@ -350,13 +361,13 @@ def encode(inputs: Var, bound: BoundParams) -> Encoding:
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("cannot encode an empty sentence")
-    xs = [ad.row(inputs, i) for i in range(n)]
+    xs = [ad.index(inputs, i) for i in range(n)]
     f1 = _lstm_direction(xs, bound, "lstm1f", reverse=False)
     b1 = _lstm_direction(xs, bound, "lstm1b", reverse=True)
     xs2 = [ad.concat([f1[i], b1[i]], axis=0) for i in range(n)]
     f2 = _lstm_direction(xs2, bound, "lstm2f", reverse=False)
     b2 = _lstm_direction(xs2, bound, "lstm2b", reverse=True)
-    zeros = Var(np.zeros(cfg.lstm_hidden, dtype=cfg.np_dtype))
+    zeros = Var(np.zeros(cfg.lstm_hidden))
     forward = ad.stack_rows([zeros] + f2)
     backward = ad.stack_rows(b2 + [zeros])
     return Encoding(forward=forward, backward=backward, n=n)
@@ -369,14 +380,9 @@ def span_reprs(enc: Encoding, spans: Sequence[tuple[int, int]]) -> Var:
             raise ValueError(f"degenerate or out-of-range span ({i}, {j}) for n={enc.n}")
     lo = [i for i, _ in spans]
     hi = [j for _, j in spans]
-    fwd = ad.sub(ad.take_rows(enc.forward, hi), ad.take_rows(enc.forward, lo))
-    bwd = ad.sub(ad.take_rows(enc.backward, lo), ad.take_rows(enc.backward, hi))
+    fwd = ad.sub(ad.index(enc.forward, hi), ad.index(enc.forward, lo))
+    bwd = ad.sub(ad.index(enc.backward, lo), ad.index(enc.backward, hi))
     return ad.concat([fwd, bwd], axis=1)
-
-
-def span_repr(enc: Encoding, i: int, j: int) -> Var:
-    """Single span representation as a vector."""
-    return ad.row(span_reprs(enc, [(i, j)]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,37 +394,27 @@ def _hidden(bound: BoundParams, reprs: Var, head: str) -> Var:
         w, b = bound["head_hidden_w"], bound["head_hidden_b"]
     else:
         w, b = bound[f"{head}_hidden_w"], bound[f"{head}_hidden_b"]
-    return ad.relu(ad.matmul(reprs, transpose(w)) + b)
-
-
-def transpose(a: Var) -> Var:
-    out = Var(a.value.T, (a,))
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g.T)
-
-    out._bw = bw
-    return out
+    return ad.relu(ad.matmul(reprs, ad.transpose(w)) + b)
 
 
 def label_scores(reprs: Var, bound: BoundParams) -> Var:
     """(m, num_labels) span-label scores for a batch of span reprs."""
     hidden = _hidden(bound, reprs, "label")
-    return ad.matmul(hidden, transpose(bound["label_out_w"])) + bound["label_out_b"]
+    return ad.matmul(hidden, ad.transpose(bound["label_out_w"])) + bound["label_out_b"]
 
 
 def split_scores(reprs: Var, bound: BoundParams) -> Var:
     """(m,) scalar span scores used for split decisions."""
     hidden = _hidden(bound, reprs, "span")
-    return ad.matmul(hidden, ad.row(bound["span_out_w"], 0)) + ad.pick(bound["span_out_b"], 0)
+    return ad.matmul(hidden, ad.index(bound["span_out_w"], 0)) + ad.index(bound["span_out_b"], 0)
 
 
 def remote_child_repr(reprs: Var, bound: BoundParams) -> Var:
-    return ad.relu(ad.matmul(reprs, transpose(bound["remote_child_w"])) + bound["remote_child_b"])
+    return ad.relu(ad.matmul(reprs, ad.transpose(bound["remote_child_w"])) + bound["remote_child_b"])
 
 
 def remote_parent_repr(reprs: Var, bound: BoundParams) -> Var:
-    return ad.relu(ad.matmul(reprs, transpose(bound["remote_parent_w"])) + bound["remote_parent_b"])
+    return ad.relu(ad.matmul(reprs, ad.transpose(bound["remote_parent_w"])) + bound["remote_parent_b"])
 
 
 def biaffine(child_repr: Var, parent_repr: Var, w: Var) -> Var:
@@ -427,7 +423,7 @@ def biaffine(child_repr: Var, parent_repr: Var, w: Var) -> Var:
     The child representation is extended with a constant 1 so the last
     row of each label slice acts as a parent-only bias term.
     """
-    one = Var(np.ones(1, dtype=child_repr.value.dtype))
+    one = Var(np.ones(1))
     extended = ad.concat([child_repr, one], axis=0)
     return ad.bilinear_vec(extended, w, parent_repr)
 

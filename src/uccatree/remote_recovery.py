@@ -76,13 +76,8 @@ def _pair_score_matrix(
     parents = remote_parent_repr(parent_rows, bound)
     w = bound["biaffine_w"]
     return [
-        biaffine(ad.row(children, k), ad.row(parents, k), w) for k in range(len(pairs))
+        biaffine(ad.index(children, k), ad.index(parents, k), w) for k in range(len(pairs))
     ]
-
-
-def score_pair(pair: RemoteCandidatePair, enc: Encoding, bound: BoundParams) -> Var:
-    """Scores over the remote label inventory for one candidate pair."""
-    return _pair_score_matrix([pair], enc, bound)[0]
 
 
 def loss_remote(
@@ -97,7 +92,7 @@ def loss_remote(
     NOT-PARENT (index 0 of the remote label inventory).
     """
     if not pairs:
-        return Var(np.zeros((), dtype=bound.config.np_dtype))
+        return Var(np.zeros(()))
     gold = {(parent, child): label for parent, child, label in gold_remote_edges}
     vocab = bound.params.remote_labels
     scores = _pair_score_matrix(pairs, enc, bound)

@@ -51,13 +51,6 @@ class GoldTrace:
     entries: tuple[TraceEntry, ...]
 
 
-@dataclass(frozen=True)
-class ScoredSpanDecision:
-    span: tuple[int, int]
-    label: str
-    split: int | None
-
-
 def _trace_node(node: TreeNode) -> TraceNode:
     parts = [node.label or ""]
     # Distinct same-span chain nodes merge into one decision, mirroring
@@ -203,7 +196,7 @@ def loss_topdown(enc: Encoding, gold: GoldTrace, bound: BoundParams) -> Var:
     handle(gold.root, TOP, False)
 
     labels = bound.config.labels
-    label_rows = ad.take_rows(reprs, [span_index[span] for span, _, _, _ in label_decisions])
+    label_rows = ad.index(reprs, [span_index[span] for span, _, _, _ in label_decisions])
     label_v = label_scores(label_rows, bound)
     label_values = label_v.value
 
@@ -218,31 +211,24 @@ def loss_topdown(enc: Encoding, gold: GoldTrace, bound: BoundParams) -> Var:
             continue
         wrong_vals = [float(label_values[idx, c]) for c in wrong]
         wrong_id = _argmax_first(wrong_vals, wrong)
-        margin = ad.at(label_v, idx, wrong_id) - ad.at(label_v, idx, gold_id)
+        margin = ad.index(label_v, (idx, wrong_id)) - ad.index(label_v, (idx, gold_id))
         terms.append(ad.relu(margin + 1.0))
 
     for (i, j), k_star, k_wrong in split_decisions:
-        gold_score = ad.pick(split_v, span_index[(i, k_star)]) + ad.pick(
+        gold_score = ad.index(split_v, span_index[(i, k_star)]) + ad.index(
             split_v, span_index[(k_star, j)]
         )
-        wrong_score = ad.pick(split_v, span_index[(i, k_wrong)]) + ad.pick(
+        wrong_score = ad.index(split_v, span_index[(i, k_wrong)]) + ad.index(
             split_v, span_index[(k_wrong, j)]
         )
         terms.append(ad.relu(wrong_score - gold_score + 1.0))
 
-    return ad.add_n(terms) if terms else Var(np.zeros((), dtype=bound.config.np_dtype))
+    return ad.add_n(terms) if terms else Var(np.zeros(()))
 
 
 def parse_topdown(
     enc: Encoding, tokens: Sequence[Token], bound: BoundParams
 ) -> ConstituentTree:
-    tree, _ = parse_topdown_with_decisions(enc, tokens, bound)
-    return tree
-
-
-def parse_topdown_with_decisions(
-    enc: Encoding, tokens: Sequence[Token], bound: BoundParams
-) -> tuple[ConstituentTree, list[ScoredSpanDecision]]:
     """Greedy top-down decoding over precomputed span scores.
 
     Ties resolve to the smallest label index and the smallest split
@@ -267,7 +253,6 @@ def parse_topdown_with_decisions(
     }
     if not candidate_ids[(TOP, False)]:
         raise ValueError('the label inventory has no "ROOT"-headed entry')
-    decisions: list[ScoredSpanDecision] = []
 
     def build(i: int, j: int, mode: str, node_left: int) -> list[TreeNode]:
         candidates = candidate_ids[(mode, i == node_left)]
@@ -275,7 +260,6 @@ def parse_topdown_with_decisions(
         label_id = _argmax_first([float(rows[c]) for c in candidates], candidates)
         label = labels[label_id]
         if j - i == 1:
-            split = None
             children: list[TreeNode] = [TreeNode(leaf=j)]
         else:
             kid_mode = _child_mode(mode, label)
@@ -287,7 +271,6 @@ def parse_topdown_with_decisions(
             ]
             split = _argmax_first(vals, ks)
             children = build(i, split, kid_mode, kid_left) + build(split, j, kid_mode, kid_left)
-        decisions.append(ScoredSpanDecision(span=(i, j), label=label, split=split))
         parts = label.split("+") if label else []
         for part in reversed(parts):
             children = [TreeNode(label=part, children=tuple(children))]
@@ -295,4 +278,4 @@ def parse_topdown_with_decisions(
 
     forest = build(0, n, TOP, -1)
     assert len(forest) == 1 and forest[0].label == ROOT_LABEL
-    return ConstituentTree(tokens=tuple(tokens), root=forest[0]), decisions
+    return ConstituentTree(tokens=tuple(tokens), root=forest[0])

@@ -10,20 +10,21 @@ epochs without improvement or at the epoch cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .conversion import graph_to_tree, tree_to_graph
 from .evaluation import F1Report, score_corpus
-from .graph_model import Edge, Token, UccaGraph
+from .graph_model import ConstituentTree, Edge, Token, UccaGraph
 from .neural_core import (
     NOT_PARENT,
-    UNK,
     AdamState,
     BoundParams,
+    Encoding,
     ModelConfig,
+    ModelHyperparams,
     ModelParams,
     Vocab,
     adam_step,
@@ -43,29 +44,15 @@ DECOMPOSITION_TOLERANCE = 1e-12
 
 
 @dataclass
-class TrainConfig:
-    """Training hyperparameters and model dimensions."""
+class TrainConfig(ModelHyperparams):
+    """Training settings plus the hyperparameters of the model to train."""
 
     seed: int = 1
     max_epochs: int = 100
     patience: int = 10
     optimizer: str = "adam"  # "adam" or "sgd"
     learning_rate: float = 1e-3
-    word_dim: int = 100
-    tag_dim: int = 50
-    lang_dim: int = 50
-    lstm_hidden: int = 250
-    mlp_hidden: int = 250
-    remote_mlp_dim: int = 100
-    use_pos: bool = True
-    use_ner: bool = True
-    use_dep: bool = True
-    multilingual: bool = False
-    share_span_hidden: bool = False
-    dtype: str = "float64"
     pretrained_path: str | None = None
-    freeze_pretrained: bool = False
-    external_dim: int = 0
 
     @classmethod
     def from_json(cls, data: dict) -> TrainConfig:
@@ -160,21 +147,8 @@ def _model_config_from_examples(
     labels.discard("")
     remote_labels.discard(NOT_PARENT)
     return ModelConfig(
-        word_dim=config.word_dim,
-        tag_dim=config.tag_dim,
-        lang_dim=config.lang_dim,
-        lstm_hidden=config.lstm_hidden,
-        mlp_hidden=config.mlp_hidden,
-        remote_mlp_dim=config.remote_mlp_dim,
-        use_pos=config.use_pos,
-        use_ner=config.use_ner,
-        use_dep=config.use_dep,
-        multilingual=config.multilingual,
+        **config.hyperparams(),
         pretrained_dim=pretrained_dim,
-        freeze_pretrained=config.freeze_pretrained,
-        external_dim=config.external_dim,
-        share_span_hidden=config.share_span_hidden,
-        dtype=config.dtype,
         words=Vocab.build(words).items,
         pos_tags=Vocab.build(pos).items,
         ner_tags=Vocab.build(ner).items,
@@ -229,9 +203,7 @@ def sentence_loss(
     Returns (joint, topdown, remote) loss values and the gradients.
     Raises if the joint loss stops being the exact sum of its parts.
     """
-    bound = BoundParams(params)
-    inputs = embed(example.tokens, example.lang, bound, external=example.external)
-    enc = encode(inputs, bound)
+    bound, enc = encode_sentence(example.tokens, params, external=example.external)
     lt = loss_topdown(enc, example.trace, bound)
     lr = loss_remote(example.pairs, example.gold_remotes, enc, bound)
     joint = lt + lr
@@ -244,6 +216,37 @@ def sentence_loss(
     return float(joint.value), float(lt.value), float(lr.value), bound.grads()
 
 
+def encode_sentence(
+    tokens: Sequence[Token],
+    params: ModelParams,
+    external: np.ndarray | None = None,
+) -> tuple[BoundParams, Encoding]:
+    """Fresh tape leaves and the BiLSTM encoding of one sentence, embedded
+    in the language its tokens carry."""
+    if not tokens:
+        raise ValueError("cannot encode an empty sentence")
+    bound = BoundParams(params)
+    inputs = embed(tokens, tokens[0].lang, bound, external=external)
+    return bound, encode(inputs, bound)
+
+
+def restore_graph(tree: ConstituentTree, enc: Encoding, bound: BoundParams) -> UccaGraph:
+    """Tree -> primary graph -> graph with predicted remote edges.
+
+    The remote edges follow the primary edges in the order
+    :func:`predict_remotes` accepted them.
+    """
+    graph, marked = tree_to_graph(tree)
+    remotes = predict_remotes(graph, marked, enc, bound)
+    if remotes:
+        edges = tuple(Edge(p, c, label, remote=True) for p, c, label in remotes)
+        graph = replace(graph, edges=graph.edges + edges)
+    problems = graph.validate()
+    if problems:  # the pipeline must only emit valid graphs
+        raise AssertionError(f"restored an invalid graph: {problems}")
+    return graph
+
+
 def parse_pipeline(
     tokens: Sequence[Token],
     params: ModelParams,
@@ -251,27 +254,8 @@ def parse_pipeline(
 ) -> UccaGraph:
     """Tokens -> tree -> restored graph -> graph with predicted remotes."""
     tokens = tuple(tokens)
-    if not tokens:
-        raise ValueError("cannot parse an empty sentence")
-    lang = tokens[0].lang
-    bound = BoundParams(params)
-    inputs = embed(tokens, lang, bound, external=external)
-    enc = encode(inputs, bound)
-    tree = parse_topdown(enc, tokens, bound)
-    graph, marked = tree_to_graph(tree)
-    remotes = predict_remotes(graph, marked, enc, bound)
-    if remotes:
-        edges = graph.edges + tuple(Edge(p, c, label, remote=True) for p, c, label in remotes)
-        graph = UccaGraph(
-            tokens=graph.tokens,
-            root=graph.root,
-            nonterminals=graph.nonterminals,
-            edges=edges,
-        )
-    problems = graph.validate()
-    if problems:  # the pipeline must only emit valid graphs
-        raise AssertionError(f"parse produced an invalid graph: {problems}")
-    return graph
+    bound, enc = encode_sentence(tokens, params, external=external)
+    return restore_graph(parse_topdown(enc, tokens, bound), enc, bound)
 
 
 def evaluate_model(

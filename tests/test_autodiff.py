@@ -47,7 +47,7 @@ class TestHandDerived:
 
     def test_take_rows_accumulates_duplicates(self):
         a = Var(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
-        out = ad.take_rows(a, [0, 0, 2])
+        out = ad.index(a, [0, 0, 2])
         weighted(out, np.array([[1.0, 2.0], [4.0, 8.0], [16.0, 32.0]])).backward()
         assert a.grad.tolist() == [[5.0, 10.0], [0.0, 0.0], [16.0, 32.0]]
 
@@ -185,17 +185,19 @@ class TestFiniteDifferences:
         tensors = {"a": r.standard_normal((4, 3)), "b": r.standard_normal((4, 2))}
         w = r.standard_normal((4, 5))
         w2 = r.standard_normal((3, 3))
+        w3 = r.standard_normal((2, 4))
 
         def build(v):
             cat = weighted(ad.concat([v["a"], v["b"]], axis=-1), w)
-            rows = weighted(ad.take_rows(v["a"], [1, 1, 3]), w2)
-            sl = weighted(ad.slice0(v["b"], 1, 3), np.array([[1.0, 2.0], [3.0, 4.0]]))
+            rows = weighted(ad.index(v["a"], [1, 1, 3]), w2)
+            sl = weighted(ad.index(v["b"], slice(1, 3)), np.array([[1.0, 2.0], [3.0, 4.0]]))
             st = weighted(
-                ad.stack_rows([ad.row(v["a"], 0), ad.row(v["a"], 2)]),
+                ad.stack_rows([ad.index(v["a"], 0), ad.index(v["a"], 2)]),
                 np.array([[1.0, -1.0, 2.0], [0.5, 1.5, -2.5]]),
             )
-            elem = ad.add(ad.pick(ad.row(v["a"], 1), 2), ad.at(v["b"], 0, 1))
-            return ad.add_n([cat, rows, sl, st, elem])
+            elem = ad.add(ad.index(ad.index(v["a"], 1), 2), ad.index(v["b"], (0, 1)))
+            tr = weighted(ad.transpose(v["b"]), w3)
+            return ad.add_n([cat, rows, sl, st, elem, tr])
 
         fd_check(build, tensors)
 

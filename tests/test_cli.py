@@ -14,7 +14,7 @@ import pytest
 
 import uccatree
 from uccatree.cli import main
-from uccatree.graph_model import dump_corpus, load_corpus
+from uccatree.graph_model import UccaGraph, dump_corpus, load_corpus
 from uccatree.neural_core import ModelParams
 from uccatree.training import TrainConfig, build_model_config
 
@@ -151,6 +151,59 @@ class TestConvertAndRestore:
         restored = load_corpus(str(out))[0]
         assert not any(e.remote for e in restored.edges)
         assert restored.same_structure(primary_only(german_example()))
+
+    def test_restore_encodes_jsonl_trees_in_their_own_language(
+        self, tmp_path, capsys, german_file, monkeypatch
+    ):
+        # A multilingual checkpoint whose remote head fires only on German
+        # input: with every other tensor zero, the encoding is zero unless
+        # the "de" language embedding feeds the LSTM cell inputs.
+        cfg = build_model_config(
+            [german_example()], TrainConfig.from_json({**TINY_TRAIN, "multilingual": True})
+        )
+        params = ModelParams.initialize(cfg, seed=0)
+        t = params.tensors
+        for arr in t.values():
+            arr[...] = 0.0
+        h = cfg.lstm_hidden
+        t["emb_lang"][cfg.languages.index("de")] = 1.0
+        for name in t:
+            if name.endswith("_wx"):
+                t[name][3 * h :] = 1.0  # cell input gate
+        t["remote_child_w"][0] = 1.0
+        t["remote_parent_b"][:] = 1.0
+        t["biaffine_w"][-1, 0] = 1.0  # constant NOT-PARENT score
+        t["biaffine_w"][0, 1] = 10.0  # "A" score grows with the child's span
+        ckpt = tmp_path / "model.json"
+        params.save(str(ckpt))
+
+        validated = []
+        validate = UccaGraph.validate
+
+        def spy(graph):
+            validated.append(graph)
+            return validate(graph)
+
+        monkeypatch.setattr(UccaGraph, "validate", spy)
+
+        def restore(fmt, *lang):
+            trees = tmp_path / f"trees.{fmt}"
+            run_cli(capsys, "convert", "--in", german_file, "--out", str(trees), "--format", fmt)
+            out = tmp_path / f"restored-{fmt}-{len(lang)}.jsonl"
+            code, _, err = run_cli(
+                capsys, "restore", "--in", str(trees), "--remotes-model", str(ckpt),
+                "--out", str(out), "--format", fmt, *lang,
+            )
+            assert code == 0, err
+            return load_corpus(str(out))
+
+        [from_jsonl] = restore("jsonl")
+        assert from_jsonl.tokens[0].lang == "de"
+        assert any(e.remote for e in from_jsonl.edges)
+        assert from_jsonl in validated
+        assert restore("sexpr", "--lang", "de") == [from_jsonl]
+        [untagged] = restore("sexpr")
+        assert not any(e.remote for e in untagged.edges)
 
     def test_restore_rejects_malformed_tree_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 from uccatree.conversion import graph_to_tree, tree_to_graph
 from uccatree.generator import SyntheticSpec, generate
@@ -82,3 +84,12 @@ class TestRoundTripGuarantee:
             restored, marked = tree_to_graph(result.tree)
             assert restored.validate() == []
             assert restored.same_structure(primary_only(g))
+
+
+def test_readme_genspec_example_lists_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("`genspec.json` holds generator settings", 1)[1]
+    example = json.loads(section[section.index("`{") + 1 : section.index("}`") + 1])
+    defaults = asdict(SyntheticSpec())
+    defaults["labels"] = list(defaults["labels"])
+    assert example == defaults

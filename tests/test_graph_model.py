@@ -1,4 +1,4 @@
-"""Core graph/tree data model: yields, LCA, validation, serialization."""
+"""Core graph/tree data model: yields, validation, serialization."""
 
 from __future__ import annotations
 
@@ -44,6 +44,18 @@ class TestYields:
         with pytest.raises(ValueError):
             german_graph.yield_of(99)
 
+    def test_primary_cycle_rejected(self):
+        # Unvalidated input (a predicted corpus given to "ucca eval") can
+        # hold a primary cycle; computing yields must stop with an error.
+        cyclic = UccaGraph(
+            tokens=(Token(form="hi"),),
+            root=2,
+            nonterminals=frozenset({2, 3, 4}),
+            edges=(Edge(2, 3, "A"), Edge(3, 4, "B"), Edge(4, 3, "C"), Edge(4, 1, "")),
+        )
+        with pytest.raises(ValueError, match="not form a tree"):
+            cyclic.yield_of(2)
+
     def test_discontinuity_flags(self, german_graph):
         assert german_graph.is_discontinuous(10) is True
         assert german_graph.is_discontinuous(13) is False  # "ging umher"
@@ -56,25 +68,6 @@ class TestYields:
     def test_fencepost_span(self, german_graph):
         assert german_graph.fencepost_span(13) == (2, 4)  # tokens 3..4
         assert german_graph.fencepost_span(10) == (0, 7)  # stretched interval
-
-
-class TestLca:
-    def test_worked_example(self, german_graph):
-        # The discontinuous node and the "lch" terminal meet at the root.
-        assert german_graph.lca(10, 2) == 8
-
-    def test_symmetry(self, german_graph):
-        for a in (1, 5, 10, 13):
-            for b in (2, 7, 9, 16):
-                assert german_graph.lca(a, b) == german_graph.lca(b, a)
-
-    def test_self(self, german_graph):
-        assert german_graph.lca(13, 13) == 13
-
-    def test_root_is_universal(self, german_graph):
-        root = german_graph.root
-        for v in (1, 7, 9, 15):
-            assert german_graph.lca(root, v) == root
 
 
 class TestValidate:

@@ -25,7 +25,6 @@ from uccatree.neural_core import (
     encode,
     label_scores,
     sgd_step,
-    span_repr,
     span_reprs,
     split_scores,
 )
@@ -78,6 +77,13 @@ class TestConfig:
     def test_json_round_trip(self):
         cfg = tiny_config(multilingual=True, languages=[UNK, "de", "en"])
         assert ModelConfig.from_json(cfg.to_json()) == cfg
+
+    def test_dtype_key_of_older_checkpoints(self):
+        cfg = tiny_config()
+        assert "dtype" not in cfg.to_json()
+        assert ModelConfig.from_json({**cfg.to_json(), "dtype": "float64"}) == cfg
+        with pytest.raises(ValueError, match="'float32'"):
+            ModelConfig.from_json({**cfg.to_json(), "dtype": "float32"})
 
 
 class TestVocab:
@@ -261,9 +267,7 @@ class TestSpanReprs:
         p = ModelParams.initialize(tiny_config(), seed=5)
         bound = BoundParams(p)
         enc = encode(embed(tokens_of("a", "b", "a", "b", "a"), "en", bound), bound)
-        left = span_repr(enc, 0, 2).value
-        right = span_repr(enc, 2, 5).value
-        whole = span_repr(enc, 0, 5).value
+        left, right, whole = span_reprs(enc, [(0, 2), (2, 5), (0, 5)]).value
         assert whole == pytest.approx(left + right, abs=1e-12)
 
     def test_batch_matches_single(self):
@@ -271,8 +275,8 @@ class TestSpanReprs:
         bound = BoundParams(p)
         enc = encode(embed(tokens_of("a", "b", "a"), "en", bound), bound)
         batch = span_reprs(enc, [(0, 1), (1, 3)]).value
-        assert np.array_equal(batch[0], span_repr(enc, 0, 1).value)
-        assert np.array_equal(batch[1], span_repr(enc, 1, 3).value)
+        assert np.array_equal(batch[0], span_reprs(enc, [(0, 1)]).value[0])
+        assert np.array_equal(batch[1], span_reprs(enc, [(1, 3)]).value[0])
 
     def test_invalid_spans_rejected(self):
         p = ModelParams.initialize(tiny_config(), seed=0)

@@ -18,13 +18,13 @@ from uccatree.neural_core import (
     ModelParams,
     embed,
     encode,
+    span_reprs,
 )
 from uccatree.remote_recovery import (
     RemoteCandidatePair,
     enumerate_pairs,
     loss_remote,
     predict_remotes,
-    score_pair,
 )
 
 from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, simple_graph
@@ -149,9 +149,17 @@ class TestLossRemote:
 
         gold_map = {(pa, ch): lab for pa, ch, lab in gold}
         inventory = list(cfg.remote_labels)
+        t = p.tensors
+
+        def head(name, span):
+            r = span_reprs(enc, [span]).value[0]
+            return np.maximum(t[name + "_w"] @ r + t[name + "_b"], 0.0)
+
         expected = 0.0
         for pair in pairs:
-            s = score_pair(pair, enc, bound).value
+            child = np.append(head("remote_child", pair.child_span), 1.0)
+            parent = head("remote_parent", pair.parent_span)
+            s = np.einsum("i,ilj,j->l", child, t["biaffine_w"], parent)
             gold_id = inventory.index(gold_map.get((pair.parent, pair.child), NOT_PARENT))
             expected += math.log(np.exp(s - s.max()).sum()) + s.max() - s[gold_id]
         assert loss == pytest.approx(expected, abs=1e-10)

@@ -29,7 +29,6 @@ from uccatree.span_parser import (
     gold_trace,
     loss_topdown,
     parse_topdown,
-    parse_topdown_with_decisions,
 )
 from uccatree.training import TrainConfig, build_model_config
 
@@ -289,10 +288,8 @@ class TestGreedyParse:
             "uccatree.span_parser.split_scores", lambda reprs, bound: Var(split_vector)
         )
         tokens, bound, enc = encode_tokens(p, GERMAN_FORMS)
-        tree, decisions = parse_topdown_with_decisions(enc, german_graph.tokens, bound)
+        tree = parse_topdown(enc, german_graph.tokens, bound)
         assert tree_to_sexpr(tree) == GERMAN_TREE_SEXPR
-        by_span = {d.span: d for d in decisions}
-        assert by_span[(0, 7)].label == "ROOT+H" and by_span[(0, 7)].split == 1
         restored, marked = tree_to_graph(tree)
         assert restored.same_structure(primary_only(german_graph))
         assert [restored.yield_of(m) for m in marked] == [(2,)]

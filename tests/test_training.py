@@ -55,7 +55,6 @@ class TestConfig:
         assert (cfg.lstm_hidden, cfg.mlp_hidden, cfg.remote_mlp_dim) == (250, 250, 100)
         assert cfg.use_pos and cfg.use_ner and cfg.use_dep
         assert not cfg.multilingual and not cfg.share_span_hidden
-        assert cfg.dtype == "float64"
 
     def test_from_json_round_trip(self):
         cfg = TrainConfig.from_json({"seed": 7, "optimizer": "sgd"})
