@@ -12,7 +12,7 @@ the analytic rules here.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,9 +97,6 @@ class Var:
     def __neg__(self):
         return mul(self, _wrap(-1.0))
 
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
 
 def _wrap(x) -> Var:
     return x if isinstance(x, Var) else Var(np.asarray(x, dtype=np.float64))
@@ -141,41 +138,17 @@ def mul(a: Var, b: Var) -> Var:
     return out
 
 
-def add_n(vars_: Sequence[Var]) -> Var:
-    """Sum of same-shaped (or scalar) terms."""
-    if not vars_:
-        return Var(np.float64(0.0))
-    total = vars_[0].value
-    for v in vars_[1:]:
-        total = total + v.value
-    out = Var(total, tuple(vars_))
-
-    def bw(g: np.ndarray) -> None:
-        for v in vars_:
-            v._accumulate(_unbroadcast(g, v.value.shape))
-
-    out._bw = bw
-    return out
-
-
 def matmul(a: Var, b: Var) -> Var:
-    """Matrix product for the 2D@2D, 2D@1D and 1D@2D cases."""
+    """Matrix product of a 2-D ``a`` with a 2-D or 1-D ``b``."""
     out = Var(a.value @ b.value, (a, b))
-    an, bn = a.value.ndim, b.value.ndim
 
     def bw(g: np.ndarray) -> None:
-        if an == 2 and bn == 2:
+        if b.value.ndim == 2:
             a._accumulate(g @ b.value.T)
             b._accumulate(a.value.T @ g)
-        elif an == 2 and bn == 1:
+        else:
             a._accumulate(np.outer(g, b.value))
             b._accumulate(a.value.T @ g)
-        elif an == 1 and bn == 2:
-            a._accumulate(b.value @ g)
-            b._accumulate(np.outer(a.value, g))
-        else:  # 1D @ 1D -> scalar
-            a._accumulate(g * b.value)
-            b._accumulate(g * a.value)
 
     out._bw = bw
     return out
@@ -290,32 +263,44 @@ def vsum(a: Var) -> Var:
 # -- losses -------------------------------------------------------------
 
 
-def cross_entropy_logits(scores: Var, gold: int) -> Var:
-    """Negative log softmax probability of ``gold``, numerically stable."""
+def cross_entropy_rows(scores: Var, gold: Sequence[int]) -> Var:
+    """Summed negative log softmax probability of ``gold[r]`` in row ``r``
+    of an (m, labels) score matrix, numerically stable."""
     s = scores.value
-    m = s.max()
+    rows = np.arange(s.shape[0])
+    gold = np.asarray(gold, dtype=np.intp)
+    m = s.max(axis=1, keepdims=True)
     exp = np.exp(s - m)
-    z = exp.sum()
+    z = exp.sum(axis=1, keepdims=True)
     softmax = exp / z
-    out = Var(np.log(z) + m - s[gold], (scores,))
+    out = Var(((np.log(z) + m)[:, 0] - s[rows, gold]).sum(), (scores,))
 
     def bw(g: np.ndarray) -> None:
         grad = softmax * float(g)
-        grad[gold] -= float(g)
+        grad[rows, gold] -= float(g)
         scores._accumulate(grad)
 
     out._bw = bw
     return out
 
 
-def bilinear_vec(u: Var, w: Var, v: Var) -> Var:
-    """``out[l] = u . W[:, l, :] . v`` for a 3-D weight tensor."""
-    out = Var(np.einsum("i,ilj,j->l", u.value, w.value, v.value), (u, w, v))
+def bilinear_rows(u: Var, w: Var, v: Var) -> Var:
+    """``out[r, l] = u[r] . W[:, l, :] . v[r]`` for (m, i) rows ``u``, an
+    (i, labels, j) weight tensor and (m, j) rows ``v``.
+
+    The forward pass scores one label at a time, so scoring many rows
+    needs no (m, labels, j) intermediate.
+    """
+    (m, i), (_, labels, j) = u.value.shape, w.value.shape
+    scores = [((u.value @ w.value[:, l]) * v.value).sum(axis=1) for l in range(labels)]
+    out = Var(np.stack(scores, axis=1), (u, w, v))
 
     def bw(g: np.ndarray) -> None:
-        u._accumulate(np.einsum("ilj,l,j->i", w.value, g, v.value))
-        w._accumulate(np.einsum("i,l,j->ilj", u.value, g, v.value))
-        v._accumulate(np.einsum("i,ilj,l->j", u.value, w.value, g))
+        d_uw = (g[:, :, None] * v.value[:, None, :]).reshape(m, labels * j)
+        u._accumulate(d_uw @ w.value.reshape(i, labels * j).T)
+        w._accumulate((u.value.T @ d_uw).reshape(i, labels, j))
+        d_vw = (u.value[:, :, None] * g[:, None, :]).reshape(m, i * labels)
+        v._accumulate(d_vw @ w.value.reshape(i * labels, j))
 
     out._bw = bw
     return out

@@ -20,7 +20,14 @@ import numpy as np
 from .conversion import graph_to_tree, tree_from_sexpr, tree_to_sexpr
 from .evaluation import report_json, score_corpus
 from .generator import SyntheticSpec, generate
-from .graph_model import ConstituentTree, UccaGraph, dump_corpus, load_corpus, load_token_lines
+from .graph_model import (
+    ConstituentTree,
+    UccaGraph,
+    dump_corpus,
+    load_corpus,
+    load_jsonl,
+    load_token_lines,
+)
 from .neural_core import ModelParams
 from .stats import discontinuity_stats
 from .training import TrainConfig, encode_sentence, parse_pipeline, restore_graph, train
@@ -36,18 +43,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _load_external(path: str) -> list[np.ndarray]:
-    vectors = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                vectors.append(np.asarray(record["vectors"], dtype=np.float64))
-            except (KeyError, ValueError) as exc:
-                raise CliError(f"{path}:{lineno}: malformed external feature record: {exc}")
-    return vectors
+    return load_jsonl(
+        path, lambda record: np.asarray(record["vectors"], dtype=np.float64), "external feature"
+    )
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -43,6 +43,13 @@ class KindScore:
             return 0.0
         return 2.0 * p * r / (p + r)
 
+    def __add__(self, other: KindScore) -> KindScore:
+        return KindScore(
+            matched=self.matched + other.matched,
+            gold=self.gold + other.gold,
+            predicted=self.predicted + other.predicted,
+        )
+
 
 @dataclass(frozen=True)
 class F1Report:
@@ -51,11 +58,7 @@ class F1Report:
 
     @property
     def averaged(self) -> KindScore:
-        return KindScore(
-            matched=self.primary.matched + self.remote.matched,
-            gold=self.primary.gold + self.remote.gold,
-            predicted=self.primary.predicted + self.remote.predicted,
-        )
+        return self.primary + self.remote
 
     def to_json(self) -> dict:
         def enc(score: KindScore) -> dict:
@@ -137,16 +140,8 @@ def score_corpus(gold: list[UccaGraph], pred: list[UccaGraph]) -> F1Report:
     remote = KindScore(0, 0, 0)
     for g, p in zip(gold, pred):
         report = score(g, p)
-        primary = KindScore(
-            matched=primary.matched + report.primary.matched,
-            gold=primary.gold + report.primary.gold,
-            predicted=primary.predicted + report.primary.predicted,
-        )
-        remote = KindScore(
-            matched=remote.matched + report.remote.matched,
-            gold=remote.gold + report.remote.gold,
-            predicted=remote.predicted + report.remote.predicted,
-        )
+        primary += report.primary
+        remote += report.remote
     return F1Report(primary=primary, remote=remote)
 
 

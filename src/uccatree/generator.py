@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import Edge, Token, UccaGraph, graph_from_children, node_yields
+from .graph_model import Edge, Token, UccaGraph, graph_from_children, node_yields, reachable
 
 _POS_TAGS = ("NOUN", "VERB", "ADJ", "DET")
 _NER_TAGS = ("O", "PER", "LOC")
@@ -135,18 +135,6 @@ class _Builder:
         for t in range(1, self.n + 1):
             out_edges.setdefault(t, set())
 
-        def reachable(start: int, goal: int) -> bool:
-            stack, seen = [start], {start}
-            while stack:
-                v = stack.pop()
-                if v == goal:
-                    return True
-                for w in out_edges[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return False
-
         remotes: list[Edge] = []
         for child in nonterminals:
             if child == root:
@@ -156,7 +144,7 @@ class _Builder:
             options = [
                 p
                 for p in nonterminals
-                if p != child and p != self.parent[child] and not reachable(child, p)
+                if p != child and p != self.parent[child] and not reachable(out_edges, child, p)
             ]
             if not options:
                 continue

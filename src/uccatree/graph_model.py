@@ -397,6 +397,20 @@ def preorder_edges(
             stack.extend((child, c) for c in reversed_children(child))
 
 
+def reachable(out_edges: Mapping[NodeId, Iterable[NodeId]], start: NodeId, goal: NodeId) -> bool:
+    """Whether ``goal`` can be reached from ``start`` along ``out_edges``."""
+    stack, seen = [start], {start}
+    while stack:
+        v = stack.pop()
+        if v == goal:
+            return True
+        for w in out_edges[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
 def graph_from_children(
     tokens: tuple[Token, ...],
     root: NodeId,
@@ -418,7 +432,8 @@ def graph_from_children(
     )
 
 
-def _load_jsonl(path: str, decode: Callable[[dict], object], what: str) -> list:
+def load_jsonl(path: str, decode: Callable[[dict], object], what: str) -> list:
+    """``decode`` of every non-blank line's JSON; failures name ``path:line``."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -432,9 +447,17 @@ def _load_jsonl(path: str, decode: Callable[[dict], object], what: str) -> list:
     return records
 
 
+def _valid_graph(data: dict) -> UccaGraph:
+    graph = UccaGraph.from_json(data)
+    problems = graph.validate()
+    if problems:
+        raise ValueError("invalid graph: " + "; ".join(problems))
+    return graph
+
+
 def load_corpus(path: str) -> list[UccaGraph]:
-    """Read one graph per line from a JSONL file."""
-    return _load_jsonl(path, UccaGraph.from_json, "graph")
+    """Read one graph per line from a JSONL file; every graph must be valid."""
+    return load_jsonl(path, _valid_graph, "graph")
 
 
 def dump_corpus(graphs: Iterable[UccaGraph], path: str) -> None:
@@ -445,7 +468,7 @@ def dump_corpus(graphs: Iterable[UccaGraph], path: str) -> None:
 
 def load_token_lines(path: str) -> list[tuple[Token, ...]]:
     """Read token sequences from corpus JSONL, ignoring any graph part."""
-    return _load_jsonl(path, tokens_from_json, "token")
+    return load_jsonl(path, tokens_from_json, "token")
 
 
 # ---------------------------------------------------------------------------
@@ -549,4 +572,8 @@ class ConstituentTree:
                 children=tuple(decode(c) for c in node["children"]),
             )
 
-        return cls(tokens=tokens_from_json(data), root=decode(data["tree"]))
+        tree = cls(tokens=tokens_from_json(data), root=decode(data["tree"]))
+        problems = tree.validate()
+        if problems:
+            raise ValueError("invalid tree: " + "; ".join(problems))
+        return tree

@@ -332,17 +332,18 @@ class Encoding:
     n: int
 
 
-def _lstm_direction(
-    inputs: list[Var], bound: BoundParams, prefix: str, reverse: bool
-) -> list[Var]:
+def _lstm_direction(inputs: Var, bound: BoundParams, prefix: str, reverse: bool) -> Var:
+    """(n, hidden) outputs of one LSTM direction over an (n, d) input
+    matrix; the input projection of all tokens is one matmul."""
     h_dim = bound.config.lstm_hidden
     wx, wh, b = bound[prefix + "_wx"], bound[prefix + "_wh"], bound[prefix + "_b"]
+    projected = ad.matmul(inputs, ad.transpose(wx)) + b
     zeros = Var(np.zeros(h_dim))
     h, c = zeros, zeros
     outputs: list[Var] = []
-    order = reversed(inputs) if reverse else inputs
-    for x in order:
-        gates = ad.matmul(wx, x) + ad.matmul(wh, h) + b
+    steps = range(inputs.shape[0])
+    for t in reversed(steps) if reverse else steps:
+        gates = ad.index(projected, t) + ad.matmul(wh, h)
         i = ad.sigmoid(ad.index(gates, slice(0, h_dim)))
         f = ad.sigmoid(ad.index(gates, slice(h_dim, 2 * h_dim)))
         o = ad.sigmoid(ad.index(gates, slice(2 * h_dim, 3 * h_dim)))
@@ -352,24 +353,22 @@ def _lstm_direction(
         outputs.append(h)
     if reverse:
         outputs.reverse()
-    return outputs
+    return ad.stack_rows(outputs)
 
 
 def encode(inputs: Var, bound: BoundParams) -> Encoding:
     """Run the two-layer BiLSTM over an (n, input_dim) matrix."""
-    cfg = bound.config
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("cannot encode an empty sentence")
-    xs = [ad.index(inputs, i) for i in range(n)]
-    f1 = _lstm_direction(xs, bound, "lstm1f", reverse=False)
-    b1 = _lstm_direction(xs, bound, "lstm1b", reverse=True)
-    xs2 = [ad.concat([f1[i], b1[i]], axis=0) for i in range(n)]
-    f2 = _lstm_direction(xs2, bound, "lstm2f", reverse=False)
-    b2 = _lstm_direction(xs2, bound, "lstm2b", reverse=True)
-    zeros = Var(np.zeros(cfg.lstm_hidden))
-    forward = ad.stack_rows([zeros] + f2)
-    backward = ad.stack_rows(b2 + [zeros])
+    f1 = _lstm_direction(inputs, bound, "lstm1f", reverse=False)
+    b1 = _lstm_direction(inputs, bound, "lstm1b", reverse=True)
+    layer2 = ad.concat([f1, b1], axis=1)
+    f2 = _lstm_direction(layer2, bound, "lstm2f", reverse=False)
+    b2 = _lstm_direction(layer2, bound, "lstm2b", reverse=True)
+    zeros = Var(np.zeros((1, bound.config.lstm_hidden)))
+    forward = ad.concat([zeros, f2], axis=0)
+    backward = ad.concat([b2, zeros], axis=0)
     return Encoding(forward=forward, backward=backward, n=n)
 
 
@@ -389,12 +388,14 @@ def span_reprs(enc: Encoding, spans: Sequence[tuple[int, int]]) -> Var:
 # Scoring heads
 
 
+def relu_layer(reprs: Var, bound: BoundParams, name: str) -> Var:
+    """``relu(reprs @ W.T + b)`` with the tensors ``<name>_w`` and ``<name>_b``."""
+    return ad.relu(ad.matmul(reprs, ad.transpose(bound[name + "_w"])) + bound[name + "_b"])
+
+
 def _hidden(bound: BoundParams, reprs: Var, head: str) -> Var:
-    if bound.config.share_span_hidden:
-        w, b = bound["head_hidden_w"], bound["head_hidden_b"]
-    else:
-        w, b = bound[f"{head}_hidden_w"], bound[f"{head}_hidden_b"]
-    return ad.relu(ad.matmul(reprs, ad.transpose(w)) + b)
+    shared = bound.config.share_span_hidden
+    return relu_layer(reprs, bound, "head_hidden" if shared else f"{head}_hidden")
 
 
 def label_scores(reprs: Var, bound: BoundParams) -> Var:
@@ -409,23 +410,16 @@ def split_scores(reprs: Var, bound: BoundParams) -> Var:
     return ad.matmul(hidden, ad.index(bound["span_out_w"], 0)) + ad.index(bound["span_out_b"], 0)
 
 
-def remote_child_repr(reprs: Var, bound: BoundParams) -> Var:
-    return ad.relu(ad.matmul(reprs, ad.transpose(bound["remote_child_w"])) + bound["remote_child_b"])
+def biaffine(child_reprs: Var, parent_reprs: Var, w: Var) -> Var:
+    """(pairs, labels) remote-label scores for (pairs, dc) child rows and
+    (pairs, dp) parent rows, pair k being row k of both.
 
-
-def remote_parent_repr(reprs: Var, bound: BoundParams) -> Var:
-    return ad.relu(ad.matmul(reprs, ad.transpose(bound["remote_parent_w"])) + bound["remote_parent_b"])
-
-
-def biaffine(child_repr: Var, parent_repr: Var, w: Var) -> Var:
-    """Score every remote label for one (child, parent) pair.
-
-    The child representation is extended with a constant 1 so the last
-    row of each label slice acts as a parent-only bias term.
+    The child rows are extended with a constant-1 column so the last row
+    of each label slice acts as a parent-only bias term.
     """
-    one = Var(np.ones(1))
-    extended = ad.concat([child_repr, one], axis=0)
-    return ad.bilinear_vec(extended, w, parent_repr)
+    ones = Var(np.ones((child_reprs.shape[0], 1)))
+    extended = ad.concat([child_reprs, ones], axis=1)
+    return ad.bilinear_rows(extended, w, parent_reprs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .graph_model import UccaGraph
+from .graph_model import UccaGraph, reachable
 from .neural_core import (
     BoundParams,
     Encoding,
     biaffine,
-    remote_child_repr,
-    remote_parent_repr,
+    relu_layer,
     span_reprs,
 )
 
@@ -68,16 +67,13 @@ def enumerate_pairs(
 
 def _pair_score_matrix(
     pairs: Sequence[RemoteCandidatePair], enc: Encoding, bound: BoundParams
-) -> list[Var]:
-    """One score vector (over remote labels) per candidate pair."""
+) -> Var:
+    """(pairs, remote labels) scores, row k for ``pairs[k]``."""
     child_rows = span_reprs(enc, [p.child_span for p in pairs])
     parent_rows = span_reprs(enc, [p.parent_span for p in pairs])
-    children = remote_child_repr(child_rows, bound)
-    parents = remote_parent_repr(parent_rows, bound)
-    w = bound["biaffine_w"]
-    return [
-        biaffine(ad.index(children, k), ad.index(parents, k), w) for k in range(len(pairs))
-    ]
+    children = relu_layer(child_rows, bound, "remote_child")
+    parents = relu_layer(parent_rows, bound, "remote_parent")
+    return biaffine(children, parents, bound["biaffine_w"])
 
 
 def loss_remote(
@@ -95,18 +91,13 @@ def loss_remote(
         return Var(np.zeros(()))
     gold = {(parent, child): label for parent, child, label in gold_remote_edges}
     vocab = bound.params.remote_labels
-    scores = _pair_score_matrix(pairs, enc, bound)
-    terms = []
-    for pair, s in zip(pairs, scores):
+    gold_ids = []
+    for pair in pairs:
         label = gold.get((pair.parent, pair.child))
-        if label is None:
-            gold_id = 0
-        else:
-            if label not in vocab.index:
-                raise ValueError(f"remote label {label!r} missing from the inventory")
-            gold_id = vocab.lookup(label)
-        terms.append(ad.cross_entropy_logits(s, gold_id))
-    return ad.add_n(terms)
+        if label is not None and label not in vocab.index:
+            raise ValueError(f"remote label {label!r} missing from the inventory")
+        gold_ids.append(0 if label is None else vocab.lookup(label))
+    return ad.cross_entropy_rows(_pair_score_matrix(pairs, enc, bound), gold_ids)
 
 
 def predict_remotes(
@@ -126,15 +117,12 @@ def predict_remotes(
     if not pairs:
         return []
     labels = bound.config.remote_labels
-    scores = _pair_score_matrix(pairs, enc, bound)
-    proposals: list[tuple[float, RemoteCandidatePair, str]] = []
-    for pair, s in zip(pairs, scores):
-        values = s.value
-        best = int(np.argmax(values))
-        if best == 0:  # NOT-PARENT
-            continue
-        margin = float(values[best] - values[0])
-        proposals.append((margin, pair, labels[best]))
+    scores = _pair_score_matrix(pairs, enc, bound).value
+    proposals = [
+        (float(values[best] - values[0]), pair, labels[best])
+        for pair, values, best in zip(pairs, scores, scores.argmax(axis=1))
+        if best != 0  # NOT-PARENT
+    ]
     proposals.sort(key=lambda item: (-item[0], item[1].child, item[1].parent))
 
     primary = {(e.parent, e.child) for e in graph.primary_edges}
@@ -142,23 +130,11 @@ def predict_remotes(
     for e in graph.primary_edges:
         out_edges[e.parent].add(e.child)
 
-    def reachable(start: int, goal: int) -> bool:
-        stack, seen = [start], {start}
-        while stack:
-            v = stack.pop()
-            if v == goal:
-                return True
-            for w in out_edges[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
     accepted: list[tuple[int, int, str]] = []
     for _, pair, label in proposals:
         if (pair.parent, pair.child) in primary:
             continue
-        if reachable(pair.child, pair.parent):
+        if reachable(out_edges, pair.child, pair.parent):
             continue  # the new edge would close a cycle
         out_edges[pair.parent].add(pair.child)
         accepted.append((pair.parent, pair.child, label))

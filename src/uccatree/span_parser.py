@@ -164,7 +164,8 @@ def loss_topdown(enc: Encoding, gold: GoldTrace, bound: BoundParams) -> Var:
 
     # (span, gold label, mode, span starts at the parent node's left edge)
     label_decisions: list[tuple[tuple[int, int], str, str, bool]] = []
-    split_decisions: list[tuple[tuple[int, int], int, int]] = []  # (span, gold k, wrong k)
+    # Span rows of each split term: gold left, gold right, wrong left, wrong right.
+    split_terms: list[tuple[int, ...]] = []
 
     def binarize(
         i: int, j: int, kids: tuple[TraceNode, ...], mode: str, node_left: int
@@ -176,7 +177,8 @@ def loss_topdown(enc: Encoding, gold: GoldTrace, bound: BoundParams) -> Var:
         if wrong_ks:
             wrong_vals = [split_value(i, k, j) for k in wrong_ks]
             k_wrong = _argmax_first(wrong_vals, wrong_ks)
-            split_decisions.append(((i, j), k_star, k_wrong))
+            halves = ((i, k_star), (k_star, j), (i, k_wrong), (k_wrong, j))
+            split_terms.append(tuple(span_index[half] for half in halves))
         left = tuple(kid for kid in kids if kid.span[1] <= k_star)
         right = tuple(kid for kid in kids if kid.span[1] > k_star)
         for side, (a, b) in ((left, (i, k_star)), (right, (k_star, j))):
@@ -200,7 +202,7 @@ def loss_topdown(enc: Encoding, gold: GoldTrace, bound: BoundParams) -> Var:
     label_v = label_scores(label_rows, bound)
     label_values = label_v.value
 
-    terms: list[Var] = []
+    label_terms: list[tuple[int, int, int]] = []  # (row of label_v, gold id, wrong id)
     for idx, (span, gold_label, mode, at_left_edge) in enumerate(label_decisions):
         candidates = _candidate_ids(labels, mode, at_left_edge)
         gold_id = bound.params.labels.lookup(gold_label)
@@ -210,20 +212,21 @@ def loss_topdown(enc: Encoding, gold: GoldTrace, bound: BoundParams) -> Var:
         if not wrong:
             continue
         wrong_vals = [float(label_values[idx, c]) for c in wrong]
-        wrong_id = _argmax_first(wrong_vals, wrong)
-        margin = ad.index(label_v, (idx, wrong_id)) - ad.index(label_v, (idx, gold_id))
-        terms.append(ad.relu(margin + 1.0))
+        label_terms.append((idx, gold_id, _argmax_first(wrong_vals, wrong)))
 
-    for (i, j), k_star, k_wrong in split_decisions:
-        gold_score = ad.index(split_v, span_index[(i, k_star)]) + ad.index(
-            split_v, span_index[(k_star, j)]
-        )
-        wrong_score = ad.index(split_v, span_index[(i, k_wrong)]) + ad.index(
-            split_v, span_index[(k_wrong, j)]
-        )
-        terms.append(ad.relu(wrong_score - gold_score + 1.0))
-
-    return ad.add_n(terms) if terms else Var(np.zeros(()))
+    # A kind of term that is absent stays off the tape: the tensors only it
+    # would reach get no gradient, so the optimizer leaves them alone.
+    margins: list[Var] = []
+    if label_terms:
+        rows, gold_ids, wrong_ids = (list(col) for col in zip(*label_terms))
+        margins.append(ad.index(label_v, (rows, wrong_ids)) - ad.index(label_v, (rows, gold_ids)))
+    if split_terms:
+        gold_l, gold_r, wrong_l, wrong_r = (list(col) for col in zip(*split_terms))
+        wrong_score = ad.index(split_v, wrong_l) + ad.index(split_v, wrong_r)
+        margins.append(wrong_score - (ad.index(split_v, gold_l) + ad.index(split_v, gold_r)))
+    if not margins:
+        return Var(np.zeros(()))
+    return ad.vsum(ad.relu(ad.concat(margins, axis=0) + 1.0))
 
 
 def parse_topdown(

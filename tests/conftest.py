@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from uccatree.autodiff import Var
 from uccatree.graph_model import Edge, Token, UccaGraph
 
 GERMAN_FORMS = ["``", "lch", "ging", "umher", "und", "tastete", "."]
@@ -106,3 +107,15 @@ def offset_biases(tensors: dict[str, np.ndarray], seed: int) -> None:
     for name, value in tensors.items():
         if name.endswith("_b"):
             value += rng.uniform(-0.5, 0.5, size=value.shape)
+
+
+def tape_nodes(root: Var) -> int:
+    """Distinct tape nodes reachable from ``root`` through ``_parents``."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)

@@ -52,42 +52,51 @@ class TestHandDerived:
         assert a.grad.tolist() == [[5.0, 10.0], [0.0, 0.0], [16.0, 32.0]]
 
     def test_cross_entropy_against_logsumexp(self):
-        scores = [1.0, 2.0, 0.5]
-        gold = 1
+        scores = [[1.0, 2.0, 0.5], [0.0, -1.0, 3.0], [1.0, 2.0, 0.5]]
+        gold = [1, 2, 1]
         v = Var(np.array(scores))
-        loss = ad.cross_entropy_logits(v, gold)
-        z = sum(math.exp(s) for s in scores)
-        assert loss.value == pytest.approx(math.log(z) - scores[gold], abs=1e-12)
+        loss = ad.cross_entropy_rows(v, gold)
+        expected_loss = 0.0
+        expected_grad = []
+        for row, g in zip(scores, gold):
+            z = sum(math.exp(s) for s in row)
+            expected_loss += math.log(z) - row[g]
+            expected_grad.append(
+                [math.exp(s) / z - (1.0 if i == g else 0.0) for i, s in enumerate(row)]
+            )
+        assert loss.value.shape == ()
+        assert loss.value == pytest.approx(expected_loss, abs=1e-12)
         loss.backward()
-        softmax = [math.exp(s) / z for s in scores]
-        expected = [p - (1.0 if i == gold else 0.0) for i, p in enumerate(softmax)]
-        assert v.grad == pytest.approx(expected, abs=1e-12)
+        assert v.grad == pytest.approx(np.array(expected_grad), abs=1e-12)
 
     def test_bilinear_against_explicit_loops(self):
         r = rng(3)
-        u = r.standard_normal(3)
+        u = r.standard_normal((2, 3))
         w = r.standard_normal((3, 2, 4))
-        v = r.standard_normal(4)
+        v = r.standard_normal((2, 4))
         uv, wv, vv = Var(u.copy()), Var(w.copy()), Var(v.copy())
-        out = ad.bilinear_vec(uv, wv, vv)
+        out = ad.bilinear_rows(uv, wv, vv)
         manual = [
-            sum(u[i] * w[i, l, j] * v[j] for i in range(3) for j in range(4))
-            for l in range(2)
+            [
+                sum(u[p, i] * w[i, l, j] * v[p, j] for i in range(3) for j in range(4))
+                for l in range(2)
+            ]
+            for p in range(2)
         ]
-        assert out.value == pytest.approx(manual, abs=1e-12)
-        c = np.array([1.0, -2.0])
+        assert out.value == pytest.approx(np.array(manual), abs=1e-12)
+        c = np.array([[1.0, -2.0], [0.5, 3.0]])
         weighted(out, c).backward()
         gu = [
-            sum(c[l] * w[i, l, j] * v[j] for l in range(2) for j in range(4))
-            for i in range(3)
+            [sum(c[p, l] * w[i, l, j] * v[p, j] for l in range(2) for j in range(4)) for i in range(3)]
+            for p in range(2)
         ]
         gv = [
-            sum(c[l] * u[i] * w[i, l, j] for l in range(2) for i in range(3))
-            for j in range(4)
+            [sum(c[p, l] * u[p, i] * w[i, l, j] for l in range(2) for i in range(3)) for j in range(4)]
+            for p in range(2)
         ]
-        gw = np.einsum("i,l,j->ilj", u, c, v)
-        assert uv.grad == pytest.approx(gu, abs=1e-12)
-        assert vv.grad == pytest.approx(gv, abs=1e-12)
+        gw = sum(np.einsum("i,l,j->ilj", u[p], c[p], v[p]) for p in range(2))
+        assert uv.grad == pytest.approx(np.array(gu), abs=1e-12)
+        assert vv.grad == pytest.approx(np.array(gv), abs=1e-12)
         assert wv.grad == pytest.approx(gw, abs=1e-12)
 
     def test_relu_subgradient_at_zero_is_zero(self):
@@ -107,13 +116,15 @@ class TestHandDerived:
         # f(x) = (x + x) . (x + x) = 4 |x|^2, df/dx = 8x.
         x = Var(np.array([1.0, -2.0]))
         y = ad.add(x, x)
-        ad.matmul(y, y).backward()
+        ad.vsum(ad.mul(y, y)).backward()
         assert x.grad.tolist() == [8.0, -16.0]
 
-    def test_add_n_empty_is_zero_scalar(self):
-        z = ad.add_n([])
+    def test_vsum_of_empty_is_zero_scalar(self):
+        x = Var(np.zeros(0))
+        z = ad.vsum(ad.relu(x + 1.0))
         assert z.value.shape == () and float(z.value) == 0.0
-        z.backward()  # must not blow up on a leaf
+        z.backward()
+        assert x.grad.shape == (0,)
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError, match="scalar"):
@@ -167,16 +178,13 @@ class TestFiniteDifferences:
             "m1": r.standard_normal((2, 3)),
             "m2": r.standard_normal((3, 2)),
             "v1": r.standard_normal(3),
-            "v2": r.standard_normal(2),
         }
         w = r.standard_normal((2, 2))
 
         def build(v):
             mm = weighted(ad.matmul(v["m1"], v["m2"]), w)  # 2D @ 2D
-            mv = weighted(ad.matmul(v["m1"], v["v1"]), np.array([2.0, -1.0]))
-            vm = weighted(ad.matmul(v["v2"], v["m1"]), np.array([1.0, 3.0, -2.0]))
-            vv = ad.matmul(v["v1"], v["v1"])  # 1D @ 1D
-            return ad.add_n([mm, mv, vm, vv])
+            mv = weighted(ad.matmul(v["m1"], v["v1"]), np.array([2.0, -1.0]))  # 2D @ 1D
+            return mm + mv
 
         fd_check(build, tensors)
 
@@ -197,7 +205,7 @@ class TestFiniteDifferences:
             )
             elem = ad.add(ad.index(ad.index(v["a"], 1), 2), ad.index(v["b"], (0, 1)))
             tr = weighted(ad.transpose(v["b"]), w3)
-            return ad.add_n([cat, rows, sl, st, elem, tr])
+            return cat + rows + sl + st + elem + tr
 
         fd_check(build, tensors)
 
@@ -209,46 +217,63 @@ class TestFiniteDifferences:
         w = r.standard_normal(6)
 
         def build(v):
-            return ad.add_n(
-                [
-                    weighted(ad.tanh(v["x"]), w),
-                    weighted(ad.sigmoid(v["x"]), w[::-1].copy()),
-                    weighted(ad.relu(v["x"]), np.arange(1.0, 7.0)),
-                ]
+            return (
+                weighted(ad.tanh(v["x"]), w)
+                + weighted(ad.sigmoid(v["x"]), w[::-1].copy())
+                + weighted(ad.relu(v["x"]), np.arange(1.0, 7.0))
             )
 
         fd_check(build, tensors)
 
     def test_cross_entropy(self):
         r = rng(5)
-        tensors = {"s": r.standard_normal(7)}
+        tensors = {"s": r.standard_normal((3, 7))}
 
         def build(v):
-            return ad.add(
-                ad.cross_entropy_logits(v["s"], 0),
-                ad.cross_entropy_logits(v["s"], 4),
+            # Repeated gold ids, and a second call on the same matrix.
+            return ad.cross_entropy_rows(v["s"], [0, 4, 0]) + ad.cross_entropy_rows(
+                v["s"], [4, 4, 6]
             )
 
         fd_check(build, tensors)
 
+    def test_cross_entropy_rows_single_row(self):
+        r = rng(8)
+        tensors = {"s": r.standard_normal((1, 5))}
+        fd_check(lambda v: ad.cross_entropy_rows(v["s"], [3]), tensors)
+
     def test_bilinear(self):
         r = rng(6)
         tensors = {
-            "u": r.standard_normal(4),
+            "u": r.standard_normal((3, 4)),
             "w": r.standard_normal((4, 3, 5)),
-            "v": r.standard_normal(5),
+            "v": r.standard_normal((3, 5)),
         }
-        c = r.standard_normal(3)
+        c = r.standard_normal((3, 3))
 
         def build(v):
-            return weighted(ad.bilinear_vec(v["u"], v["w"], v["v"]), c)
+            return weighted(ad.bilinear_rows(v["u"], v["w"], v["v"]), c)
+
+        fd_check(build, tensors)
+
+    def test_bilinear_rows_single_row(self):
+        r = rng(9)
+        tensors = {
+            "u": r.standard_normal((1, 2)),
+            "w": r.standard_normal((2, 4, 3)),
+            "v": r.standard_normal((1, 3)),
+        }
+        c = r.standard_normal((1, 4))
+
+        def build(v):
+            return weighted(ad.bilinear_rows(v["u"], v["w"], v["v"]), c)
 
         fd_check(build, tensors)
 
     def test_composite_mlp(self):
         r = rng(7)
         tensors = {
-            "x": r.standard_normal(5),
+            "x": r.standard_normal((2, 5)),
             "w1": r.standard_normal((5, 4)) * 0.7,
             "b1": r.standard_normal(4),
             "w2": r.standard_normal((4, 3)) * 0.7,
@@ -256,7 +281,7 @@ class TestFiniteDifferences:
 
         def build(v):
             h = ad.relu(ad.add(ad.matmul(v["x"], v["w1"]), v["b1"]))
-            return ad.cross_entropy_logits(ad.matmul(h, v["w2"]), 1)
+            return ad.cross_entropy_rows(ad.matmul(h, v["w2"]), [1, 0])
 
         fd_check(build, tensors)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -14,7 +15,15 @@ import pytest
 
 import uccatree
 from uccatree.cli import main
-from uccatree.graph_model import UccaGraph, dump_corpus, load_corpus
+from uccatree.graph_model import (
+    ConstituentTree,
+    Edge,
+    Token,
+    TreeNode,
+    UccaGraph,
+    dump_corpus,
+    load_corpus,
+)
 from uccatree.neural_core import ModelParams
 from uccatree.training import TrainConfig, build_model_config
 
@@ -220,6 +229,26 @@ class TestConvertAndRestore:
         assert payload["error"]["type"] == "CliError"
         assert "bad.txt:1:" in payload["error"]["message"]
 
+    def test_restore_rejects_invalid_jsonl_tree_with_its_line(self, tmp_path, capsys):
+        tree = ConstituentTree(
+            tokens=(Token(form="a"), Token(form="b")),
+            root=TreeNode(label="ROOT", children=(TreeNode(leaf=2), TreeNode(leaf=1))),
+        )
+        trees = tmp_path / "trees.jsonl"
+        trees.write_text(json.dumps(tree.to_json()) + "\n", encoding="utf-8")
+        ckpt = tmp_path / "model.json"
+        cfg = build_model_config([german_example()], TrainConfig.from_json(TINY_TRAIN))
+        ModelParams.initialize(cfg, seed=0).save(str(ckpt))
+        code, _, stderr = run_cli(
+            capsys, "restore", "--in", str(trees), "--remotes-model", str(ckpt),
+            "--out", str(tmp_path / "x"), "--format", "jsonl",
+        )
+        assert code == 1
+        payload = json.loads(stderr)
+        assert payload["error"]["type"] == "CliError"
+        assert "trees.jsonl:1:" in payload["error"]["message"]
+        assert "invalid tree: leaves [2, 1]" in payload["error"]["message"]
+
 
 class TestTrainParseEval:
     def test_full_workflow(self, tmp_path, capsys, tiny_corpus_file):
@@ -263,6 +292,23 @@ class TestTrainParseEval:
         assert code == 0
         assert json.loads(stdout)["averaged"]["f1"] == 1.0
 
+    def test_eval_rejects_invalid_predicted_graph(self, tmp_path, capsys):
+        gold = simple_graph(["A", "P", "E"], n=3)
+        # An unlabeled extra primary edge gives node 5 a second primary
+        # parent without adding a scored edge, so the counts alone match.
+        pred = dataclasses.replace(gold, edges=gold.edges + (Edge(6, 5, ""),))
+        gold_path, pred_path = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        dump_corpus([gold], str(gold_path))
+        dump_corpus([pred], str(pred_path))
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--gold", str(gold_path), "--pred", str(pred_path)
+        )
+        assert code == 1
+        assert stdout == ""
+        message = json.loads(stderr)["error"]["message"]
+        assert "pred.jsonl:1:" in message
+        assert "invalid graph: node 5 has 2 primary parents, expected 1" in message
+
     def test_train_rejects_unknown_config_keys(self, tmp_path, capsys, tiny_corpus_file):
         config = write_json(tmp_path / "bad.json", {"seed": 1, "momentum": 0.9})
         code, _, stderr = run_cli(
@@ -304,6 +350,19 @@ class TestErrorContract:
         code, _, stderr = run_cli(capsys, "stats", "--in", str(bad))
         assert code == 1
         assert ":1:" in json.loads(stderr)["error"]["message"]
+
+    def test_malformed_external_feature_line_reports_position(
+        self, tmp_path, capsys, tiny_corpus_file
+    ):
+        feats = tmp_path / "ext.jsonl"
+        feats.write_text('{"vectors": [[0.1], [0.2]]}\n[1, 2]\n', encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "train", "--train", tiny_corpus_file, "--dev", tiny_corpus_file,
+            "--external-features", str(feats), "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        message = json.loads(stderr)["error"]["message"]
+        assert "ext.jsonl:2: malformed external feature record" in message
 
     def test_missing_subcommand_still_emits_json(self, capsys):
         code, _, stderr = run_cli(capsys)

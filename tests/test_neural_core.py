@@ -329,8 +329,8 @@ class TestScoringHeads:
 
 class TestBiaffine:
     def test_hand_case(self):
-        u = Var(np.array([2.0, 1.0]))
-        v = Var(np.array([3.0, -1.0, 2.0]))
+        u = Var(np.array([[2.0, 1.0]]))
+        v = Var(np.array([[3.0, -1.0, 2.0]]))
         w = np.zeros((3, 2, 3))
         w[:, 0, :] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         w[:, 1, :] = [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
@@ -338,30 +338,41 @@ class TestBiaffine:
         # Label 0: [2,1,1] . diag-pick . [3,-1,2] = 2*3 + 1*(-1) + 1*2 = 7.
         # Label 1: 2*2*(-1 coeff on v2?) worked by loops below.
         expected = [
-            sum(ext * w[i, l, j] * v.value[j] for i, ext in enumerate([2.0, 1.0, 1.0]) for j in range(3))
+            sum(ext * w[i, l, j] * v.value[0, j] for i, ext in enumerate([2.0, 1.0, 1.0]) for j in range(3))
             for l in range(2)
         ]
-        assert out == pytest.approx(expected, abs=1e-12)
+        assert out.shape == (1, 2)
+        assert out[0] == pytest.approx(expected, abs=1e-12)
         assert expected[0] == 7.0
 
     def test_zero_weights_give_zero_scores(self):
-        out = biaffine(Var(np.ones(4)), Var(np.ones(3)), Var(np.zeros((5, 2, 3))))
-        assert out.value.tolist() == [0.0, 0.0]
+        out = biaffine(Var(np.ones((1, 4))), Var(np.ones((1, 3))), Var(np.zeros((5, 2, 3))))
+        assert out.value.tolist() == [[0.0, 0.0]]
 
     def test_zero_child_exposes_parent_bias_row(self):
         r = np.random.default_rng(5)
         w = r.standard_normal((3, 2, 4))
-        v = r.standard_normal(4)
-        out = biaffine(Var(np.zeros(2)), Var(v), Var(w)).value
-        assert out == pytest.approx(w[2] @ v, abs=1e-12)
+        v = r.standard_normal((1, 4))
+        out = biaffine(Var(np.zeros((1, 2))), Var(v), Var(w)).value
+        assert out[0] == pytest.approx(w[2] @ v[0], abs=1e-12)
 
     def test_bilinear_in_parent(self):
         r = np.random.default_rng(6)
-        u = r.standard_normal(3)
+        u = r.standard_normal((1, 3))
         w = r.standard_normal((4, 2, 5))
-        v1, v2 = r.standard_normal(5), r.standard_normal(5)
+        v1, v2 = r.standard_normal((1, 5)), r.standard_normal((1, 5))
         one = lambda v: biaffine(Var(u.copy()), Var(v), Var(w.copy())).value
         assert one(v1 + v2) == pytest.approx(one(v1) + one(v2), abs=1e-10)
+
+    def test_rows_are_scored_independently(self):
+        r = np.random.default_rng(7)
+        u = r.standard_normal((4, 3))
+        v = r.standard_normal((4, 5))
+        w = r.standard_normal((4, 2, 5))
+        batch = biaffine(Var(u), Var(v), Var(w)).value
+        for k in range(4):
+            row = biaffine(Var(u[k : k + 1]), Var(v[k : k + 1]), Var(w)).value[0]
+            assert batch[k] == pytest.approx(row, abs=1e-12)
 
 
 class TestOptimizers:

@@ -27,7 +27,7 @@ from uccatree.remote_recovery import (
     predict_remotes,
 )
 
-from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, simple_graph
+from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, simple_graph, tape_nodes
 
 
 def recovery_config(words, remote_labels=(NOT_PARENT, "A"), **overrides) -> ModelConfig:
@@ -72,15 +72,14 @@ def rig_scores(monkeypatch, score_by_parent, n_labels=2):
     """Make every candidate pair score a fixed vector chosen by its parent."""
 
     def fake_matrix(pairs, enc, bound):
-        out = []
-        for p in pairs:
-            default = np.full(n_labels, -1.0)
-            default[0] = 0.0
-            vec = np.asarray(
-                score_by_parent.get((p.parent, p.child), default), dtype=float
+        default = np.full(n_labels, -1.0)
+        default[0] = 0.0
+        return Var(
+            np.array(
+                [score_by_parent.get((p.parent, p.child), default) for p in pairs],
+                dtype=float,
             )
-            out.append(Var(vec))
-        return out
+        )
 
     monkeypatch.setattr("uccatree.remote_recovery._pair_score_matrix", fake_matrix)
 
@@ -184,6 +183,19 @@ class TestLossRemote:
         pairs = enumerate_pairs(graph, [4])
         with pytest.raises(ValueError, match="missing from the inventory"):
             loss_remote(pairs, [(3, 4, "Z")], enc, bound)
+
+    def test_tape_size_does_not_grow_with_pairs(self):
+        graph = simple_graph(["A", "P", "E"], n=3)
+        cfg = recovery_config(words=("t1", "t2", "t3"))
+        p = ModelParams.initialize(cfg, seed=5)
+        _, bound, enc = encode_tokens(p, ["t1", "t2", "t3"])
+        pairs = enumerate_pairs(graph, [4, 6])
+        gold = [(5, 4, "A")]
+        few = loss_remote(pairs, gold, enc, bound)
+        many = loss_remote(pairs + pairs, gold, enc, bound)
+        assert len(pairs) == 6
+        assert float(many.value) == pytest.approx(2 * float(few.value), abs=1e-12)
+        assert tape_nodes(many) == tape_nodes(few)
 
     def test_no_pairs_is_zero_loss(self):
         cfg = recovery_config(words=("t1",))

@@ -32,7 +32,7 @@ from uccatree.span_parser import (
 )
 from uccatree.training import TrainConfig, build_model_config
 
-from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, primary_only
+from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, primary_only, tape_nodes
 
 
 def parser_config(labels, words=("a", "b", "c"), **overrides) -> ModelConfig:
@@ -210,6 +210,33 @@ class TestLossValues:
         loss.backward()
         grads = bound.grads()
         assert "emb_word" in grads and "label_out_w" in grads
+
+    def test_tape_size_does_not_grow_with_decisions(self):
+        # At zero parameters every hinge term costs exactly one, so the
+        # loss counts the terms: six label terms each, plus one split term
+        # for the shallow tree and two for the nested one.
+        cfg = parser_config(["", "A", "P", "ROOT"], words=("a", "b", "c", "d"))
+        p = zero_params(cfg)
+        tokens, bound, enc = encode_tokens(p, ["a", "b", "c", "d"])
+        shallow = gold_trace(tree_from_sexpr("(ROOT (A a b c) d)"))
+        nested = gold_trace(tree_from_sexpr("(ROOT (A a (P b c)) d)"))
+        assert (len(shallow.entries), len(nested.entries)) == (6, 7)
+        shallow_loss = loss_topdown(enc, shallow, bound)
+        nested_loss = loss_topdown(enc, nested, bound)
+        assert (float(shallow_loss.value), float(nested_loss.value)) == (7.0, 8.0)
+        assert tape_nodes(shallow_loss) == tape_nodes(nested_loss)
+
+    def test_no_split_term_leaves_the_split_head_without_gradient(self):
+        # A flat tree offers no wrong split point.  The split head must
+        # then get no gradient at all (not a zero one), or Adam would
+        # still move it by its momentum.
+        cfg = parser_config(["", "A", "P", "ROOT"])
+        p = ModelParams.initialize(cfg, seed=4)
+        tokens, bound, enc = encode_tokens(p, ["a", "b", "c"])
+        loss_topdown(enc, gold_trace(tree_from_sexpr("(ROOT a b c)")), bound).backward()
+        grads = bound.grads()
+        assert "label_out_w" in grads
+        assert not {"span_out_w", "span_out_b", "span_hidden_w"} & set(grads)
 
     def test_score_shift_invariance(self):
         # Adding one constant to every label score and another to every
