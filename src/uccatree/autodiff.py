@@ -139,16 +139,14 @@ def mul(a: Var, b: Var) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
-    """Matrix product of a 2-D ``a`` with a 2-D or 1-D ``b``."""
+    """Matrix product of two 2-D arrays."""
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ValueError(f"matmul takes 2-D operands, got {a.shape} @ {b.shape}")
     out = Var(a.value @ b.value, (a, b))
 
     def bw(g: np.ndarray) -> None:
-        if b.value.ndim == 2:
-            a._accumulate(g @ b.value.T)
-            b._accumulate(a.value.T @ g)
-        else:
-            a._accumulate(np.outer(g, b.value))
-            b._accumulate(a.value.T @ g)
+        a._accumulate(g @ b.value.T)
+        b._accumulate(a.value.T @ g)
 
     out._bw = bw
     return out
@@ -168,18 +166,6 @@ def concat(vars_: Sequence[Var], axis: int = -1) -> Var:
             index[axis] = slice(offset, offset + size)
             v._accumulate(g[tuple(index)])
             offset += size
-
-    out._bw = bw
-    return out
-
-
-def stack_rows(vars_: Sequence[Var]) -> Var:
-    """Stack 1-D vectors into a matrix, one per row."""
-    out = Var(np.stack([v.value for v in vars_]), tuple(vars_))
-
-    def bw(g: np.ndarray) -> None:
-        for i, v in enumerate(vars_):
-            v._accumulate(g[i])
 
     out._bw = bw
     return out
@@ -216,28 +202,6 @@ def transpose(a: Var) -> Var:
 # -- nonlinearities -----------------------------------------------------
 
 
-def tanh(a: Var) -> Var:
-    value = np.tanh(a.value)
-    out = Var(value, (a,))
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g * (1.0 - value * value))
-
-    out._bw = bw
-    return out
-
-
-def sigmoid(a: Var) -> Var:
-    value = 1.0 / (1.0 + np.exp(-a.value))
-    out = Var(value, (a,))
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g * value * (1.0 - value))
-
-    out._bw = bw
-    return out
-
-
 def relu(a: Var) -> Var:
     value = np.maximum(a.value, 0.0)
     out = Var(value, (a,))
@@ -255,6 +219,51 @@ def vsum(a: Var) -> Var:
 
     def bw(g: np.ndarray) -> None:
         a._accumulate(np.full_like(a.value, float(g)))
+
+    out._bw = bw
+    return out
+
+
+# -- recurrence ---------------------------------------------------------
+
+
+def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
+    """(n, h) states of an LSTM from a zero state over ``projected``, the
+    (n, 4h) input projection of its steps (gate blocks i, f, o, g), with
+    (4h, h) recurrent weights ``w_h``.  ``reverse`` runs from the last row;
+    row t of the result is always the state after reading row t.  Gates and
+    cells are arrays, not tape nodes: backward fills one (n, 4h) gate-gradient
+    array, then takes each input's gradient in one product (arXiv 1604.01946)."""
+    x, wh = projected.value[::-1] if reverse else projected.value, w_h.value
+    n, h_dim = x.shape[0], wh.shape[1]
+    acts = np.empty_like(x)  # sigmoid of the i, f, o blocks, tanh of g
+    cells = np.zeros((n + 1, h_dim))  # row k + 1 after step k, row 0 the zero state
+    states = np.zeros((n + 1, h_dim))
+    for k in range(n):
+        pre = x[k] + wh @ states[k]
+        acts[k, : 3 * h_dim] = 1.0 / (1.0 + np.exp(-pre[: 3 * h_dim]))
+        acts[k, 3 * h_dim :] = np.tanh(pre[3 * h_dim :])
+        i, f, o, g = np.split(acts[k], 4)
+        cells[k + 1] = f * cells[k] + i * g
+        states[k + 1] = o * np.tanh(cells[k + 1])
+    out = Var(states[:0:-1] if reverse else states[1:], (projected, w_h))
+
+    def bw(grad: np.ndarray) -> None:
+        d_states = grad[::-1] if reverse else grad
+        tanh_cells = np.tanh(cells[1:])
+        slopes = acts * (1.0 - acts)
+        slopes[:, 3 * h_dim :] = 1.0 - acts[:, 3 * h_dim :] ** 2
+        d_gates = np.empty_like(x)
+        dh, dc = np.zeros(h_dim), np.zeros(h_dim)
+        for k in range(n - 1, -1, -1):
+            i, f, o, g = np.split(acts[k], 4)
+            dh = dh + d_states[k]
+            dc = dc + dh * o * (1.0 - tanh_cells[k] ** 2)
+            d_acts = np.concatenate([dc * g, dc * cells[k], dh * tanh_cells[k], dc * i])
+            d_gates[k] = d_acts * slopes[k]
+            dc, dh = dc * f, wh.T @ d_gates[k]
+        projected._accumulate(d_gates[::-1] if reverse else d_gates)
+        w_h._accumulate(d_gates.T @ states[:-1])
 
     out._bw = bw
     return out

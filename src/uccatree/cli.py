@@ -23,6 +23,7 @@ from .generator import SyntheticSpec, generate
 from .graph_model import (
     ConstituentTree,
     UccaGraph,
+    atomic_output,
     dump_corpus,
     load_corpus,
     load_jsonl,
@@ -77,7 +78,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     graphs = load_corpus(args.infile)
     lossy = 0
     dropped = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_output(args.out) as fh:
         for g in graphs:
             result = graph_to_tree(g)
             lossy += result.lossy_moves
@@ -192,7 +193,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = score_corpus(gold, pred)
     print(report_json(report))
     if args.tsv:
-        with open(args.tsv, "w", encoding="utf-8") as fh:
+        with atomic_output(args.tsv) as fh:
             fh.write(report.to_tsv() + "\n")
     return 0
 

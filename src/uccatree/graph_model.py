@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import secrets
+import shutil
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 NodeId = int
 
@@ -460,8 +464,43 @@ def load_corpus(path: str) -> list[UccaGraph]:
     return load_jsonl(path, _valid_graph, "graph")
 
 
+@contextmanager
+def atomic_output(path: str) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` only if the block ends without an
+    error, so an interrupted write never leaves ``path`` truncated.
+
+    The text goes to a hidden temporary file in the same directory, which
+    is removed on error and otherwise renamed over ``path``.  The result has
+    the mode ``open(path, "w")`` would give it: the old file's, else 0o666
+    less the umask.  A path that exists but is not a regular file, such as
+    a pipe, is written directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())  # the data is on disk before the rename
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def dump_corpus(graphs: Iterable[UccaGraph], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         for g in graphs:
             fh.write(json.dumps(g.to_json(), sort_keys=True) + "\n")
 

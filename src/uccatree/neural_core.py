@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .graph_model import Token
+from .graph_model import Token, atomic_output
 
 UNK = "<unk>"
 NOT_PARENT = "NOT-PARENT"
@@ -226,7 +226,7 @@ class ModelParams:
                 for name, arr in sorted(self.tensors.items())
             },
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_output(path) as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
 
@@ -334,26 +334,9 @@ class Encoding:
 
 def _lstm_direction(inputs: Var, bound: BoundParams, prefix: str, reverse: bool) -> Var:
     """(n, hidden) outputs of one LSTM direction over an (n, d) input
-    matrix; the input projection of all tokens is one matmul."""
-    h_dim = bound.config.lstm_hidden
-    wx, wh, b = bound[prefix + "_wx"], bound[prefix + "_wh"], bound[prefix + "_b"]
-    projected = ad.matmul(inputs, ad.transpose(wx)) + b
-    zeros = Var(np.zeros(h_dim))
-    h, c = zeros, zeros
-    outputs: list[Var] = []
-    steps = range(inputs.shape[0])
-    for t in reversed(steps) if reverse else steps:
-        gates = ad.index(projected, t) + ad.matmul(wh, h)
-        i = ad.sigmoid(ad.index(gates, slice(0, h_dim)))
-        f = ad.sigmoid(ad.index(gates, slice(h_dim, 2 * h_dim)))
-        o = ad.sigmoid(ad.index(gates, slice(2 * h_dim, 3 * h_dim)))
-        g = ad.tanh(ad.index(gates, slice(3 * h_dim, 4 * h_dim)))
-        c = f * c + i * g
-        h = o * ad.tanh(c)
-        outputs.append(h)
-    if reverse:
-        outputs.reverse()
-    return ad.stack_rows(outputs)
+    matrix: one matmul projects every token, one op runs the recurrence."""
+    projected = ad.matmul(inputs, ad.transpose(bound[prefix + "_wx"])) + bound[prefix + "_b"]
+    return ad.lstm(projected, bound[prefix + "_wh"], reverse=reverse)
 
 
 def encode(inputs: Var, bound: BoundParams) -> Encoding:
@@ -388,26 +371,24 @@ def span_reprs(enc: Encoding, spans: Sequence[tuple[int, int]]) -> Var:
 # Scoring heads
 
 
-def relu_layer(reprs: Var, bound: BoundParams, name: str) -> Var:
-    """``relu(reprs @ W.T + b)`` with the tensors ``<name>_w`` and ``<name>_b``."""
-    return ad.relu(ad.matmul(reprs, ad.transpose(bound[name + "_w"])) + bound[name + "_b"])
+def affine(reprs: Var, bound: BoundParams, name: str) -> Var:
+    """``reprs @ W.T + b`` with the tensors ``<name>_w`` and ``<name>_b``."""
+    return ad.matmul(reprs, ad.transpose(bound[name + "_w"])) + bound[name + "_b"]
 
 
 def _hidden(bound: BoundParams, reprs: Var, head: str) -> Var:
     shared = bound.config.share_span_hidden
-    return relu_layer(reprs, bound, "head_hidden" if shared else f"{head}_hidden")
+    return ad.relu(affine(reprs, bound, "head_hidden" if shared else f"{head}_hidden"))
 
 
 def label_scores(reprs: Var, bound: BoundParams) -> Var:
     """(m, num_labels) span-label scores for a batch of span reprs."""
-    hidden = _hidden(bound, reprs, "label")
-    return ad.matmul(hidden, ad.transpose(bound["label_out_w"])) + bound["label_out_b"]
+    return affine(_hidden(bound, reprs, "label"), bound, "label_out")
 
 
 def split_scores(reprs: Var, bound: BoundParams) -> Var:
     """(m,) scalar span scores used for split decisions."""
-    hidden = _hidden(bound, reprs, "span")
-    return ad.matmul(hidden, ad.index(bound["span_out_w"], 0)) + ad.index(bound["span_out_b"], 0)
+    return ad.index(affine(_hidden(bound, reprs, "span"), bound, "span_out"), (slice(None), 0))
 
 
 def biaffine(child_reprs: Var, parent_reprs: Var, w: Var) -> Var:

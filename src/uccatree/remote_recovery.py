@@ -22,8 +22,8 @@ from .graph_model import UccaGraph, reachable
 from .neural_core import (
     BoundParams,
     Encoding,
+    affine,
     biaffine,
-    relu_layer,
     span_reprs,
 )
 
@@ -71,8 +71,8 @@ def _pair_score_matrix(
     """(pairs, remote labels) scores, row k for ``pairs[k]``."""
     child_rows = span_reprs(enc, [p.child_span for p in pairs])
     parent_rows = span_reprs(enc, [p.parent_span for p in pairs])
-    children = relu_layer(child_rows, bound, "remote_child")
-    parents = relu_layer(parent_rows, bound, "remote_parent")
+    children = ad.relu(affine(child_rows, bound, "remote_child"))
+    parents = ad.relu(affine(parent_rows, bound, "remote_parent"))
     return biaffine(children, parents, bound["biaffine_w"])
 
 

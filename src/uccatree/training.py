@@ -10,6 +10,7 @@ epochs without improvement or at the epoch cap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -161,7 +162,8 @@ def _model_config_from_examples(
 
 
 def load_pretrained(path: str) -> tuple[list[str], np.ndarray]:
-    """Read text-format word vectors: one ``word v1 .. vk`` line per word.
+    """Read text-format word vectors: one whitespace-separated ``word v1 .. vk``
+    line per word.
 
     A leading ``count dim`` header line is accepted and skipped.  Returns
     the word list and a matrix with a zero row 0 reserved for unknowns.
@@ -171,7 +173,9 @@ def load_pretrained(path: str) -> tuple[list[str], np.ndarray]:
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            # ASCII whitespace only: str.split() would also cut words that
+            # contain a no-break space (U+00A0).
+            parts = re.findall(r"[^ \t\n\r\f\v]+", line)
             if lineno == 1 and len(parts) == 2:
                 try:
                     int(parts[0]), int(parts[1])
@@ -187,8 +191,11 @@ def load_pretrained(path: str) -> tuple[list[str], np.ndarray]:
                 raise ValueError(
                     f"{path}:{lineno}: vector of width {len(values)}, expected {dim}"
                 )
+            try:
+                vectors.append([float(v) for v in values])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             words.append(word)
-            vectors.append([float(v) for v in values])
     if dim is None:
         raise ValueError(f"{path}: no vectors found")
     matrix = np.vstack([np.zeros((1, dim)), np.asarray(vectors, dtype=np.float64)])

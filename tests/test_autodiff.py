@@ -29,12 +29,16 @@ def rng(seed: int) -> np.random.Generator:
 class TestHandDerived:
     def test_matmul_matrix_vector(self):
         a = Var(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = Var(np.array([2.0, 1.0]))
+        b = Var(np.array([[2.0], [1.0]]))
         out = ad.matmul(a, b)
-        assert out.value.tolist() == [4.0, 10.0]
+        assert out.value.tolist() == [[4.0], [10.0]]
         ad.vsum(out).backward()
         assert a.grad.tolist() == [[2.0, 1.0], [2.0, 1.0]]
-        assert b.grad.tolist() == [4.0, 6.0]
+        assert b.grad.tolist() == [[4.0], [6.0]]
+
+    def test_matmul_rejects_1d_operands(self):
+        with pytest.raises(ValueError, match="2-D"):
+            ad.matmul(Var(np.ones((2, 3))), Var(np.ones(3)))
 
     def test_mul_and_broadcast_add(self):
         a = Var(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -177,13 +181,13 @@ class TestFiniteDifferences:
         tensors = {
             "m1": r.standard_normal((2, 3)),
             "m2": r.standard_normal((3, 2)),
-            "v1": r.standard_normal(3),
+            "v1": r.standard_normal((3, 1)),
         }
         w = r.standard_normal((2, 2))
 
         def build(v):
             mm = weighted(ad.matmul(v["m1"], v["m2"]), w)  # 2D @ 2D
-            mv = weighted(ad.matmul(v["m1"], v["v1"]), np.array([2.0, -1.0]))  # 2D @ 1D
+            mv = weighted(ad.matmul(v["m1"], v["v1"]), np.array([[2.0], [-1.0]]))  # 2D @ column
             return mm + mv
 
         fd_check(build, tensors)
@@ -200,7 +204,7 @@ class TestFiniteDifferences:
             rows = weighted(ad.index(v["a"], [1, 1, 3]), w2)
             sl = weighted(ad.index(v["b"], slice(1, 3)), np.array([[1.0, 2.0], [3.0, 4.0]]))
             st = weighted(
-                ad.stack_rows([ad.index(v["a"], 0), ad.index(v["a"], 2)]),
+                ad.concat([ad.index(v["a"], [0]), ad.index(v["a"], [2])], axis=0),
                 np.array([[1.0, -1.0, 2.0], [0.5, 1.5, -2.5]]),
             )
             elem = ad.add(ad.index(ad.index(v["a"], 1), 2), ad.index(v["b"], (0, 1)))
@@ -217,10 +221,23 @@ class TestFiniteDifferences:
         w = r.standard_normal(6)
 
         def build(v):
-            return (
-                weighted(ad.tanh(v["x"]), w)
-                + weighted(ad.sigmoid(v["x"]), w[::-1].copy())
-                + weighted(ad.relu(v["x"]), np.arange(1.0, 7.0))
+            return weighted(ad.relu(v["x"]), w) + weighted(ad.relu(-v["x"]), np.arange(1.0, 7.0))
+
+        fd_check(build, tensors)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_lstm_forward_and_reverse(self, n):
+        r = rng(10 + n)
+        tensors = {
+            "p": r.standard_normal((n, 12)),
+            "wh": r.standard_normal((12, 3)) * 0.7,
+        }
+        c1, c2 = r.standard_normal((n, 3)), r.standard_normal((n, 3))
+
+        def build(v):
+            # Both directions read the same leaves, so their gradients add.
+            return weighted(ad.lstm(v["p"], v["wh"]), c1) + weighted(
+                ad.lstm(v["p"], v["wh"], reverse=True), c2
             )
 
         fd_check(build, tensors)
@@ -310,11 +327,11 @@ class TestErrorMetric:
 def test_numeric_grads_restore_inputs():
     tensors = {"x": np.array([1.0, 2.0])}
     before = tensors["x"].copy()
-    ad.numeric_grads(lambda v: ad.vsum(ad.tanh(v["x"])), tensors)
+    ad.numeric_grads(lambda v: ad.vsum(ad.relu(v["x"])), tensors)
     assert tensors["x"].tolist() == before.tolist()
 
 
 def test_var_preserves_float64():
     v = Var(np.array([1.0, 2.0]))
     assert v.value.dtype == np.float64
-    assert ad.tanh(v).value.dtype == np.float64
+    assert ad.relu(v).value.dtype == np.float64

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from conftest import tape_nodes
 from uccatree import autodiff as ad
 from uccatree.autodiff import Var
 from uccatree.graph_model import Token
@@ -254,6 +257,16 @@ class TestEncode:
         with pytest.raises(ValueError, match="empty"):
             encode(Var(np.zeros((0, 6))), bound)
 
+    def test_tape_size_does_not_grow_with_length(self):
+        p = ModelParams.initialize(tiny_config(), seed=0)
+
+        def nodes(n):
+            bound = BoundParams(p)
+            enc = encode(embed(tokens_of(*["a", "b", "a"] * (n // 3)), "en", bound), bound)
+            return tape_nodes(ad.vsum(enc.forward) + ad.vsum(enc.backward))
+
+        assert nodes(3) == nodes(9)
+
     def test_zero_parameters_give_zero_encoding(self):
         p = zeroed(ModelParams.initialize(tiny_config(), seed=0))
         bound = BoundParams(p)
@@ -441,13 +454,30 @@ class TestCheckpoint:
         p = ModelParams.initialize(tiny_config(), seed=0)
         path = str(tmp_path / "model.json")
         p.save(path)
-        import json
-
         payload = json.load(open(path))
         payload["version"] = 99
         json.dump(payload, open(path, "w"))
         with pytest.raises(ValueError, match="version"):
             ModelParams.load(path)
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        ModelParams.initialize(tiny_config(), seed=0).save(str(path))
+        before = path.read_bytes()
+        plain = tmp_path / "plain.txt"
+        open(plain, "w").close()
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        plain.unlink()
+
+        def interrupted(payload, fh, **kwargs):
+            fh.write('{"config": {')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ModelParams.initialize(tiny_config(), seed=1).save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json"]
 
     def test_copy_tensors_detached(self):
         p = ModelParams.initialize(tiny_config(), seed=0)

@@ -194,6 +194,21 @@ class TestPretrained:
         with pytest.raises(ValueError, match="expected 2"):
             load_pretrained(str(path))
 
+    def test_trailing_space_and_tab_lines_load(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text(
+            "3 3 \nthe 0.1 0.2 0.3 \nof\t0.4\t0.5\t0.6\n10\u00a0000 0.7 0.8 0.9\n", encoding="utf-8"
+        )
+        words, matrix = load_pretrained(str(path))
+        assert words == ["the", "of", "10\u00a0000"]
+        assert matrix[1:].tolist() == [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+
+    def test_non_numeric_component_names_its_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("the 0.1 x 0.3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"vec\.txt:1: .*'x'"):
+            load_pretrained(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("", encoding="utf-8")
