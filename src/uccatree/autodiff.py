@@ -3,7 +3,8 @@
 A :class:`Var` wraps a numpy array and remembers how it was computed;
 calling :meth:`Var.backward` on a scalar result accumulates gradients
 into every reachable input.  The op set is exactly what the encoder,
-span scorer and biaffine classifier need — nothing more.
+span scorer and biaffine classifier need — nothing more; the biaffine
+is ``reshape`` and ``matmul``, not an op of its own.
 
 Gradients are checked against central finite differences by
 :func:`gradcheck`; that numeric route is kept strictly independent of
@@ -172,8 +173,8 @@ def concat(vars_: Sequence[Var], axis: int = -1) -> Var:
 
 
 def index(a: Var, key) -> Var:
-    """``a.value[key]`` for any numpy index: an int, a slice, a tuple of
-    them, or a list or array of row indices.
+    """``a.value[key]`` for any numpy index: an int, a slice, a list or
+    array of indices, or a tuple of them such as ``(rows, slice(None), cols)``.
 
     The backward pass scatters into ``a``'s gradient, so duplicate indices
     accumulate.
@@ -184,6 +185,16 @@ def index(a: Var, key) -> Var:
         if a.grad is None:
             a.grad = np.zeros_like(a.value)
         np.add.at(a.grad, key, g)
+
+    out._bw = bw
+    return out
+
+
+def reshape(a: Var, shape: tuple[int, ...]) -> Var:
+    out = Var(a.value.reshape(shape), (a,))
+
+    def bw(g: np.ndarray) -> None:
+        a._accumulate(g.reshape(a.value.shape))
 
     out._bw = bw
     return out
@@ -288,28 +299,6 @@ def cross_entropy_rows(scores: Var, gold: Sequence[int]) -> Var:
         grad = softmax * float(g)
         grad[rows, gold] -= float(g)
         scores._accumulate(grad)
-
-    out._bw = bw
-    return out
-
-
-def bilinear_rows(u: Var, w: Var, v: Var) -> Var:
-    """``out[r, l] = u[r] . W[:, l, :] . v[r]`` for (m, i) rows ``u``, an
-    (i, labels, j) weight tensor and (m, j) rows ``v``.
-
-    The forward pass scores one label at a time, so scoring many rows
-    needs no (m, labels, j) intermediate.
-    """
-    (m, i), (_, labels, j) = u.value.shape, w.value.shape
-    scores = [((u.value @ w.value[:, l]) * v.value).sum(axis=1) for l in range(labels)]
-    out = Var(np.stack(scores, axis=1), (u, w, v))
-
-    def bw(g: np.ndarray) -> None:
-        d_uw = (g[:, :, None] * v.value[:, None, :]).reshape(m, labels * j)
-        u._accumulate(d_uw @ w.value.reshape(i, labels * j).T)
-        w._accumulate((u.value.T @ d_uw).reshape(i, labels, j))
-        d_vw = (u.value[:, :, None] * g[:, None, :]).reshape(m, i * labels)
-        v._accumulate(d_vw @ w.value.reshape(i * labels, j))
 
     out._bw = bw
     return out

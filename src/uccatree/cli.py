@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .graph_model import (
     dump_corpus,
     load_corpus,
     load_jsonl,
+    load_lines,
     load_token_lines,
 )
 from .neural_core import ModelParams
@@ -95,20 +97,15 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _read_trees(path: str, fmt: str, lang: str) -> list[ConstituentTree]:
-    trees = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if fmt == "sexpr":
-                    trees.append(tree_from_sexpr(line, lang=lang))
-                else:
-                    trees.append(ConstituentTree.from_json(json.loads(line)))
-            except Exception as exc:
-                raise CliError(f"{path}:{lineno}: {exc}")
-    return trees
+    def decode(line: str) -> ConstituentTree:
+        if fmt == "sexpr":
+            return tree_from_sexpr(line, lang=lang)
+        return ConstituentTree.from_json(json.loads(line))
+
+    try:
+        return load_lines(path, decode, "tree")
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
@@ -261,7 +258,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``ucca stats ... | head``).  Point
+        # stdout at devnull so the flush at exit cannot fail again, and exit
+        # with the status of a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # noqa: BLE001 - single reporting point
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)

@@ -42,7 +42,7 @@ ANCESTOR_SUFFIX = "-ancestor1"
 LABEL_PART_RE = re.compile(r"[^+\s()]+?(-remote)?(-ancestor1)?$")
 
 
-class ConversionError(Exception):
+class ConversionError(ValueError):
     """Raised when a graph or tree cannot be converted faithfully."""
 
 

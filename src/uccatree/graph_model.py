@@ -436,8 +436,8 @@ def graph_from_children(
     )
 
 
-def load_jsonl(path: str, decode: Callable[[dict], object], what: str) -> list:
-    """``decode`` of every non-blank line's JSON; failures name ``path:line``."""
+def load_lines(path: str, decode: Callable[[str], object], what: str) -> list:
+    """``decode`` of every non-blank line, stripped; failures name ``path:line``."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -445,10 +445,15 @@ def load_jsonl(path: str, decode: Callable[[dict], object], what: str) -> list:
             if not line:
                 continue
             try:
-                records.append(decode(json.loads(line)))
-            except (KeyError, ValueError, TypeError) as exc:
+                records.append(decode(line))
+            except (KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed {what} record: {exc}") from exc
     return records
+
+
+def load_jsonl(path: str, decode: Callable[[dict], object], what: str) -> list:
+    """``decode`` of every non-blank line's JSON; failures name ``path:line``."""
+    return load_lines(path, lambda line: decode(json.loads(line)), what)
 
 
 def _valid_graph(data: dict) -> UccaGraph:

@@ -391,16 +391,17 @@ def split_scores(reprs: Var, bound: BoundParams) -> Var:
     return ad.index(affine(_hidden(bound, reprs, "span"), bound, "span_out"), (slice(None), 0))
 
 
-def biaffine(child_reprs: Var, parent_reprs: Var, w: Var) -> Var:
-    """(pairs, labels) remote-label scores for (pairs, dc) child rows and
-    (pairs, dp) parent rows, pair k being row k of both.
+def biaffine(children: Var, parents: Var, w: Var) -> Var:
+    """(c, labels, m) remote-label scores of every (child, parent) cell for
+    (c, dc) child rows, (m, dp) parent rows and a (dc + 1, labels, dp) ``w``.
 
     The child rows are extended with a constant-1 column so the last row
     of each label slice acts as a parent-only bias term.
     """
-    ones = Var(np.ones((child_reprs.shape[0], 1)))
-    extended = ad.concat([child_reprs, ones], axis=1)
-    return ad.bilinear_rows(extended, w, parent_reprs)
+    c, (rows, labels, dp), m = children.shape[0], w.shape, parents.shape[0]
+    extended = ad.concat([children, Var(np.ones((c, 1)))], axis=1)
+    left = ad.reshape(ad.matmul(extended, ad.reshape(w, (rows, labels * dp))), (c * labels, dp))
+    return ad.reshape(ad.matmul(left, ad.transpose(parents)), (c, labels, m))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Recovery of remote (reentrant) edges with a biaffine classifier.
 
 Each node whose tree label carried the ``-remote`` marker is paired with
-every other nonterminal of the restored graph; a biaffine layer over the
-two span representations scores every remote label plus a distinguished
-NOT-PARENT outcome.  Training minimizes per-pair cross-entropy; at
+every other nonterminal of the restored graph.  Each node's span goes
+through its MLP once; one biaffine product (arXiv 1611.01734) then scores
+every remote label plus a distinguished NOT-PARENT outcome for every
+(child, parent) cell.  Training minimizes per-pair cross-entropy; at
 prediction time every pair whose best label is a real one proposes an
 edge, and proposals are accepted in order of confidence as long as they
 neither duplicate a primary edge nor close a cycle.
@@ -68,12 +69,16 @@ def enumerate_pairs(
 def _pair_score_matrix(
     pairs: Sequence[RemoteCandidatePair], enc: Encoding, bound: BoundParams
 ) -> Var:
-    """(pairs, remote labels) scores, row k for ``pairs[k]``."""
-    child_rows = span_reprs(enc, [p.child_span for p in pairs])
-    parent_rows = span_reprs(enc, [p.parent_span for p in pairs])
-    children = ad.relu(affine(child_rows, bound, "remote_child"))
-    parents = ad.relu(affine(parent_rows, bound, "remote_parent"))
-    return biaffine(children, parents, bound["biaffine_w"])
+    """(pairs, remote labels) scores, row k for ``pairs[k]``, gathered from
+    one (child, label, parent) grid over the distinct nodes."""
+    child_spans = {p.child: p.child_span for p in pairs}
+    parent_spans = {p.parent: p.parent_span for p in pairs}
+    children = affine(span_reprs(enc, list(child_spans.values())), bound, "remote_child")
+    parents = affine(span_reprs(enc, list(parent_spans.values())), bound, "remote_parent")
+    grid = biaffine(ad.relu(children), ad.relu(parents), bound["biaffine_w"])
+    row = {node: k for k, node in enumerate(child_spans)}
+    col = {node: k for k, node in enumerate(parent_spans)}
+    return ad.index(grid, ([row[p.child] for p in pairs], slice(None), [col[p.parent] for p in pairs]))
 
 
 def loss_remote(

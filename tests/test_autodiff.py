@@ -73,36 +73,6 @@ class TestHandDerived:
         loss.backward()
         assert v.grad == pytest.approx(np.array(expected_grad), abs=1e-12)
 
-    def test_bilinear_against_explicit_loops(self):
-        r = rng(3)
-        u = r.standard_normal((2, 3))
-        w = r.standard_normal((3, 2, 4))
-        v = r.standard_normal((2, 4))
-        uv, wv, vv = Var(u.copy()), Var(w.copy()), Var(v.copy())
-        out = ad.bilinear_rows(uv, wv, vv)
-        manual = [
-            [
-                sum(u[p, i] * w[i, l, j] * v[p, j] for i in range(3) for j in range(4))
-                for l in range(2)
-            ]
-            for p in range(2)
-        ]
-        assert out.value == pytest.approx(np.array(manual), abs=1e-12)
-        c = np.array([[1.0, -2.0], [0.5, 3.0]])
-        weighted(out, c).backward()
-        gu = [
-            [sum(c[p, l] * w[i, l, j] * v[p, j] for l in range(2) for j in range(4)) for i in range(3)]
-            for p in range(2)
-        ]
-        gv = [
-            [sum(c[p, l] * u[p, i] * w[i, l, j] for l in range(2) for i in range(3)) for j in range(4)]
-            for p in range(2)
-        ]
-        gw = sum(np.einsum("i,l,j->ilj", u[p], c[p], v[p]) for p in range(2))
-        assert uv.grad == pytest.approx(np.array(gu), abs=1e-12)
-        assert vv.grad == pytest.approx(np.array(gv), abs=1e-12)
-        assert wv.grad == pytest.approx(gw, abs=1e-12)
-
     def test_relu_subgradient_at_zero_is_zero(self):
         x = Var(np.array([-1.0, 0.0, 2.0]))
         ad.vsum(ad.relu(x)).backward()
@@ -259,33 +229,26 @@ class TestFiniteDifferences:
         tensors = {"s": r.standard_normal((1, 5))}
         fd_check(lambda v: ad.cross_entropy_rows(v["s"], [3]), tensors)
 
-    def test_bilinear(self):
+    def test_reshape(self):
         r = rng(6)
-        tensors = {
-            "u": r.standard_normal((3, 4)),
-            "w": r.standard_normal((4, 3, 5)),
-            "v": r.standard_normal((3, 5)),
-        }
-        c = r.standard_normal((3, 3))
+        tensors = {"a": r.standard_normal((2, 6))}
+        c1, c2 = r.standard_normal((3, 4)), r.standard_normal((2, 3, 2))
 
         def build(v):
-            return weighted(ad.bilinear_rows(v["u"], v["w"], v["v"]), c)
+            # Two reshapes of one leaf: their gradients add in its shape.
+            return weighted(ad.reshape(v["a"], (3, 4)), c1) + weighted(
+                ad.reshape(v["a"], (2, 3, 2)), c2
+            )
 
         fd_check(build, tensors)
 
-    def test_bilinear_rows_single_row(self):
+    def test_index_mixed_key_repeats_a_cell(self):
         r = rng(9)
-        tensors = {
-            "u": r.standard_normal((1, 2)),
-            "w": r.standard_normal((2, 4, 3)),
-            "v": r.standard_normal((1, 3)),
-        }
-        c = r.standard_normal((1, 4))
-
-        def build(v):
-            return weighted(ad.bilinear_rows(v["u"], v["w"], v["v"]), c)
-
-        fd_check(build, tensors)
+        tensors = {"a": r.standard_normal((3, 2, 4))}
+        c = r.standard_normal((4, 2))
+        # Cell (0, :, 1) is gathered twice, so its gradient accumulates.
+        key = ([0, 2, 0, 1], slice(None), [1, 3, 1, 0])
+        fd_check(lambda v: weighted(ad.index(v["a"], key), c), tensors)
 
     def test_composite_mlp(self):
         r = rng(7)

@@ -370,6 +370,27 @@ class TestErrorContract:
         assert json.loads(stderr)["error"]["type"] == "CliError"
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", [["stats"], ["convert", "--out", "/dev/stdout"]])
+    def test_reader_that_stops_early_is_no_error(self, tmp_path, command):
+        """``ucca stats ... | head`` exits as a process killed by SIGPIPE
+        would, with status 141 and nothing on stderr."""
+        corpus = tmp_path / "g.jsonl"
+        dump_corpus([german_example()], str(corpus))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "uccatree.cli", *command, "--in", str(corpus)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(Path(uccatree.__file__).resolve().parents[1])),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
+
+
 class TestConsoleScript:
     def test_installed_entry_point_runs(self, tmp_path):
         """The `ucca` script declared in pyproject.toml runs as its own process.

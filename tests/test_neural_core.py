@@ -341,6 +341,8 @@ class TestScoringHeads:
 
 
 class TestBiaffine:
+    """``biaffine`` scores the whole (child, label, parent) grid at once."""
+
     def test_hand_case(self):
         u = Var(np.array([[2.0, 1.0]]))
         v = Var(np.array([[3.0, -1.0, 2.0]]))
@@ -349,43 +351,49 @@ class TestBiaffine:
         w[:, 1, :] = [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
         out = biaffine(u, v, Var(w)).value
         # Label 0: [2,1,1] . diag-pick . [3,-1,2] = 2*3 + 1*(-1) + 1*2 = 7.
-        # Label 1: 2*2*(-1 coeff on v2?) worked by loops below.
+        # Label 1: worked by loops below.
         expected = [
             sum(ext * w[i, l, j] * v.value[0, j] for i, ext in enumerate([2.0, 1.0, 1.0]) for j in range(3))
             for l in range(2)
         ]
-        assert out.shape == (1, 2)
-        assert out[0] == pytest.approx(expected, abs=1e-12)
+        assert out.shape == (1, 2, 1)
+        assert out[0, :, 0] == pytest.approx(expected, abs=1e-12)
         assert expected[0] == 7.0
 
     def test_zero_weights_give_zero_scores(self):
-        out = biaffine(Var(np.ones((1, 4))), Var(np.ones((1, 3))), Var(np.zeros((5, 2, 3))))
-        assert out.value.tolist() == [[0.0, 0.0]]
+        out = biaffine(Var(np.ones((2, 4))), Var(np.ones((3, 3))), Var(np.zeros((5, 2, 3))))
+        assert out.value.shape == (2, 2, 3)
+        assert not out.value.any()
 
     def test_zero_child_exposes_parent_bias_row(self):
         r = np.random.default_rng(5)
         w = r.standard_normal((3, 2, 4))
-        v = r.standard_normal((1, 4))
-        out = biaffine(Var(np.zeros((1, 2))), Var(v), Var(w)).value
-        assert out[0] == pytest.approx(w[2] @ v[0], abs=1e-12)
+        v = r.standard_normal((3, 4))
+        out = biaffine(Var(np.zeros((2, 2))), Var(v), Var(w)).value
+        for k in range(2):
+            for j in range(3):
+                assert out[k, :, j] == pytest.approx(w[2] @ v[j], abs=1e-12)
 
     def test_bilinear_in_parent(self):
         r = np.random.default_rng(6)
-        u = r.standard_normal((1, 3))
+        u = r.standard_normal((2, 3))
         w = r.standard_normal((4, 2, 5))
-        v1, v2 = r.standard_normal((1, 5)), r.standard_normal((1, 5))
+        v1, v2 = r.standard_normal((3, 5)), r.standard_normal((3, 5))
         one = lambda v: biaffine(Var(u.copy()), Var(v), Var(w.copy())).value
         assert one(v1 + v2) == pytest.approx(one(v1) + one(v2), abs=1e-10)
 
     def test_rows_are_scored_independently(self):
+        # Cell (k, :, j) reads child row k and parent row j, nothing else.
         r = np.random.default_rng(7)
         u = r.standard_normal((4, 3))
-        v = r.standard_normal((4, 5))
+        v = r.standard_normal((3, 5))
         w = r.standard_normal((4, 2, 5))
-        batch = biaffine(Var(u), Var(v), Var(w)).value
+        grid = biaffine(Var(u), Var(v), Var(w)).value
+        assert grid.shape == (4, 2, 3)
         for k in range(4):
-            row = biaffine(Var(u[k : k + 1]), Var(v[k : k + 1]), Var(w)).value[0]
-            assert batch[k] == pytest.approx(row, abs=1e-12)
+            for j in range(3):
+                cell = biaffine(Var(u[k : k + 1]), Var(v[j : j + 1]), Var(w)).value
+                assert grid[k, :, j] == pytest.approx(cell[0, :, 0], abs=1e-12)
 
 
 class TestOptimizers:

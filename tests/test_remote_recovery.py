@@ -16,6 +16,7 @@ from uccatree.neural_core import (
     BoundParams,
     ModelConfig,
     ModelParams,
+    affine,
     embed,
     encode,
     span_reprs,
@@ -271,6 +272,21 @@ class TestPredictRemotes:
         _, bound, enc = encode_tokens(p, GERMAN_FORMS)
         rig_scores(monkeypatch, {(9, 12): [0.0, 1.0, 3.0]}, n_labels=3)
         assert predict_remotes(graph, marked, enc, bound) == [(9, 12, "E")]
+
+    def test_each_node_runs_its_mlp_once(self, monkeypatch):
+        graph, marked, bound, enc = self._german_setup()
+        calls = []
+
+        def recording_affine(reprs, bound, name):
+            calls.append((name, reprs.shape[0]))
+            return affine(reprs, bound, name)
+
+        monkeypatch.setattr("uccatree.remote_recovery.affine", recording_affine)
+        pairs = enumerate_pairs(graph, marked)
+        assert len(pairs) == 8  # one marked child, eight candidate parents
+        loss_remote(pairs, [(9, 12, "A")], enc, bound)
+        predict_remotes(graph, marked, enc, bound)
+        assert calls == [("remote_child", 1), ("remote_parent", 8)] * 2
 
     def test_no_marked_nodes_short_circuits(self):
         graph, _, bound, enc = self._german_setup()
