@@ -49,9 +49,11 @@ class Var:
         return self.value.shape
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += grad
+        if self.grad is None:  # a copy in the value's memory layout, no zero fill
+            self.grad = np.empty_like(self.value)
+            self.grad[...] = grad
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the whole graph."""
@@ -254,7 +256,7 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
         pre = x[k] + wh @ states[k]
         acts[k, : 3 * h_dim] = 1.0 / (1.0 + np.exp(-pre[: 3 * h_dim]))
         acts[k, 3 * h_dim :] = np.tanh(pre[3 * h_dim :])
-        i, f, o, g = np.split(acts[k], 4)
+        i, f, o, g = acts[k].reshape(4, h_dim)
         cells[k + 1] = f * cells[k] + i * g
         states[k + 1] = o * np.tanh(cells[k + 1])
     out = Var(states[:0:-1] if reverse else states[1:], (projected, w_h))
@@ -264,14 +266,18 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
         tanh_cells = np.tanh(cells[1:])
         slopes = acts * (1.0 - acts)
         slopes[:, 3 * h_dim :] = 1.0 - acts[:, 3 * h_dim :] ** 2
-        d_gates = np.empty_like(x)
+        d_gates = np.empty(x.shape)  # C order: each row's four gate blocks are views
         dh, dc = np.zeros(h_dim), np.zeros(h_dim)
         for k in range(n - 1, -1, -1):
-            i, f, o, g = np.split(acts[k], 4)
+            i, f, o, g = acts[k].reshape(4, h_dim)
             dh = dh + d_states[k]
             dc = dc + dh * o * (1.0 - tanh_cells[k] ** 2)
-            d_acts = np.concatenate([dc * g, dc * cells[k], dh * tanh_cells[k], dc * i])
-            d_gates[k] = d_acts * slopes[k]
+            d_i, d_f, d_o, d_g = d_gates[k].reshape(4, h_dim)
+            np.multiply(dc, g, out=d_i)
+            np.multiply(dc, cells[k], out=d_f)
+            np.multiply(dh, tanh_cells[k], out=d_o)
+            np.multiply(dc, i, out=d_g)
+            d_gates[k] *= slopes[k]
             dc, dh = dc * f, wh.T @ d_gates[k]
         projected._accumulate(d_gates[::-1] if reverse else d_gates)
         w_h._accumulate(d_gates.T @ states[:-1])

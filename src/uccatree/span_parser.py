@@ -123,6 +123,17 @@ def _candidate_ids(labels: Sequence[str], mode: str, at_left_edge: bool) -> list
     return ids
 
 
+def _candidate_table(labels: Sequence[str]) -> dict[tuple[str, bool], list[int]]:
+    """``_candidate_ids`` of every (mode, at_left_edge) position of one
+    label inventory, so a call filters the inventory six times, not once
+    per decision."""
+    return {
+        (mode, at_left): _candidate_ids(labels, mode, at_left)
+        for mode in (TOP, UNDER_ROOT, INNER)
+        for at_left in (False, True)
+    }
+
+
 def _child_mode(mode: str, label: str) -> str:
     """Position of the spans emitted below a label decision."""
     if not label:  # empty label: still binarizing the same parent node
@@ -197,14 +208,14 @@ def loss_topdown(enc: Encoding, gold: GoldTrace, bound: BoundParams) -> Var:
 
     handle(gold.root, TOP, False)
 
-    labels = bound.config.labels
+    candidate_ids = _candidate_table(bound.config.labels)
     label_rows = ad.index(reprs, [span_index[span] for span, _, _, _ in label_decisions])
     label_v = label_scores(label_rows, bound)
     label_values = label_v.value
 
     label_terms: list[tuple[int, int, int]] = []  # (row of label_v, gold id, wrong id)
     for idx, (span, gold_label, mode, at_left_edge) in enumerate(label_decisions):
-        candidates = _candidate_ids(labels, mode, at_left_edge)
+        candidates = candidate_ids[(mode, at_left_edge)]
         gold_id = bound.params.labels.lookup(gold_label)
         if gold_label not in bound.params.labels.index or gold_id not in candidates:
             raise ValueError(f"gold label {gold_label!r} missing from the label inventory")
@@ -249,11 +260,7 @@ def parse_topdown(
     split_values = split_scores(reprs, bound).value
 
     labels = bound.config.labels
-    candidate_ids = {
-        (mode, at_left): _candidate_ids(labels, mode, at_left)
-        for mode in (TOP, UNDER_ROOT, INNER)
-        for at_left in (False, True)
-    }
+    candidate_ids = _candidate_table(labels)
     if not candidate_ids[(TOP, False)]:
         raise ValueError('the label inventory has no "ROOT"-headed entry')
 

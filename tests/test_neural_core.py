@@ -14,6 +14,7 @@ from uccatree import autodiff as ad
 from uccatree.autodiff import Var
 from uccatree.graph_model import Token
 from uccatree.neural_core import (
+    ADAM_BLOCK,
     NOT_PARENT,
     UNK,
     AdamState,
@@ -154,6 +155,17 @@ class TestInitialize:
         a = ModelParams.initialize(tiny_config(), seed=3).tensors
         b = ModelParams.initialize(tiny_config(), seed=3).tensors
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def test_pretrained_matrix_copied_in_c_order(self):
+        # Adam updates tensors through flat views, which a Fortran-ordered
+        # matrix has not; the caller's matrix must not move either.
+        cfg = tiny_config(pretrained_dim=2, pretrained_words=["a", "b"])
+        pre = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        p = ModelParams.initialize(cfg, seed=0, pretrained=pre)
+        assert p.tensors["emb_pre"].flags.c_contiguous
+        adam_step(p.tensors, {"emb_pre": np.ones((3, 2))}, AdamState())
+        assert np.array_equal(pre, np.arange(6.0).reshape(3, 2))
+        assert np.all(p.tensors["emb_pre"] < pre)
 
     def test_pretrained_shape_mismatch(self):
         cfg = tiny_config(pretrained_dim=2, pretrained_words=["a"])
@@ -433,6 +445,69 @@ class TestOptimizers:
             want = want - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)
         assert state.t == 2
         assert t["w"] == pytest.approx(want, abs=1e-15)
+
+    def test_adam_blocks_match_textbook_recurrence(self):
+        # Three blocks and a partial one; gradients from 1e-9 to 1e2 keep
+        # sqrt(v_hat) on both sides of eps.  All positive, so no update
+        # cancels another and the relative error means something.
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        size = 3 * ADAM_BLOCK + 7
+        rng = np.random.default_rng(5)
+        t = {"w": np.zeros(size)}
+        state = AdamState()
+        m = v = want = np.zeros(size)
+        for step in range(1, 4):
+            g = 10.0 ** rng.uniform(-9, 2, size)
+            adam_step(t, {"w": g}, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            want = want - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)
+        assert state.t == 3
+        assert np.max(np.abs(t["w"] - want) / np.abs(want)) < 1e-14
+
+    def test_adam_leaves_frozen_tensor_and_gradients_alone(self):
+        rng = np.random.default_rng(6)
+        t = {"w": rng.standard_normal((40, 30)), "frozen": rng.standard_normal(5)}
+        frozen = t["frozen"].copy()
+        # A transposed (non-contiguous) gradient is read, never written.
+        grads = {"w": rng.standard_normal((30, 40)).T, "frozen": rng.standard_normal(5)}
+        kept = {name: g.copy() for name, g in grads.items()}
+        contiguous = {"w": t["w"].copy()}
+        state, other = AdamState(), AdamState()
+        for _ in range(2):
+            adam_step(t, grads, state, skip=frozenset({"frozen"}))
+            adam_step(contiguous, {"w": kept["w"].copy()}, other)
+        assert np.array_equal(t["frozen"], frozen)
+        assert "frozen" not in state.m and "frozen" not in state.v
+        assert np.array_equal(t["w"], contiguous["w"])
+        for name, g in grads.items():
+            assert np.array_equal(g, kept[name])
+
+    def test_failed_step_changes_nothing(self):
+        # The bad gradient comes after a good one: the good tensor must
+        # not move either, nor may the optimizer state.
+        def tensors():
+            return {"a": np.full(3, 0.5), "b": np.array([1.0, 2.0])}
+
+        bad = {"a": np.ones(3), "b": np.array([np.nan, 0.0])}
+        t = tensors()
+        with pytest.raises(OptimizationError, match="'b'"):
+            sgd_step(t, bad, lr=0.1)
+        assert all(np.array_equal(t[k], v) for k, v in tensors().items())
+
+        t = tensors()
+        state = AdamState()
+        adam_step(t, {"a": np.ones(3), "b": np.ones(2)}, state)
+        moved = {k: arr.copy() for k, arr in t.items()}
+        m = {k: arr.copy() for k, arr in state.m.items()}
+        v = {k: arr.copy() for k, arr in state.v.items()}
+        with pytest.raises(OptimizationError, match="'b'"):
+            adam_step(t, bad, state)
+        assert state.t == 1
+        for name in moved:
+            assert np.array_equal(t[name], moved[name])
+            assert np.array_equal(state.m[name], m[name])
+            assert np.array_equal(state.v[name], v[name])
 
     def test_non_finite_gradients_rejected(self):
         t = {"w": np.zeros(2)}

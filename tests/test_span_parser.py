@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from uccatree import span_parser
 from uccatree.autodiff import Var
 from uccatree.conversion import graph_to_tree, tree_from_sexpr, tree_to_graph, tree_to_sexpr
 from uccatree.generator import SyntheticSpec, generate
@@ -26,6 +27,7 @@ from uccatree.span_parser import (
     TraceEntry,
     _all_spans,
     _candidate_ids,
+    _candidate_table,
     gold_trace,
     loss_topdown,
     parse_topdown,
@@ -144,6 +146,37 @@ class TestCandidateSets:
     def test_root_chain_with_marked_tail_excluded_from_top(self):
         labels = ["", "ROOT", "ROOT+H-ancestor1"]
         assert _candidate_ids(labels, TOP, False) == [1]
+
+    def test_table_holds_every_position(self):
+        table = _candidate_table(self.LABELS)
+        assert set(table) == {(m, a) for m in (TOP, UNDER_ROOT, INNER) for a in (False, True)}
+        for (mode, at_left), ids in table.items():
+            assert ids == _candidate_ids(self.LABELS, mode, at_left)
+
+    def test_loss_filters_the_inventory_a_fixed_number_of_times(self, monkeypatch):
+        # The candidate sets depend on the inventory only, so one loss
+        # filters it once per position, however many decisions it makes.
+        calls = []
+
+        def counting(labels, mode, at_left_edge):
+            calls.append((mode, at_left_edge))
+            return _candidate_ids(labels, mode, at_left_edge)
+
+        monkeypatch.setattr(span_parser, "_candidate_ids", counting)
+        forms = "a b c d e f g h i j k l".split()
+        cfg = parser_config(["", "A", "P", "ROOT"], words=forms)
+        p = ModelParams.initialize(cfg, seed=4)
+        counts = []
+        for sexpr in (
+            "(ROOT (A a b) c)",
+            "(ROOT (A a b c) (P d (A e f) g) (A h i (P j k)) l)",
+        ):
+            tree = tree_from_sexpr(sexpr)
+            tokens, bound, enc = encode_tokens(p, [t.form for t in tree.tokens])
+            calls.clear()
+            loss_topdown(enc, gold_trace(tree), bound)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 6
 
 
 class TestLossValues:
