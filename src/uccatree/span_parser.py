@@ -38,19 +38,6 @@ class TraceNode:
     kids: tuple["TraceNode", ...]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    span: tuple[int, int]
-    label: str
-    splits: frozenset[int]
-
-
-@dataclass(frozen=True)
-class GoldTrace:
-    root: TraceNode
-    entries: tuple[TraceEntry, ...]
-
-
 def _trace_node(node: TreeNode) -> TraceNode:
     parts = [node.label or ""]
     # Distinct same-span chain nodes merge into one decision, mirroring
@@ -68,23 +55,12 @@ def _trace_node(node: TreeNode) -> TraceNode:
     return TraceNode(span=span, label="+".join(parts), kids=tuple(kids))
 
 
-def gold_trace(tree: ConstituentTree) -> GoldTrace:
-    """Decompose a tree into per-span gold labels and gold splits."""
+def gold_trace(tree: ConstituentTree) -> TraceNode:
+    """The tree of gold span decisions: a label per span, splits at kids' right ends."""
     problems = tree.validate()
     if problems:
         raise ValueError("invalid tree: " + "; ".join(problems))
-    root = _trace_node(tree.root)
-    entries: list[TraceEntry] = []
-
-    def walk(tn: TraceNode) -> None:
-        splits = frozenset(kid.span[1] for kid in tn.kids[:-1])
-        entries.append(TraceEntry(span=tn.span, label=tn.label, splits=splits))
-        for kid in tn.kids:
-            if kid.span != tn.span:
-                walk(kid)
-
-    walk(root)
-    return GoldTrace(root=root, entries=tuple(entries))
+    return _trace_node(tree.root)
 
 
 def _label_head(label: str) -> str:
@@ -123,116 +99,105 @@ def _candidate_ids(labels: Sequence[str], mode: str, at_left_edge: bool) -> list
     return ids
 
 
-def _candidate_table(labels: Sequence[str]) -> dict[tuple[str, bool], list[int]]:
-    """``_candidate_ids`` of every (mode, at_left_edge) position of one
-    label inventory, so a call filters the inventory six times, not once
-    per decision."""
+def _candidate_table(labels: Sequence[str]) -> dict[tuple[str, bool], np.ndarray]:
+    """``_candidate_ids`` of every (mode, at_left_edge) position as a boolean
+    mask over the label inventory, so a call filters the inventory six
+    times, not once per decision."""
     return {
-        (mode, at_left): _candidate_ids(labels, mode, at_left)
+        (mode, at_left): np.isin(np.arange(len(labels)), _candidate_ids(labels, mode, at_left))
         for mode in (TOP, UNDER_ROOT, INNER)
         for at_left in (False, True)
     }
 
 
-def _child_mode(mode: str, label: str) -> str:
-    """Position of the spans emitted below a label decision."""
+def _child_position(label: str, i: int, mode: str, node_left: int) -> tuple[str, int]:
+    """Mode and node left edge below a label decision on a span starting at i."""
     if not label:  # empty label: still binarizing the same parent node
-        return mode
-    return UNDER_ROOT if mode == TOP and label == ROOT_LABEL else INNER
+        return mode, node_left
+    return (UNDER_ROOT if mode == TOP and label == ROOT_LABEL else INNER), i
 
 
-def _all_spans(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+def _span_table(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Every span of an n-token sentence, and the ``(n + 1, n + 1)`` matrix
+    whose cell (i, j) holds the row of span (i, j) in that list (-1 if i >= j)."""
     spans = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
-    return spans, {span: k for k, span in enumerate(spans)}
+    table = np.full((n + 1, n + 1), -1)
+    table[tuple(np.array(spans).T)] = np.arange(len(spans))
+    return spans, table
 
 
-def _argmax_first(values: Sequence[float], keys: Sequence[int]) -> int:
-    """Key with the highest value; earliest key wins ties."""
-    best_key = keys[0]
-    best = values[0]
-    for key, val in zip(keys[1:], values[1:]):
-        if val > best:
-            best, best_key = val, key
-    return best_key
+def _best_split(span_scores: np.ndarray, i: int, j: int, ks: np.ndarray) -> int:
+    """The k among the ascending ``ks`` with the highest s(i, k) + s(k, j),
+    the first one on ties; ``span_scores`` is indexed like the span table."""
+    return int(ks[np.argmax(span_scores[i, ks] + span_scores[ks, j])])
 
 
-def loss_topdown(enc: Encoding, gold: GoldTrace, bound: BoundParams) -> Var:
+def _best_labels(label_values: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Per row, the allowed label with the highest score; the first on ties."""
+    return np.where(allowed, label_values, -np.inf).argmax(axis=-1)
+
+
+def loss_topdown(enc: Encoding, gold: TraceNode, bound: BoundParams) -> Var:
     """Margin-one hinge loss along the gold derivation.
 
     The descent picks the best-scoring gold-consistent split at every
     n-ary decision; terms with no incorrect alternative contribute zero.
     """
     n = enc.n
-    if gold.root.span != (0, n):
-        raise ValueError(f"gold trace covers {gold.root.span}, encoder has n={n}")
-    spans, span_index = _all_spans(n)
+    if gold.span != (0, n):
+        raise ValueError(f"gold trace covers {gold.span}, encoder has n={n}")
+    spans, table = _span_table(n)
     reprs = span_reprs(enc, spans)
     split_v = split_scores(reprs, bound)
-    split_values = split_v.value
+    span_scores = split_v.value[table]
+    candidates = _candidate_table(bound.config.labels)
 
-    def split_value(i: int, k: int, j: int) -> float:
-        return float(split_values[span_index[(i, k)]] + split_values[span_index[(k, j)]])
-
-    # (span, gold label, mode, span starts at the parent node's left edge)
-    label_decisions: list[tuple[tuple[int, int], str, str, bool]] = []
+    # (span row, gold label, candidate mask) of every label decision.
+    label_decisions: list[tuple[int, str, np.ndarray]] = []
     # Span rows of each split term: gold left, gold right, wrong left, wrong right.
-    split_terms: list[tuple[int, ...]] = []
+    split_terms: list[np.ndarray] = []
 
-    def binarize(
-        i: int, j: int, kids: tuple[TraceNode, ...], mode: str, node_left: int
-    ) -> None:
-        gold_ks = [kid.span[1] for kid in kids[:-1]]
-        wrong_ks = [k for k in range(i + 1, j) if k not in set(gold_ks)]
-        gold_vals = [split_value(i, k, j) for k in gold_ks]
-        k_star = _argmax_first(gold_vals, gold_ks)
-        if wrong_ks:
-            wrong_vals = [split_value(i, k, j) for k in wrong_ks]
-            k_wrong = _argmax_first(wrong_vals, wrong_ks)
-            halves = ((i, k_star), (k_star, j), (i, k_wrong), (k_wrong, j))
-            split_terms.append(tuple(span_index[half] for half in halves))
-        left = tuple(kid for kid in kids if kid.span[1] <= k_star)
-        right = tuple(kid for kid in kids if kid.span[1] > k_star)
-        for side, (a, b) in ((left, (i, k_star)), (right, (k_star, j))):
-            if len(side) == 1:
-                handle(side[0], mode, a == node_left)
-            else:
-                label_decisions.append(((a, b), "", mode, a == node_left))
-                binarize(a, b, side, mode, node_left)
-
-    def handle(tn: TraceNode, mode: str, at_left_edge: bool) -> None:
-        label_decisions.append((tn.span, tn.label, mode, at_left_edge))
-        if len(tn.kids) >= 2:
-            binarize(
-                tn.span[0], tn.span[1], tn.kids, _child_mode(mode, tn.label), tn.span[0]
-            )
-
-    handle(gold.root, TOP, False)
-
-    candidate_ids = _candidate_table(bound.config.labels)
-    label_rows = ad.index(reprs, [span_index[span] for span, _, _, _ in label_decisions])
-    label_v = label_scores(label_rows, bound)
-    label_values = label_v.value
-
-    label_terms: list[tuple[int, int, int]] = []  # (row of label_v, gold id, wrong id)
-    for idx, (span, gold_label, mode, at_left_edge) in enumerate(label_decisions):
-        candidates = candidate_ids[(mode, at_left_edge)]
-        gold_id = bound.params.labels.lookup(gold_label)
-        if gold_label not in bound.params.labels.index or gold_id not in candidates:
-            raise ValueError(f"gold label {gold_label!r} missing from the label inventory")
-        wrong = [c for c in candidates if c != gold_id]
-        if not wrong:
+    # Preorder over (i, j, cover, mode, node left edge), where ``cover``
+    # holds the gold nodes that tile span (i, j): one node decides its own
+    # label, several the empty label of an implicit binarization.
+    stack: list[tuple[int, int, tuple[TraceNode, ...], str, int]] = [(0, n, (gold,), TOP, -1)]
+    while stack:
+        i, j, cover, mode, node_left = stack.pop()
+        label, kids = (cover[0].label, cover[0].kids) if len(cover) == 1 else ("", cover)
+        label_decisions.append((table[i, j], label, candidates[(mode, i == node_left)]))
+        if len(kids) < 2:
             continue
-        wrong_vals = [float(label_values[idx, c]) for c in wrong]
-        label_terms.append((idx, gold_id, _argmax_first(wrong_vals, wrong)))
+        mode, node_left = _child_position(label, i, mode, node_left)
+        gold_ks = np.array([kid.span[1] for kid in kids[:-1]])
+        k_star = _best_split(span_scores, i, j, gold_ks)
+        wrong_ks = np.delete(np.arange(i + 1, j), gold_ks - (i + 1))
+        if wrong_ks.size:
+            k_wrong = _best_split(span_scores, i, j, wrong_ks)
+            split_terms.append(table[[i, k_star, i, k_wrong], [k_star, j, k_wrong, j]])
+        cut = gold_ks.tolist().index(k_star) + 1  # kids[:cut] end at or before k*
+        stack.append((k_star, j, kids[cut:], mode, node_left))
+        stack.append((i, k_star, kids[:cut], mode, node_left))
+
+    label_index = bound.params.labels.index
+    for _, label, allowed in label_decisions:
+        if label not in label_index or not allowed[label_index[label]]:
+            raise ValueError(f"gold label {label!r} missing from the label inventory")
+    rows, gold_labels, masks = zip(*label_decisions)
+    label_v = label_scores(ad.index(reprs, list(rows)), bound)
+    gold_ids = np.array([label_index[label] for label in gold_labels])
+    wrong = np.array(masks)
+    wrong[np.arange(len(gold_ids)), gold_ids] = False
+    terms = np.flatnonzero(wrong.any(axis=1))
+    wrong_ids = _best_labels(label_v.value[terms], wrong[terms])
 
     # A kind of term that is absent stays off the tape: the tensors only it
     # would reach get no gradient, so the optimizer leaves them alone.
     margins: list[Var] = []
-    if label_terms:
-        rows, gold_ids, wrong_ids = (list(col) for col in zip(*label_terms))
-        margins.append(ad.index(label_v, (rows, wrong_ids)) - ad.index(label_v, (rows, gold_ids)))
+    if terms.size:
+        gold_score = ad.index(label_v, (terms, gold_ids[terms]))
+        margins.append(ad.index(label_v, (terms, wrong_ids)) - gold_score)
     if split_terms:
-        gold_l, gold_r, wrong_l, wrong_r = (list(col) for col in zip(*split_terms))
+        gold_l, gold_r, wrong_l, wrong_r = np.array(split_terms).T
         wrong_score = ad.index(split_v, wrong_l) + ad.index(split_v, wrong_r)
         margins.append(wrong_score - (ad.index(split_v, gold_l) + ad.index(split_v, gold_r)))
     if not margins:
@@ -245,42 +210,46 @@ def parse_topdown(
 ) -> ConstituentTree:
     """Greedy top-down decoding over precomputed span scores.
 
-    Ties resolve to the smallest label index and the smallest split
-    point.  The full span must pick a "ROOT"-headed label chain; other
-    spans may pick the empty label, which emits no node.  Move-marker
-    placements that could not be undone are excluded from the candidate
-    sets, so the output is always restorable.
+    A split's score reads no label, so the whole split tree is fixed
+    first; the label head then runs once, on its 2n - 1 spans.  Ties
+    resolve to the smallest split point and the smallest label index.
+    The full span must pick a "ROOT"-headed label chain; other spans may
+    pick the empty label, which emits no node.  Move-marker placements
+    that could not be undone are excluded from the candidate sets, so the
+    output is always restorable.
     """
     n = enc.n
     if len(tokens) != n:
         raise ValueError(f"{len(tokens)} tokens but encoding has n={n}")
-    spans, span_index = _all_spans(n)
-    reprs = span_reprs(enc, spans)
-    label_values = label_scores(reprs, bound).value
-    split_values = split_scores(reprs, bound).value
-
     labels = bound.config.labels
-    candidate_ids = _candidate_table(labels)
-    if not candidate_ids[(TOP, False)]:
+    candidates = _candidate_table(labels)
+    if not candidates[(TOP, False)].any():
         raise ValueError('the label inventory has no "ROOT"-headed entry')
+    spans, table = _span_table(n)
+    reprs = span_reprs(enc, spans)
+    span_scores = split_scores(reprs, bound).value[table]
+
+    decided = [(0, n)]
+    split_at = np.zeros_like(table)
+    for i, j in decided:  # grows while it is read: breadth first
+        if j - i > 1:
+            k = _best_split(span_scores, i, j, np.arange(i + 1, j))
+            split_at[i, j] = k
+            decided += [(i, k), (k, j)]
+    lo, hi = np.array(decided).T
+    decision_row = np.zeros_like(table)
+    decision_row[lo, hi] = np.arange(len(decided))
+    label_values = label_scores(ad.index(reprs, table[lo, hi]), bound).value
 
     def build(i: int, j: int, mode: str, node_left: int) -> list[TreeNode]:
-        candidates = candidate_ids[(mode, i == node_left)]
-        rows = label_values[span_index[(i, j)]]
-        label_id = _argmax_first([float(rows[c]) for c in candidates], candidates)
-        label = labels[label_id]
+        allowed = candidates[(mode, i == node_left)]
+        label = labels[_best_labels(label_values[decision_row[i, j]], allowed)]
         if j - i == 1:
             children: list[TreeNode] = [TreeNode(leaf=j)]
         else:
-            kid_mode = _child_mode(mode, label)
-            kid_left = i if label else node_left
-            ks = list(range(i + 1, j))
-            vals = [
-                float(split_values[span_index[(i, k)]] + split_values[span_index[(k, j)]])
-                for k in ks
-            ]
-            split = _argmax_first(vals, ks)
-            children = build(i, split, kid_mode, kid_left) + build(split, j, kid_mode, kid_left)
+            kid_mode, kid_left = _child_position(label, i, mode, node_left)
+            k = int(split_at[i, j])
+            children = build(i, k, kid_mode, kid_left) + build(k, j, kid_mode, kid_left)
         parts = label.split("+") if label else []
         for part in reversed(parts):
             children = [TreeNode(label=part, children=tuple(children))]

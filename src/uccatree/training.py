@@ -39,7 +39,7 @@ from .remote_recovery import (
     loss_remote,
     predict_remotes,
 )
-from .span_parser import GoldTrace, gold_trace, loss_topdown, parse_topdown
+from .span_parser import TraceNode, gold_trace, loss_topdown, parse_topdown
 
 DECOMPOSITION_TOLERANCE = 1e-12
 
@@ -70,7 +70,7 @@ class Example:
 
     tokens: tuple[Token, ...]
     lang: str
-    trace: GoldTrace
+    trace: TraceNode
     pairs: list[RemoteCandidatePair]
     gold_remotes: list[tuple[int, int, str]]
     external: np.ndarray | None = None
@@ -141,8 +141,11 @@ def _model_config_from_examples(
             ner.add(t.ner)
             dep.add(t.dep)
         langs.add(ex.lang)
-        for entry in ex.trace.entries:
-            labels.add(entry.label)
+        nodes = [ex.trace]
+        while nodes:
+            node = nodes.pop()
+            labels.add(node.label)
+            nodes.extend(node.kids)
         for _, _, label in ex.gold_remotes:
             remote_labels.add(label)
     labels.discard("")

@@ -19,13 +19,12 @@ from uccatree.neural_core import (
     adam_step,
     embed,
     encode,
+    label_scores,
 )
 from uccatree.span_parser import (
     INNER,
     TOP,
     UNDER_ROOT,
-    TraceEntry,
-    _all_spans,
     _candidate_ids,
     _candidate_table,
     gold_trace,
@@ -61,6 +60,27 @@ def encode_tokens(params: ModelParams, forms):
     return tokens, bound, enc
 
 
+def rig_heads(monkeypatch, spans, label_matrix, split_vector):
+    """Make row r of ``label_matrix`` and entry r of ``split_vector`` the
+    scores of ``spans[r]``, whatever rows the parser asks for: span reprs
+    become one-hot rows over ``spans`` and each head returns
+    ``reprs @ matrix``."""
+    one_hot = np.eye(len(spans))
+    monkeypatch.setattr(
+        span_parser, "span_reprs", lambda enc, asked: Var(one_hot[[spans.index(s) for s in asked]])
+    )
+    monkeypatch.setattr(
+        span_parser, "label_scores", lambda reprs, bound: Var(reprs.value @ label_matrix)
+    )
+    monkeypatch.setattr(
+        span_parser, "split_scores", lambda reprs, bound: Var(reprs.value @ split_vector)
+    )
+
+
+def all_spans(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+
+
 def zero_params(cfg: ModelConfig) -> ModelParams:
     p = ModelParams.initialize(cfg, seed=0)
     for arr in p.tensors.values():
@@ -68,38 +88,50 @@ def zero_params(cfg: ModelConfig) -> ModelParams:
     return p
 
 
-def entry_map(trace):
-    return {e.span: e for e in trace.entries}
+def decisions(trace):
+    """Preorder list of the labeled spans of a gold trace.  The lone leaf
+    of a one-token node shares that node's span and decision."""
+    kids = [kid for kid in trace.kids if kid.span != trace.span]
+    return [trace] + [node for kid in kids for node in decisions(kid)]
+
+
+def node_map(trace):
+    return {node.span: node for node in decisions(trace)}
+
+
+def splits(node):
+    """A trace node's split points: the right ends of all kids but the last."""
+    return [kid.span[1] for kid in node.kids[:-1]]
 
 
 class TestGoldTrace:
     def test_binary_tree(self):
-        trace = gold_trace(tree_from_sexpr("(ROOT (A a b) (P c d))"))
-        by_span = entry_map(trace)
-        assert by_span[(0, 4)] == TraceEntry((0, 4), "ROOT", frozenset({2}))
-        assert by_span[(0, 2)] == TraceEntry((0, 2), "A", frozenset({1}))
-        assert by_span[(2, 4)] == TraceEntry((2, 4), "P", frozenset({3}))
+        by_span = node_map(gold_trace(tree_from_sexpr("(ROOT (A a b) (P c d))")))
+        assert [(span, n.label, splits(n)) for span, n in by_span.items() if n.kids] == [
+            ((0, 4), "ROOT", [2]),
+            ((0, 2), "A", [1]),
+            ((2, 4), "P", [3]),
+        ]
         assert by_span[(0, 1)].label == ""
 
     def test_ternary_splits(self):
         trace = gold_trace(tree_from_sexpr("(ROOT (A a b) (P c d e) (U f g))"))
-        assert entry_map(trace)[(0, 7)].splits == frozenset({2, 5})
+        assert splits(node_map(trace)[(0, 7)]) == [2, 5]
 
     def test_same_span_chain_absorbed(self):
         trace = gold_trace(tree_from_sexpr("(ROOT (H (A a b)))"))
-        assert trace.root.label == "ROOT+H+A"
-        assert entry_map(trace)[(0, 2)].label == "ROOT+H+A"
-        # The chain is one decision: no separate entries for H or A.
-        assert sorted(e.span for e in trace.entries) == [(0, 1), (0, 2), (1, 2)]
+        assert trace.label == "ROOT+H+A"
+        assert node_map(trace)[(0, 2)].label == "ROOT+H+A"
+        # The chain is one decision: no separate nodes for H or A.
+        assert sorted(node.span for node in decisions(trace)) == [(0, 1), (0, 2), (1, 2)]
 
     def test_worked_example_trace(self, german_graph):
-        trace = gold_trace(graph_to_tree(german_graph).tree)
-        by_span = entry_map(trace)
+        by_span = node_map(gold_trace(graph_to_tree(german_graph).tree))
         assert by_span[(0, 7)].label == "ROOT+H"
-        assert by_span[(0, 7)].splits == frozenset({1, 4, 5, 6})
-        assert by_span[(1, 4)] == TraceEntry((1, 4), "H-ancestor1", frozenset({2}))
+        assert splits(by_span[(0, 7)]) == [1, 4, 5, 6]
+        assert (by_span[(1, 4)].label, splits(by_span[(1, 4)])) == ("H-ancestor1", [2])
         assert by_span[(1, 2)].label == "A-remote"
-        assert by_span[(2, 4)] == TraceEntry((2, 4), "P", frozenset({3}))
+        assert (by_span[(2, 4)].label, splits(by_span[(2, 4)])) == ("P", [3])
         assert by_span[(4, 5)].label == "L-ancestor1"
 
     def test_invalid_tree_rejected(self):
@@ -150,8 +182,9 @@ class TestCandidateSets:
     def test_table_holds_every_position(self):
         table = _candidate_table(self.LABELS)
         assert set(table) == {(m, a) for m in (TOP, UNDER_ROOT, INNER) for a in (False, True)}
-        for (mode, at_left), ids in table.items():
-            assert ids == _candidate_ids(self.LABELS, mode, at_left)
+        for (mode, at_left), allowed in table.items():
+            assert allowed.dtype == bool and allowed.shape == (len(self.LABELS),)
+            assert np.flatnonzero(allowed).tolist() == _candidate_ids(self.LABELS, mode, at_left)
 
     def test_loss_filters_the_inventory_a_fixed_number_of_times(self, monkeypatch):
         # The candidate sets depend on the inventory only, so one loss
@@ -215,7 +248,7 @@ class TestLossValues:
         p = zero_params(cfg)
         tokens, bound, enc = encode_tokens(p, ["a", "b"])
         trace = gold_trace(tree_from_sexpr("(ROOT (A-ancestor1 a) (P b))"))
-        with pytest.raises(ValueError, match="label"):
+        with pytest.raises(ValueError, match="gold label 'A-ancestor1' missing"):
             loss_topdown(enc, trace, bound)
 
     def test_unknown_gold_label_rejected(self):
@@ -223,7 +256,7 @@ class TestLossValues:
         p = zero_params(cfg)
         tokens, bound, enc = encode_tokens(p, ["a", "b"])
         trace = gold_trace(tree_from_sexpr("(ROOT (X a) b)"))
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match="gold label 'X' missing"):
             loss_topdown(enc, trace, bound)
 
     def test_span_mismatch_rejected(self):
@@ -253,7 +286,7 @@ class TestLossValues:
         tokens, bound, enc = encode_tokens(p, ["a", "b", "c", "d"])
         shallow = gold_trace(tree_from_sexpr("(ROOT (A a b c) d)"))
         nested = gold_trace(tree_from_sexpr("(ROOT (A a (P b c)) d)"))
-        assert (len(shallow.entries), len(nested.entries)) == (6, 7)
+        assert (len(decisions(shallow)), len(decisions(nested))) == (6, 7)
         shallow_loss = loss_topdown(enc, shallow, bound)
         nested_loss = loss_topdown(enc, nested, bound)
         assert (float(shallow_loss.value), float(nested_loss.value)) == (7.0, 8.0)
@@ -316,11 +349,28 @@ class TestGreedyParse:
         with pytest.raises(ValueError, match="ROOT"):
             parse_topdown(enc, tokens, bound)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    def test_label_head_scores_only_the_decided_spans(self, monkeypatch, n):
+        # Splits read no label, so the split tree is fixed first and the
+        # label head sees its 2n - 1 spans, not all n(n + 1) / 2.
+        cfg = parser_config(["", "A", "P", "ROOT"])
+        p = ModelParams.initialize(cfg, seed=3)
+        rows = []
+
+        def counting(reprs, bound):
+            rows.append(reprs.shape[0])
+            return label_scores(reprs, bound)
+
+        monkeypatch.setattr(span_parser, "label_scores", counting)
+        tokens, bound, enc = encode_tokens(p, ["a", "b", "c"] * (n // 3) + ["a"] * (n % 3))
+        assert parse_topdown(enc, tokens, bound).validate() == []
+        assert rows == [2 * n - 1]
+
     def test_rigged_scores_reproduce_worked_example(self, monkeypatch, german_graph):
         inventory = ["", "A-remote", "H-ancestor1", "L-ancestor1", "P", "ROOT+H", "U"]
         cfg = parser_config(inventory, words=tuple(GERMAN_FORMS))
         p = zero_params(cfg)
-        spans, span_index = _all_spans(7)
+        spans = all_spans(7)
         gold_labels = {
             (0, 7): "ROOT+H",
             (0, 1): "U",
@@ -337,16 +387,11 @@ class TestGreedyParse:
         }
         label_matrix = np.zeros((len(spans), len(inventory)))
         for span, lab in gold_labels.items():
-            label_matrix[span_index[span], inventory.index(lab)] = 10.0
+            label_matrix[spans.index(span), inventory.index(lab)] = 10.0
         split_vector = np.array(
             [10.0 if span in derivation_spans else 0.0 for span in spans]
         )
-        monkeypatch.setattr(
-            "uccatree.span_parser.label_scores", lambda reprs, bound: Var(label_matrix)
-        )
-        monkeypatch.setattr(
-            "uccatree.span_parser.split_scores", lambda reprs, bound: Var(split_vector)
-        )
+        rig_heads(monkeypatch, spans, label_matrix, split_vector)
         tokens, bound, enc = encode_tokens(p, GERMAN_FORMS)
         tree = parse_topdown(enc, german_graph.tokens, bound)
         assert tree_to_sexpr(tree) == GERMAN_TREE_SEXPR
@@ -358,13 +403,11 @@ class TestGreedyParse:
         inventory = ["", "A", "A-ancestor1", "ROOT"]
         cfg = parser_config(inventory, words=("a", "b"))
         p = zero_params(cfg)
-        spans, _ = _all_spans(2)
+        spans = all_spans(2)
         label_matrix = np.zeros((len(spans), len(inventory)))
         label_matrix[:, inventory.index("A-ancestor1")] = 100.0
         label_matrix[:, inventory.index("A")] = 50.0
-        monkeypatch.setattr(
-            "uccatree.span_parser.label_scores", lambda reprs, bound: Var(label_matrix)
-        )
+        rig_heads(monkeypatch, spans, label_matrix, np.zeros(len(spans)))
         tokens, bound, enc = encode_tokens(p, ["a", "b"])
         tree = parse_topdown(enc, tokens, bound)
         # The overwhelming marked label is illegal here; "A" wins instead.
@@ -424,7 +467,7 @@ class TestParseValidity:
             p.tensors["label_out_w"] *= 40.0
             p.tensors["span_out_w"] *= 40.0
             for _ in range(15):
-                n = int(rng.integers(1, 10))
+                n = int(rng.integers(1, 61))
                 forms = [f"w{rng.integers(0, 50)}" for _ in range(n)]
                 tokens, bound, enc = encode_tokens(p, forms)
                 tree = parse_topdown(enc, tokens, bound)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
+from uccatree.autodiff import Var
 from uccatree.neural_core import NOT_PARENT, UNK, ModelParams, embed, BoundParams
 from uccatree.training import (
     Example,
@@ -42,6 +45,10 @@ def tiny_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def trace_labels(node):
+    return {node.label}.union(*(trace_labels(kid) for kid in node.kids))
+
+
 def tiny_corpus():
     return [simple_graph(["A", "P"], n=2), simple_graph(["P", "A"], n=2)]
 
@@ -72,7 +79,7 @@ class TestPrepareAndVocab:
         assert ex.gold_remotes == [(10, 12, "A")]
         assert len(ex.pairs) == 8
         assert all(p.child == 12 for p in ex.pairs)
-        assert {e.label for e in ex.trace.entries} == {
+        assert trace_labels(ex.trace) == {
             "", "ROOT+H", "U", "H-ancestor1", "A-remote", "P", "L-ancestor1",
         }
 
@@ -96,6 +103,29 @@ class TestSentenceLoss:
         assert topdown > 0.0 and remote > 0.0
         assert abs(joint - (topdown + remote)) <= 1e-12
         assert grads and all(np.all(np.isfinite(g)) for g in grads.values())
+
+    def test_loss_and_parse_leave_no_var_to_the_cyclic_collector(self, german_graph):
+        # The decoding walk is a recursive closure, hence a reference
+        # cycle.  A Var that it, or any other cycle on these paths,
+        # captured would keep the whole tape and its gradient buffers
+        # alive until the cyclic collector runs.
+        cfg = build_model_config([german_graph], tiny_config())
+        params = ModelParams.initialize(cfg, seed=2)
+        ex = prepare_example(german_graph)
+        gc.collect()
+        gc.garbage.clear()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            sentence_loss(ex, params)
+            parse_pipeline(german_graph.tokens, params)
+            gc.collect()
+            kept = [obj for obj in gc.garbage if isinstance(obj, Var)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert kept == []
 
     def test_remote_part_is_zero_without_remote_edges(self):
         graphs = tiny_corpus()
