@@ -92,14 +92,6 @@ class Var:
     def __rsub__(self, other):
         return sub(_wrap(other), self)
 
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
 
 def _wrap(x) -> Var:
     return x if isinstance(x, Var) else Var(np.asarray(x, dtype=np.float64))
@@ -125,17 +117,6 @@ def sub(a: Var, b: Var) -> Var:
     def bw(g: np.ndarray) -> None:
         a._accumulate(_unbroadcast(g, a.value.shape))
         b._accumulate(-_unbroadcast(g, b.value.shape))
-
-    out._bw = bw
-    return out
-
-
-def mul(a: Var, b: Var) -> Var:
-    out = Var(a.value * b.value, (a, b))
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(g * b.value, a.value.shape))
-        b._accumulate(_unbroadcast(g * a.value, b.value.shape))
 
     out._bw = bw
     return out

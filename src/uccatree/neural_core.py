@@ -1,5 +1,6 @@
 """Self-contained neural components: embeddings, BiLSTM encoder, span
-representations, MLP scoring heads and a biaffine pair scorer.
+layers on projected fenceposts, MLP scoring heads and a biaffine pair
+scorer.
 
 Everything runs on numpy through the :mod:`uccatree.autodiff` tape, in
 64-bit floats, with fully seeded initialization so that two runs from the
@@ -320,16 +321,16 @@ def embed(
 
 @dataclass
 class Encoding:
-    """Fencepost outputs of the top BiLSTM layer.
+    """Fencepost matrix of the top BiLSTM layer.
 
-    ``forward[i]`` is the forward output after consuming tokens 1..i
-    (row 0 is the initial state output); ``backward[i]`` is the backward
-    output after consuming tokens n..i+1 (row n is the initial state
-    output).  Both are (n+1, hidden) matrices.
+    ``fenceposts`` is (n+1, 2 * hidden): row i is [f_i ; -b_i], where f_i
+    is the forward output after consuming tokens 1..i (f_0 is zero) and
+    b_i the backward output after consuming tokens n..i+1 (b_n is zero).
+    The feature of span (i, j), [f_j - f_i ; b_i - b_j], is row j minus
+    row i.
     """
 
-    forward: Var
-    backward: Var
+    fenceposts: Var
     n: int
 
 
@@ -353,19 +354,7 @@ def encode(inputs: Var, bound: BoundParams) -> Encoding:
     zeros = Var(np.zeros((1, bound.config.lstm_hidden)))
     forward = ad.concat([zeros, f2], axis=0)
     backward = ad.concat([b2, zeros], axis=0)
-    return Encoding(forward=forward, backward=backward, n=n)
-
-
-def span_reprs(enc: Encoding, spans: Sequence[tuple[int, int]]) -> Var:
-    """Batch of span representations (f_j - f_i) ++ (b_i - b_j)."""
-    for i, j in spans:
-        if not (0 <= i < j <= enc.n):
-            raise ValueError(f"degenerate or out-of-range span ({i}, {j}) for n={enc.n}")
-    lo = [i for i, _ in spans]
-    hi = [j for _, j in spans]
-    fwd = ad.sub(ad.index(enc.forward, hi), ad.index(enc.forward, lo))
-    bwd = ad.sub(ad.index(enc.backward, lo), ad.index(enc.backward, hi))
-    return ad.concat([fwd, bwd], axis=1)
+    return Encoding(fenceposts=ad.concat([forward, 0.0 - backward], axis=1), n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +366,35 @@ def affine(reprs: Var, bound: BoundParams, name: str) -> Var:
     return ad.matmul(reprs, ad.transpose(bound[name + "_w"])) + bound[name + "_b"]
 
 
-def _hidden(bound: BoundParams, reprs: Var, head: str) -> Var:
+def span_affine(
+    enc: Encoding, spans: Sequence[tuple[int, int]], bound: BoundParams, name: str
+) -> Var:
+    """(m, out) rows ``W·r(i, j) + b`` of the layer ``name`` for every span
+    (i, j).  The layer is linear in the span feature r(i, j), the fencepost
+    row j minus row i, so it projects the n + 1 fenceposts once and
+    subtracts projected rows: q_j - q_i + b."""
+    lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+    bad = np.flatnonzero((lo < 0) | (lo >= hi) | (hi > enc.n))
+    if bad.size:
+        i, j = lo[bad[0]], hi[bad[0]]
+        raise ValueError(f"degenerate or out-of-range span ({i}, {j}) for n={enc.n}")
+    q = ad.matmul(enc.fenceposts, ad.transpose(bound[name + "_w"]))
+    return ad.index(q, hi) - ad.index(q, lo) + bound[name + "_b"]
+
+
+def _hidden(enc: Encoding, spans: Sequence[tuple[int, int]], bound: BoundParams, head: str) -> Var:
     shared = bound.config.share_span_hidden
-    return ad.relu(affine(reprs, bound, "head_hidden" if shared else f"{head}_hidden"))
+    return ad.relu(span_affine(enc, spans, bound, "head_hidden" if shared else f"{head}_hidden"))
 
 
-def label_scores(reprs: Var, bound: BoundParams) -> Var:
-    """(m, num_labels) span-label scores for a batch of span reprs."""
-    return affine(_hidden(bound, reprs, "label"), bound, "label_out")
+def label_scores(enc: Encoding, spans: Sequence[tuple[int, int]], bound: BoundParams) -> Var:
+    """(m, num_labels) span-label scores for a batch of spans."""
+    return affine(_hidden(enc, spans, bound, "label"), bound, "label_out")
 
 
-def split_scores(reprs: Var, bound: BoundParams) -> Var:
+def split_scores(enc: Encoding, spans: Sequence[tuple[int, int]], bound: BoundParams) -> Var:
     """(m,) scalar span scores used for split decisions."""
-    return ad.index(affine(_hidden(bound, reprs, "span"), bound, "span_out"), (slice(None), 0))
+    return ad.index(affine(_hidden(enc, spans, bound, "span"), bound, "span_out"), (slice(None), 0))
 
 
 def biaffine(children: Var, parents: Var, w: Var) -> Var:
@@ -410,7 +415,11 @@ def biaffine(children: Var, parents: Var, w: Var) -> Var:
 
 
 def _check_finite(name: str, grad: np.ndarray) -> None:
-    if not np.isfinite(grad).all():
+    # A sum of finite values is finite unless it overflows, so the
+    # elementwise test runs only when the one-pass sum is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = grad.sum()
+    if not np.isfinite(total) and not np.isfinite(grad).all():
         raise OptimizationError(f"non-finite gradient for tensor {name!r}")
 
 

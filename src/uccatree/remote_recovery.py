@@ -20,13 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .graph_model import UccaGraph, reachable
-from .neural_core import (
-    BoundParams,
-    Encoding,
-    affine,
-    biaffine,
-    span_reprs,
-)
+from .neural_core import BoundParams, Encoding, biaffine, span_affine
 
 
 @dataclass(frozen=True)
@@ -73,8 +67,8 @@ def _pair_score_matrix(
     one (child, label, parent) grid over the distinct nodes."""
     child_spans = {p.child: p.child_span for p in pairs}
     parent_spans = {p.parent: p.parent_span for p in pairs}
-    children = affine(span_reprs(enc, list(child_spans.values())), bound, "remote_child")
-    parents = affine(span_reprs(enc, list(parent_spans.values())), bound, "remote_parent")
+    children = span_affine(enc, list(child_spans.values()), bound, "remote_child")
+    parents = span_affine(enc, list(parent_spans.values()), bound, "remote_parent")
     grid = biaffine(ad.relu(children), ad.relu(parents), bound["biaffine_w"])
     row = {node: k for k, node in enumerate(child_spans)}
     col = {node: k for k, node in enumerate(parent_spans)}

@@ -18,6 +18,7 @@ the greedy parser reproduces the gold tree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Var
 from .conversion import split_label
 from .graph_model import ROOT_LABEL, ConstituentTree, Token, TreeNode
-from .neural_core import BoundParams, Encoding, label_scores, span_reprs, split_scores
+from .neural_core import BoundParams, Encoding, label_scores, split_scores
 
 
 @dataclass(frozen=True)
@@ -99,15 +100,19 @@ def _candidate_ids(labels: Sequence[str], mode: str, at_left_edge: bool) -> list
     return ids
 
 
-def _candidate_table(labels: Sequence[str]) -> dict[tuple[str, bool], np.ndarray]:
-    """``_candidate_ids`` of every (mode, at_left_edge) position as a boolean
-    mask over the label inventory, so a call filters the inventory six
-    times, not once per decision."""
-    return {
+@lru_cache(maxsize=8)
+def _candidate_table(labels: tuple[str, ...]) -> dict[tuple[str, bool], np.ndarray]:
+    """``_candidate_ids`` of every (mode, at_left_edge) position as a
+    read-only boolean mask over the label inventory, built once per
+    inventory, not once per decision or per call."""
+    table = {
         (mode, at_left): np.isin(np.arange(len(labels)), _candidate_ids(labels, mode, at_left))
         for mode in (TOP, UNDER_ROOT, INNER)
         for at_left in (False, True)
     }
+    for mask in table.values():
+        mask.flags.writeable = False
+    return table
 
 
 def _child_position(label: str, i: int, mode: str, node_left: int) -> tuple[str, int]:
@@ -147,13 +152,12 @@ def loss_topdown(enc: Encoding, gold: TraceNode, bound: BoundParams) -> Var:
     if gold.span != (0, n):
         raise ValueError(f"gold trace covers {gold.span}, encoder has n={n}")
     spans, table = _span_table(n)
-    reprs = span_reprs(enc, spans)
-    split_v = split_scores(reprs, bound)
+    split_v = split_scores(enc, spans, bound)
     span_scores = split_v.value[table]
-    candidates = _candidate_table(bound.config.labels)
+    candidates = _candidate_table(tuple(bound.config.labels))
 
-    # (span row, gold label, candidate mask) of every label decision.
-    label_decisions: list[tuple[int, str, np.ndarray]] = []
+    # (span, gold label, candidate mask) of every label decision.
+    label_decisions: list[tuple[tuple[int, int], str, np.ndarray]] = []
     # Span rows of each split term: gold left, gold right, wrong left, wrong right.
     split_terms: list[np.ndarray] = []
 
@@ -164,7 +168,7 @@ def loss_topdown(enc: Encoding, gold: TraceNode, bound: BoundParams) -> Var:
     while stack:
         i, j, cover, mode, node_left = stack.pop()
         label, kids = (cover[0].label, cover[0].kids) if len(cover) == 1 else ("", cover)
-        label_decisions.append((table[i, j], label, candidates[(mode, i == node_left)]))
+        label_decisions.append(((i, j), label, candidates[(mode, i == node_left)]))
         if len(kids) < 2:
             continue
         mode, node_left = _child_position(label, i, mode, node_left)
@@ -182,8 +186,8 @@ def loss_topdown(enc: Encoding, gold: TraceNode, bound: BoundParams) -> Var:
     for _, label, allowed in label_decisions:
         if label not in label_index or not allowed[label_index[label]]:
             raise ValueError(f"gold label {label!r} missing from the label inventory")
-    rows, gold_labels, masks = zip(*label_decisions)
-    label_v = label_scores(ad.index(reprs, list(rows)), bound)
+    decided, gold_labels, masks = zip(*label_decisions)
+    label_v = label_scores(enc, decided, bound)
     gold_ids = np.array([label_index[label] for label in gold_labels])
     wrong = np.array(masks)
     wrong[np.arange(len(gold_ids)), gold_ids] = False
@@ -222,12 +226,11 @@ def parse_topdown(
     if len(tokens) != n:
         raise ValueError(f"{len(tokens)} tokens but encoding has n={n}")
     labels = bound.config.labels
-    candidates = _candidate_table(labels)
+    candidates = _candidate_table(tuple(labels))
     if not candidates[(TOP, False)].any():
         raise ValueError('the label inventory has no "ROOT"-headed entry')
     spans, table = _span_table(n)
-    reprs = span_reprs(enc, spans)
-    span_scores = split_scores(reprs, bound).value[table]
+    span_scores = split_scores(enc, spans, bound).value[table]
 
     decided = [(0, n)]
     split_at = np.zeros_like(table)
@@ -239,7 +242,7 @@ def parse_topdown(
     lo, hi = np.array(decided).T
     decision_row = np.zeros_like(table)
     decision_row[lo, hi] = np.arange(len(decided))
-    label_values = label_scores(ad.index(reprs, table[lo, hi]), bound).value
+    label_values = label_scores(enc, decided, bound).value
 
     def build(i: int, j: int, mode: str, node_left: int) -> list[TreeNode]:
         allowed = candidates[(mode, i == node_left)]

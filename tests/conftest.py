@@ -109,13 +109,18 @@ def offset_biases(tensors: dict[str, np.ndarray], seed: int) -> None:
             value += rng.uniform(-0.5, 0.5, size=value.shape)
 
 
-def tape_nodes(root: Var) -> int:
+def tape_vars(root: Var) -> list[Var]:
     """Distinct tape nodes reachable from ``root`` through ``_parents``."""
-    seen = {id(root)}
+    seen = {id(root): root}
     stack = [root]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
+
+
+def tape_nodes(root: Var) -> int:
+    """How many distinct tape nodes are reachable from ``root``."""
+    return len(tape_vars(root))

@@ -19,7 +19,7 @@ from uccatree.autodiff import Var, _unbroadcast
 
 def weighted(out: Var, weights: np.ndarray) -> Var:
     """Scalarize a tensor with distinct weights so FD sees each coordinate."""
-    return ad.vsum(ad.mul(out, Var(weights)))
+    return ad.vsum(ad.matmul(ad.reshape(out, (1, -1)), Var(weights.reshape(-1, 1))))
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -40,11 +40,11 @@ class TestHandDerived:
         with pytest.raises(ValueError, match="2-D"):
             ad.matmul(Var(np.ones((2, 3))), Var(np.ones(3)))
 
-    def test_mul_and_broadcast_add(self):
+    def test_weighted_sum_and_broadcast_add(self):
         a = Var(np.array([[1.0, 2.0], [3.0, 4.0]]))
         bias = Var(np.array([10.0, 20.0]))
         out = ad.add(a, bias)
-        ad.vsum(ad.mul(out, Var(np.array([[1.0, 2.0], [3.0, 4.0]])))).backward()
+        weighted(out, np.array([[1.0, 2.0], [3.0, 4.0]])).backward()
         assert a.grad.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         # Broadcast bias gradient sums over the rows it fed.
         assert bias.grad.tolist() == [4.0, 6.0]
@@ -80,8 +80,8 @@ class TestHandDerived:
 
     def test_shared_node_gets_both_contributions(self):
         x = Var(np.array([1.0, 2.0, 3.0]))
-        s = ad.vsum(x)
-        loss = ad.mul(s, s)
+        s = ad.reshape(ad.vsum(x), (1, 1))
+        loss = ad.vsum(ad.matmul(s, s))
         loss.backward()
         assert loss.value == 36.0
         assert x.grad.tolist() == [12.0, 12.0, 12.0]
@@ -90,7 +90,7 @@ class TestHandDerived:
         # f(x) = (x + x) . (x + x) = 4 |x|^2, df/dx = 8x.
         x = Var(np.array([1.0, -2.0]))
         y = ad.add(x, x)
-        ad.vsum(ad.mul(y, y)).backward()
+        ad.vsum(ad.matmul(ad.reshape(y, (1, 2)), ad.reshape(y, (2, 1)))).backward()
         assert x.grad.tolist() == [8.0, -16.0]
 
     def test_vsum_of_empty_is_zero_scalar(self):
@@ -107,8 +107,8 @@ class TestHandDerived:
     def test_operator_sugar_matches_functions(self):
         a = Var(np.array(2.0))
         b = Var(np.array(3.0))
-        assert float((a * b + 1.0 - b).value) == 4.0
-        assert float((-a).value) == -2.0
+        assert float((a + b + 1.0 - b).value) == 3.0
+        assert float((1.0 + a - 5.0).value) == -2.0
         assert float((5.0 - a).value) == 3.0
 
 
@@ -134,15 +134,15 @@ def fd_check(build, tensors, tol=1e-7):
 class TestFiniteDifferences:
     """Each op at a random smooth point against central differences."""
 
-    def test_add_sub_mul_broadcast(self):
+    def test_add_sub_broadcast_reuse(self):
         r = rng(0)
         tensors = {"a": r.standard_normal((3, 4)), "b": r.standard_normal(4)}
-        w = r.standard_normal((3, 4))
+        w = r.standard_normal((3, 3))
 
         def build(v):
-            return weighted(
-                ad.mul(ad.sub(ad.add(v["a"], v["b"]), v["b"]), v["a"]), w
-            )
+            # ``a`` reaches the loss along two paths, so its gradients add.
+            diff = ad.sub(ad.add(v["a"], v["b"]), v["b"])
+            return weighted(ad.matmul(diff, ad.transpose(v["a"])), w)
 
         fd_check(build, tensors)
 
@@ -191,7 +191,8 @@ class TestFiniteDifferences:
         w = r.standard_normal(6)
 
         def build(v):
-            return weighted(ad.relu(v["x"]), w) + weighted(ad.relu(-v["x"]), np.arange(1.0, 7.0))
+            negated = 0.0 - v["x"]
+            return weighted(ad.relu(v["x"]), w) + weighted(ad.relu(negated), np.arange(1.0, 7.0))
 
         fd_check(build, tensors)
 

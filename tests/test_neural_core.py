@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +25,14 @@ from uccatree.neural_core import (
     OptimizationError,
     Vocab,
     adam_step,
+    _check_finite,
+    _lstm_direction,
     biaffine,
     embed,
     encode,
     label_scores,
     sgd_step,
-    span_reprs,
+    span_affine,
     split_scores,
 )
 
@@ -244,23 +247,23 @@ class TestEncode:
         layer2_in = [np.array([f1[k], b1[k]]) for k in range(2)]
         f2 = run("lstm2f", layer2_in)
         b2 = run("lstm2b", layer2_in[::-1])[::-1]
-        assert enc.forward.value[1:, 0] == pytest.approx(f2, abs=1e-12)
-        assert enc.backward.value[:2, 0] == pytest.approx(b2, abs=1e-12)
+        # Row i of the fenceposts is [f_i ; -b_i].
+        assert enc.fenceposts.value[1:, 0] == pytest.approx(f2, abs=1e-12)
+        assert -enc.fenceposts.value[:2, 1] == pytest.approx(b2, abs=1e-12)
 
     def test_boundary_rows_are_zero(self):
         p = ModelParams.initialize(tiny_config(), seed=0)
         bound = BoundParams(p)
         enc = encode(embed(tokens_of("a", "b", "a"), "en", bound), bound)
-        assert enc.forward.value.shape == (4, 5)
-        assert enc.backward.value.shape == (4, 5)
-        assert not enc.forward.value[0].any()
-        assert not enc.backward.value[3].any()
+        assert enc.fenceposts.value.shape == (4, 10)
+        assert not enc.fenceposts.value[0, :5].any()  # f_0
+        assert not enc.fenceposts.value[3, 5:].any()  # b_n
 
     def test_single_token_sentence(self):
         p = ModelParams.initialize(tiny_config(), seed=0)
         bound = BoundParams(p)
         enc = encode(embed(tokens_of("a"), "en", bound), bound)
-        assert enc.forward.value.shape == (2, 5)
+        assert enc.fenceposts.value.shape == (2, 10)
         assert enc.n == 1
 
     def test_empty_sentence_rejected(self):
@@ -275,7 +278,7 @@ class TestEncode:
         def nodes(n):
             bound = BoundParams(p)
             enc = encode(embed(tokens_of(*["a", "b", "a"] * (n // 3)), "en", bound), bound)
-            return tape_nodes(ad.vsum(enc.forward) + ad.vsum(enc.backward))
+            return tape_nodes(ad.vsum(enc.fenceposts))
 
         assert nodes(3) == nodes(9)
 
@@ -283,33 +286,68 @@ class TestEncode:
         p = zeroed(ModelParams.initialize(tiny_config(), seed=0))
         bound = BoundParams(p)
         enc = encode(embed(tokens_of("a", "b"), "en", bound), bound)
-        assert not enc.forward.value.any()
-        assert not enc.backward.value.any()
+        assert not enc.fenceposts.value.any()
+
+
+def span_features(enc, spans) -> np.ndarray:
+    """Span features r(i, j) as fencepost row j minus row i, in NumPy."""
+    lo, hi = np.array(spans).T
+    return enc.fenceposts.value[hi] - enc.fenceposts.value[lo]
 
 
 class TestSpanReprs:
+    """Span representations r(i, j) seen through ``span_affine``."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_matches_fencepost_differences_of_the_lstm_outputs(self, shared):
+        p = ModelParams.initialize(tiny_config(share_span_hidden=shared), seed=5)
+        rng = np.random.default_rng(6)
+        for name, arr in p.tensors.items():
+            if name.endswith("_b"):
+                arr[...] = rng.standard_normal(arr.shape)
+        bound = BoundParams(p)
+        inputs = embed(tokens_of("a", "b", "a", "b", "a"), "en", bound)
+        enc = encode(inputs, bound)
+        # The two top LSTM outputs, run directly rather than read from enc.
+        layer1 = [_lstm_direction(inputs, bound, f"lstm1{d}", reverse=d == "b") for d in "fb"]
+        layer2 = ad.concat(layer1, axis=1)
+        f2, b2 = (_lstm_direction(layer2, bound, f"lstm2{d}", reverse=d == "b").value for d in "fb")
+        zero = np.zeros((1, 5))
+        f, b = np.vstack([zero, f2]), np.vstack([b2, zero])  # f_0 = b_n = 0
+        spans = [(i, j) for i in range(5) for j in range(i + 1, 6)] + [(0, 5), (2, 3)]
+        r = np.array([np.concatenate([f[j] - f[i], b[i] - b[j]]) for i, j in spans])
+        layers = ["head_hidden"] if shared else ["label_hidden", "span_hidden"]
+        for name in layers + ["remote_child", "remote_parent"]:
+            want = r @ p.tensors[name + "_w"].T + p.tensors[name + "_b"]
+            got = span_affine(enc, spans, bound, name).value
+            assert got == pytest.approx(want, abs=1e-12), name
+
     def test_adjacent_spans_add_up(self):
         p = ModelParams.initialize(tiny_config(), seed=5)
+        p.tensors["label_hidden_b"][...] = 0.7
         bound = BoundParams(p)
         enc = encode(embed(tokens_of("a", "b", "a", "b", "a"), "en", bound), bound)
-        left, right, whole = span_reprs(enc, [(0, 2), (2, 5), (0, 5)]).value
-        assert whole == pytest.approx(left + right, abs=1e-12)
+        b = p.tensors["label_hidden_b"]
+        spans = [(0, 2), (2, 5), (0, 5)]
+        left, right, whole = span_affine(enc, spans, bound, "label_hidden").value
+        assert whole - b == pytest.approx((left - b) + (right - b), abs=1e-12)
 
     def test_batch_matches_single(self):
         p = ModelParams.initialize(tiny_config(), seed=5)
         bound = BoundParams(p)
         enc = encode(embed(tokens_of("a", "b", "a"), "en", bound), bound)
-        batch = span_reprs(enc, [(0, 1), (1, 3)]).value
-        assert np.array_equal(batch[0], span_reprs(enc, [(0, 1)]).value[0])
-        assert np.array_equal(batch[1], span_reprs(enc, [(1, 3)]).value[0])
+        one = lambda span: span_affine(enc, [span], bound, "span_hidden").value[0]
+        batch = span_affine(enc, [(0, 1), (1, 3)], bound, "span_hidden").value
+        assert np.array_equal(batch[0], one((0, 1)))
+        assert np.array_equal(batch[1], one((1, 3)))
 
     def test_invalid_spans_rejected(self):
         p = ModelParams.initialize(tiny_config(), seed=0)
         bound = BoundParams(p)
         enc = encode(embed(tokens_of("a", "b"), "en", bound), bound)
         for bad in [(1, 1), (2, 1), (-1, 1), (0, 3)]:
-            with pytest.raises(ValueError, match="span"):
-                span_reprs(enc, [bad])
+            with pytest.raises(ValueError, match=rf"span \({bad[0]}, {bad[1]}\) for n=2"):
+                span_affine(enc, [(0, 1), bad], bound, "label_hidden")
 
 
 class TestScoringHeads:
@@ -320,10 +358,13 @@ class TestScoringHeads:
                 p.tensors[name].shape
             )
         bound = BoundParams(p)
-        reprs = Var(np.random.default_rng(2).standard_normal((4, 10)))
-        got = label_scores(reprs, bound).value
+        enc = encode(embed(tokens_of("a", "b", "a", "b", "a"), "en", bound), bound)
+        spans = [(0, 5), (1, 3), (3, 4), (0, 2)]
+        got = label_scores(enc, spans, bound).value
         hidden = np.maximum(
-            reprs.value @ p.tensors["label_hidden_w"].T + p.tensors["label_hidden_b"], 0.0
+            span_features(enc, spans) @ p.tensors["label_hidden_w"].T
+            + p.tensors["label_hidden_b"],
+            0.0,
         )
         want = hidden @ p.tensors["label_out_w"].T + p.tensors["label_out_b"]
         assert got == pytest.approx(want, abs=1e-12)
@@ -332,9 +373,10 @@ class TestScoringHeads:
     def test_split_scores_match_manual_forward(self):
         p = ModelParams.initialize(tiny_config(), seed=7)
         bound = BoundParams(p)
-        reprs = Var(np.random.default_rng(3).standard_normal((5, 10)))
-        got = split_scores(reprs, bound).value
-        hidden = np.maximum(reprs.value @ p.tensors["span_hidden_w"].T, 0.0)
+        enc = encode(embed(tokens_of("a", "b", "a", "b", "a"), "en", bound), bound)
+        spans = [(0, 1), (0, 5), (2, 4), (4, 5), (1, 5)]
+        got = split_scores(enc, spans, bound).value
+        hidden = np.maximum(span_features(enc, spans) @ p.tensors["span_hidden_w"].T, 0.0)
         want = hidden @ p.tensors["span_out_w"][0]
         assert got == pytest.approx(want, abs=1e-12)
         assert got.shape == (5,)
@@ -342,12 +384,13 @@ class TestScoringHeads:
     def test_shared_hidden_uses_same_matrix_for_both_heads(self):
         p = ModelParams.initialize(tiny_config(share_span_hidden=True), seed=8)
         bound = BoundParams(p)
-        reprs = Var(np.random.default_rng(4).standard_normal((2, 10)))
-        hidden = np.maximum(reprs.value @ p.tensors["head_hidden_w"].T, 0.0)
-        assert label_scores(reprs, bound).value == pytest.approx(
+        enc = encode(embed(tokens_of("a", "b", "a"), "en", bound), bound)
+        spans = [(0, 3), (1, 2)]
+        hidden = np.maximum(span_features(enc, spans) @ p.tensors["head_hidden_w"].T, 0.0)
+        assert label_scores(enc, spans, bound).value == pytest.approx(
             hidden @ p.tensors["label_out_w"].T, abs=1e-12
         )
-        assert split_scores(reprs, bound).value == pytest.approx(
+        assert split_scores(enc, spans, bound).value == pytest.approx(
             hidden @ p.tensors["span_out_w"][0], abs=1e-12
         )
 
@@ -516,6 +559,16 @@ class TestOptimizers:
             sgd_step(t, bad, lr=0.1)
         with pytest.raises(OptimizationError, match="non-finite"):
             adam_step(t, {"w": np.array([np.inf, 0.0])}, AdamState())
+
+    def test_opposite_infinities_rejected_by_name(self):
+        # Their sum is NaN, not infinite: the tensor is still named.
+        with pytest.raises(OptimizationError, match="non-finite gradient for tensor 'w'"):
+            _check_finite("w", np.array([np.inf, -np.inf]))
+
+    def test_finite_gradient_whose_sum_overflows_passes_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check_finite("w", np.full(4, 1e308))
 
 
 class TestCheckpoint:

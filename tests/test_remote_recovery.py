@@ -16,10 +16,9 @@ from uccatree.neural_core import (
     BoundParams,
     ModelConfig,
     ModelParams,
-    affine,
     embed,
     encode,
-    span_reprs,
+    span_affine,
 )
 from uccatree.remote_recovery import (
     RemoteCandidatePair,
@@ -152,7 +151,7 @@ class TestLossRemote:
         t = p.tensors
 
         def head(name, span):
-            r = span_reprs(enc, [span]).value[0]
+            r = enc.fenceposts.value[span[1]] - enc.fenceposts.value[span[0]]
             return np.maximum(t[name + "_w"] @ r + t[name + "_b"], 0.0)
 
         expected = 0.0
@@ -277,11 +276,11 @@ class TestPredictRemotes:
         graph, marked, bound, enc = self._german_setup()
         calls = []
 
-        def recording_affine(reprs, bound, name):
-            calls.append((name, reprs.shape[0]))
-            return affine(reprs, bound, name)
+        def recording_span_affine(enc, spans, bound, name):
+            calls.append((name, len(spans)))
+            return span_affine(enc, spans, bound, name)
 
-        monkeypatch.setattr("uccatree.remote_recovery.affine", recording_affine)
+        monkeypatch.setattr("uccatree.remote_recovery.span_affine", recording_span_affine)
         pairs = enumerate_pairs(graph, marked)
         assert len(pairs) == 8  # one marked child, eight candidate parents
         loss_remote(pairs, [(9, 12, "A")], enc, bound)

@@ -62,18 +62,17 @@ def encode_tokens(params: ModelParams, forms):
 
 def rig_heads(monkeypatch, spans, label_matrix, split_vector):
     """Make row r of ``label_matrix`` and entry r of ``split_vector`` the
-    scores of ``spans[r]``, whatever rows the parser asks for: span reprs
-    become one-hot rows over ``spans`` and each head returns
-    ``reprs @ matrix``."""
-    one_hot = np.eye(len(spans))
+    scores of ``spans[r]``, whatever spans the parser asks for, in
+    whatever order."""
+
+    def rows(asked):
+        return [spans.index(span) for span in asked]
+
     monkeypatch.setattr(
-        span_parser, "span_reprs", lambda enc, asked: Var(one_hot[[spans.index(s) for s in asked]])
+        span_parser, "label_scores", lambda enc, asked, bound: Var(label_matrix[rows(asked)])
     )
     monkeypatch.setattr(
-        span_parser, "label_scores", lambda reprs, bound: Var(reprs.value @ label_matrix)
-    )
-    monkeypatch.setattr(
-        span_parser, "split_scores", lambda reprs, bound: Var(reprs.value @ split_vector)
+        span_parser, "split_scores", lambda enc, asked, bound: Var(split_vector[rows(asked)])
     )
 
 
@@ -180,15 +179,22 @@ class TestCandidateSets:
         assert _candidate_ids(labels, TOP, False) == [1]
 
     def test_table_holds_every_position(self):
-        table = _candidate_table(self.LABELS)
+        table = _candidate_table(tuple(self.LABELS))
         assert set(table) == {(m, a) for m in (TOP, UNDER_ROOT, INNER) for a in (False, True)}
         for (mode, at_left), allowed in table.items():
             assert allowed.dtype == bool and allowed.shape == (len(self.LABELS),)
             assert np.flatnonzero(allowed).tolist() == _candidate_ids(self.LABELS, mode, at_left)
 
+    def test_table_masks_are_read_only(self):
+        # The table is shared by every call on one inventory.
+        allowed = _candidate_table(tuple(self.LABELS))[(INNER, False)]
+        with pytest.raises(ValueError, match="read-only"):
+            allowed[0] = False
+
     def test_loss_filters_the_inventory_a_fixed_number_of_times(self, monkeypatch):
-        # The candidate sets depend on the inventory only, so one loss
-        # filters it once per position, however many decisions it makes.
+        # The candidate sets depend on the inventory only, so it is filtered
+        # once per position for the model, however many decisions and
+        # losses follow.
         calls = []
 
         def counting(labels, mode, at_left_edge):
@@ -196,20 +202,18 @@ class TestCandidateSets:
             return _candidate_ids(labels, mode, at_left_edge)
 
         monkeypatch.setattr(span_parser, "_candidate_ids", counting)
+        _candidate_table.cache_clear()
         forms = "a b c d e f g h i j k l".split()
         cfg = parser_config(["", "A", "P", "ROOT"], words=forms)
         p = ModelParams.initialize(cfg, seed=4)
-        counts = []
         for sexpr in (
             "(ROOT (A a b) c)",
             "(ROOT (A a b c) (P d (A e f) g) (A h i (P j k)) l)",
         ):
             tree = tree_from_sexpr(sexpr)
             tokens, bound, enc = encode_tokens(p, [t.form for t in tree.tokens])
-            calls.clear()
             loss_topdown(enc, gold_trace(tree), bound)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 6
+        assert len(calls) == 6
 
 
 class TestLossValues:
@@ -357,9 +361,9 @@ class TestGreedyParse:
         p = ModelParams.initialize(cfg, seed=3)
         rows = []
 
-        def counting(reprs, bound):
-            rows.append(reprs.shape[0])
-            return label_scores(reprs, bound)
+        def counting(enc, spans, bound):
+            rows.append(len(spans))
+            return label_scores(enc, spans, bound)
 
         monkeypatch.setattr(span_parser, "label_scores", counting)
         tokens, bound, enc = encode_tokens(p, ["a", "b", "c"] * (n // 3) + ["a"] * (n % 3))

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from uccatree.autodiff import Var
+from uccatree.generator import SyntheticSpec, generate
 from uccatree.neural_core import NOT_PARENT, UNK, ModelParams, embed, BoundParams
+from uccatree.remote_recovery import loss_remote
+from uccatree.span_parser import loss_topdown
 from uccatree.training import (
     Example,
     TrainConfig,
     build_model_config,
+    encode_sentence,
     evaluate_model,
     load_pretrained,
     parse_pipeline,
@@ -21,7 +25,7 @@ from uccatree.training import (
     train,
 )
 
-from conftest import simple_graph
+from conftest import simple_graph, tape_vars
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -126,6 +130,28 @@ class TestSentenceLoss:
             gc.garbage.clear()
             gc.enable()
         assert kept == []
+
+    def test_no_tape_node_holds_a_matrix_of_span_features(self):
+        # Span layers project the n + 1 fenceposts once and gather projected
+        # rows, so no node of a train loss has a row of 2h span features per
+        # span: none has more than n + 1 rows of 2h columns.
+        spec = SyntheticSpec(sentences=1, min_tokens=20, max_tokens=20)
+        graph = generate(spec, seed=3)[0]
+        cfg = build_model_config([graph], tiny_config())
+        params = ModelParams.initialize(cfg, seed=2)
+        ex = prepare_example(graph)
+        assert ex.pairs and ex.gold_remotes  # the remote loss is on the tape too
+        bound, enc = encode_sentence(ex.tokens, params)
+        remote = loss_remote(ex.pairs, ex.gold_remotes, enc, bound)
+        loss = loss_topdown(enc, ex.trace, bound) + remote
+        n, width = enc.n, 2 * cfg.lstm_hidden
+        assert enc.fenceposts.shape == (n + 1, width)
+        big = [
+            v.shape
+            for v in tape_vars(loss)
+            if v.value.ndim == 2 and v.shape[0] > n + 1 and v.shape[1] == width
+        ]
+        assert big == []
 
     def test_remote_part_is_zero_without_remote_edges(self):
         graphs = tiny_corpus()
