@@ -27,19 +27,19 @@ from .graph_model import (
     ROOT_LABEL,
     ConstituentTree,
     Edge,
+    Span,
     Token,
-    TreeNode,
     UccaGraph,
     graph_from_children,
     node_yields,
+    preorder_edges,
+    span_preorder,
 )
-
-REMOTE_SUFFIX = "-remote"
-ANCESTOR_SUFFIX = "-ancestor1"
 
 # A node label is one or more "+"-joined parts; each part is a base
 # category optionally carrying the remote marker and then the move marker.
-LABEL_PART_RE = re.compile(r"[^+\s()]+?(-remote)?(-ancestor1)?$")
+REMOTE_SUFFIX = "-remote"
+ANCESTOR_SUFFIX = "-ancestor1"
 
 
 class ConversionError(ValueError):
@@ -260,31 +260,21 @@ def push_labels(tree_graph: UccaGraph) -> ConstituentTree:
 
     n = tree_graph.n
     labels = tree_graph.primary_label
-
-    def build(v: int) -> TreeNode:
-        if v <= n:
-            label = labels[v]
-            if label != "":
-                raise ConversionError(
-                    f"terminal {v} has a labeled edge ({label!r}); terminal edges must be unlabeled"
-                )
-            return TreeNode(leaf=v)
-        parts = [labels[v]] if v != tree_graph.root else [ROOT_LABEL]
-        node = v
-        kids = tree_graph.primary_children[node]
-        # Collapse chains below this node, but never into the root itself.
-        while v != tree_graph.root and len(kids) == 1 and kids[0] > n:
-            node = kids[0]
-            parts.append(labels[node])
-            kids = tree_graph.primary_children[node]
-        for part in parts:
-            if part != ROOT_LABEL and strip_suffixes(part) == "":
-                raise ConversionError(f"nonterminal edge above node {node} has an empty label")
-        ordered = sorted(kids, key=lambda c: tree_graph.yield_of(c)[0])
-        return TreeNode(label="+".join(parts), children=tuple(build(c) for c in ordered))
-
-    root = build(tree_graph.root)
-    return ConstituentTree(tokens=tree_graph.tokens, root=root)
+    spans = {(0, n): ROOT_LABEL}
+    # Preorder puts a parent's label before its child's on a shared span.
+    pairs = preorder_edges(tree_graph.primary_children, tree_graph.root, n, tree_graph._yields)
+    for _, v in pairs:
+        label = labels[v]
+        if v <= n and label != "":
+            raise ConversionError(
+                f"terminal {v} has a labeled edge ({label!r}); terminal edges must be unlabeled"
+            )
+        if v > n:
+            if strip_suffixes(label) == "":
+                raise ConversionError(f"nonterminal edge above node {v} has an empty label")
+            span = tree_graph.fencepost_span(v)
+            spans[span] = f"{spans[span]}+{label}" if span in spans else label
+    return ConstituentTree.from_spans(tree_graph.tokens, spans)
 
 
 def graph_to_tree(graph: UccaGraph) -> ConversionResult:
@@ -323,43 +313,33 @@ def tree_to_graph(tree: ConstituentTree) -> tuple[UccaGraph, tuple[int, ...]]:
     labels: dict[int, str] = {}
     remote_marked: list[int] = []
     ancestor_marked: list[int] = []
-    next_id = n + 1
-
-    def expand(node: TreeNode, parent_id: int | None) -> int:
-        nonlocal next_id
-        if node.is_leaf:
-            ident = node.leaf
-            labels[ident] = ""
-            if parent_id is not None:
-                parent[ident] = parent_id
-                children[parent_id].append(ident)
-            return ident
-        parts = (node.label or "").split("+")
-        top_id: int | None = None
-        for part in parts:
-            base, remote, ancestor = split_label(part)
-            if base != ROOT_LABEL and not base:
-                raise ConversionError(f"empty label part in {node.label!r}")
-            ident = next_id
-            next_id += 1
-            children[ident] = []
-            labels[ident] = base
-            if remote:
-                remote_marked.append(ident)
-            if ancestor:
-                ancestor_marked.append(ident)
-            if parent_id is not None:
-                parent[ident] = parent_id
-                children[parent_id].append(ident)
-            if top_id is None:
-                top_id = ident
-            parent_id = ident
-        for child in node.children:
-            expand(child, parent_id)
-        assert top_id is not None
-        return top_id
-
-    root_id = expand(tree.root, None)
+    stack: list[int] = []  # the lowest chain part of each open node
+    for kind, value in span_preorder(n, tree.spans()):
+        if kind == "leaf":
+            labels[value] = ""
+            parent[value] = stack[-1]
+            children[stack[-1]].append(value)
+        elif kind == "close":
+            stack.pop()
+        else:
+            above = stack[-1] if stack else None
+            for part in value.split("+"):
+                base, remote, ancestor = split_label(part)
+                if not base:
+                    raise ConversionError(f"empty label part in {value!r}")
+                ident = n + 1 + len(children)  # nonterminal ids in preorder
+                children[ident] = []
+                labels[ident] = base
+                if remote:
+                    remote_marked.append(ident)
+                if ancestor:
+                    ancestor_marked.append(ident)
+                if above is not None:
+                    parent[ident] = above
+                    children[above].append(ident)
+                above = ident
+            stack.append(above)
+    root_id = n + 1
 
     # Undo recorded moves top-down, left-to-right (ids were assigned in
     # preorder, so sorting gives exactly that order).
@@ -409,65 +389,57 @@ def unescape_token(form: str) -> str:
 
 def tree_to_sexpr(tree: ConstituentTree) -> str:
     """Serialize a tree to a single-line bracketed expression."""
+    pieces: list[str] = []
+    for kind, value in span_preorder(tree.n, tree.spans()):
+        if kind == "open":
+            if "(" in value or ")" in value or " " in value:
+                raise ConversionError(f"label {value!r} contains reserved characters")
+            pieces.append(f"({value}")
+        elif kind == "leaf":
+            pieces.append(escape_token(tree.tokens[value - 1].form))
+        else:
+            pieces[-1] += ")"
+    return " ".join(pieces)
 
-    def render(node: TreeNode) -> str:
-        if node.is_leaf:
-            return escape_token(tree.tokens[node.leaf - 1].form)
-        label = node.label or ""
-        if "(" in label or ")" in label or " " in label:
-            raise ConversionError(f"label {label!r} contains reserved characters")
-        inner = " ".join(render(c) for c in node.children)
-        return f"({label} {inner})"
 
-    return render(tree.root)
+# One item of a bracketed expression: "(" with the label right after it,
+# ")", or a token.  Spaces and tabs between items match nothing.
+_SEXPR_ITEM_RE = re.compile(r"\(([^() \t]*)|\)|[^() \t]+")
 
 
 def tree_from_sexpr(line: str, lang: str = "") -> ConstituentTree:
     """Parse a bracketed expression produced by :func:`tree_to_sexpr`.
 
     Token features other than the form are not representable in this
-    format and come back empty.
+    format and come back empty.  A chain of nodes on one span is read as
+    its "+"-joined label, the form :func:`graph_to_tree` writes.
     """
-    tokens: list[Token] = []
-    pos = 0
     text = line.strip()
-
-    def parse() -> TreeNode:
-        nonlocal pos
-        if pos >= len(text):
-            raise ConversionError("unexpected end of bracketed expression")
-        if text[pos] != "(":
-            start = pos
-            while pos < len(text) and text[pos] not in "() \t":
-                pos += 1
-            form = unescape_token(text[start:pos])
-            tokens.append(Token(form=form, lang=lang))
-            return TreeNode(leaf=len(tokens))
-        pos += 1  # consume "("
-        start = pos
-        while pos < len(text) and text[pos] not in "() \t":
-            pos += 1
-        label = text[start:pos]
-        if not label:
-            raise ConversionError(f"missing label at position {start} in {text!r}")
-        children: list[TreeNode] = []
-        while True:
-            while pos < len(text) and text[pos] in " \t":
-                pos += 1
-            if pos >= len(text):
+    tokens: list[Token] = []
+    spans: dict[Span, str] = {}
+    open_nodes: list[tuple[int, str]] = []  # (tokens before it, label) per unclosed node
+    for item in _SEXPR_ITEM_RE.finditer(text):
+        if tokens and not open_nodes:  # the tree is complete
+            raise ConversionError(f"trailing content after tree: {text[item.start():]!r}")
+        if item.group(1) is not None:
+            if not item.group(1):
+                raise ConversionError(f"missing label at position {item.start() + 1} in {text!r}")
+            open_nodes.append((len(tokens), item.group(1)))
+        elif item.group() == ")":
+            if not open_nodes:
                 raise ConversionError("unbalanced brackets")
-            if text[pos] == ")":
-                pos += 1
-                break
-            children.append(parse())
-        return TreeNode(label=label, children=tuple(children))
-
-    root = parse()
-    while pos < len(text) and text[pos] in " \t":
-        pos += 1
-    if pos != len(text):
-        raise ConversionError(f"trailing content after tree: {text[pos:]!r}")
-    tree = ConstituentTree(tokens=tuple(tokens), root=root)
+            start, label = open_nodes.pop()
+            if start == len(tokens):
+                raise ConversionError(f"invalid tree: internal node {label!r} has no children")
+            span = (start, len(tokens))
+            spans[span] = f"{label}+{spans[span]}" if span in spans else label
+        else:
+            tokens.append(Token(form=unescape_token(item.group()), lang=lang))
+    if open_nodes or not tokens:
+        raise ConversionError(
+            "unbalanced brackets" if open_nodes else "unexpected end of bracketed expression"
+        )
+    tree = ConstituentTree.from_spans(tokens, spans)
     problems = tree.validate()
     if problems:
         raise ConversionError("invalid tree: " + "; ".join(problems))

@@ -546,12 +546,6 @@ class TreeNode:
     def leaf_positions(self) -> tuple[int, ...]:
         return tuple(self.leaves())
 
-    @property
-    def span(self) -> tuple[int, int]:
-        """Fencepost span covered by this node."""
-        pos = self.leaf_positions
-        return (pos[0] - 1, pos[-1])
-
     def iter_nodes(self) -> Iterator[TreeNode]:
         yield self
         for c in self.children:
@@ -560,10 +554,39 @@ class TreeNode:
 
 ROOT_LABEL = "ROOT"
 
+Span = tuple[int, int]
+
+
+def span_preorder(n: int, spans: Mapping[Span, str]) -> Iterator[tuple[str, int | str]]:
+    """The tree of the nested labeled ``spans`` over n tokens, as preorder
+    events: ("open", label) where a node starts, ("leaf", position) for
+    each token and ("close", label) where a node ends.
+
+    Each span is one node, except that a "ROOT"-headed chain opens the
+    root as a node of its own with the rest of the chain below it.
+    """
+    open_nodes: list[tuple[int, str]] = []  # (end, label), innermost last
+    position = 0
+    ordered = sorted(spans.items(), key=lambda item: (item[0][0], -item[0][1]))
+    for (i, j), label in ordered + [((n, n), None)]:  # None only closes what is open
+        while position < i or (open_nodes and open_nodes[-1][0] <= i):
+            if open_nodes and open_nodes[-1][0] <= position:
+                yield "close", open_nodes.pop()[1]
+            else:
+                position += 1
+                yield "leaf", position
+        if label is None:
+            break
+        head, _, rest = label.partition("+")
+        for part in [head, rest] if head == ROOT_LABEL and rest else [label]:
+            open_nodes.append((j, part))
+            yield "open", part
+
 
 @dataclass(frozen=True)
 class ConstituentTree:
-    """An ordered tree over the sentence with the root labeled "ROOT"."""
+    """An ordered tree over the sentence with the root labeled "ROOT"; to
+    the parser, its map of labeled spans (:meth:`spans`, :meth:`from_spans`)."""
 
     tokens: tuple[Token, ...]
     root: TreeNode
@@ -571,6 +594,42 @@ class ConstituentTree:
     @property
     def n(self) -> int:
         return len(self.tokens)
+
+    def spans(self) -> dict[Span, str]:
+        """The labeled spans in preorder, (i, j) -> label.  A chain of nodes
+        on one span is one "+"-joined label; leaves have no entry."""
+        entries: list[list] = []  # [i, j, label], j set once the node is walked
+        stack: list[TreeNode | list] = [self.root]
+        position = 0
+        while stack:
+            item = stack.pop()
+            if isinstance(item, list):
+                item[1] = position
+            elif item.leaf is not None:
+                position += 1
+            else:
+                parts = [item.label or ""]
+                while len(item.children) == 1 and item.children[0].leaf is None:
+                    item = item.children[0]
+                    parts.append(item.label or "")
+                entries.append([position, None, "+".join(parts)])
+                stack += [entries[-1], *reversed(item.children)]
+        return {(i, j): label for i, j, label in entries}
+
+    @classmethod
+    def from_spans(cls, tokens: Sequence[Token], spans: Mapping[Span, str]) -> ConstituentTree:
+        """The tree whose :meth:`spans` are ``spans``; see :func:`span_preorder`."""
+        levels: list[list[TreeNode]] = [[]]  # the children gathered so far per open node
+        for kind, value in span_preorder(len(tokens), spans):
+            if kind == "open":
+                levels.append([])
+            elif kind == "leaf":
+                levels[-1].append(TreeNode(leaf=value))
+            else:
+                children = tuple(levels.pop())
+                levels[-1].append(TreeNode(label=value, children=children))
+        (root,) = levels[0]
+        return cls(tokens=tuple(tokens), root=root)
 
     def validate(self) -> list[str]:
         problems: list[str] = []

@@ -1,14 +1,16 @@
 """Greedy top-down span parsing with a margin loss.
 
-Every span gets a label decision (the chain of node labels sitting
-exactly on that span, possibly empty) and, above length one, a split
-decision.  N-ary nodes are binarized implicitly: the spans introduced in
-between carry the empty label.  The tree root chain always starts with
-"ROOT", which is forbidden everywhere else, so the empty label is never
-an option for the whole sentence.  Move markers are further restricted
-at decode time (no marker under a bare "ROOT" node or at a node's left
-edge, none on non-head chain parts) so that every produced tree stays
-restorable to a graph; see ``_candidate_ids``.
+A tree is its map of labeled spans (``ConstituentTree.spans``): every
+span gets a label decision, the "+"-joined labels of the nodes on it or
+else the empty label, and above length one a split decision.  N-ary
+nodes are binarized implicitly: the spans in between carry the empty
+label.  The decoder's spans become its tree through ``from_spans``.  The
+root chain always starts with "ROOT", which is forbidden everywhere
+else, so the empty label is never an option for the whole sentence.
+Move markers are further restricted at decode time (no marker under a
+bare "ROOT" node or at a node's left edge, none on non-head chain parts)
+so that every produced tree stays restorable to a graph; see
+``_candidate_ids``.
 
 Training walks the gold tree (teacher forcing) and accumulates hinge
 penalties with margin one for labels and splits; a loss of zero implies
@@ -17,51 +19,24 @@ the greedy parser reproduces the gold tree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
 from .conversion import split_label
-from .graph_model import ROOT_LABEL, ConstituentTree, Token, TreeNode
+from .graph_model import ROOT_LABEL, ConstituentTree, Span, Token
 from .neural_core import BoundParams, Encoding, label_scores, split_scores
 
 
-@dataclass(frozen=True)
-class TraceNode:
-    """One labeled span of the gold tree (label "" for bare leaves)."""
-
-    span: tuple[int, int]
-    label: str
-    kids: tuple["TraceNode", ...]
-
-
-def _trace_node(node: TreeNode) -> TraceNode:
-    parts = [node.label or ""]
-    # Distinct same-span chain nodes merge into one decision, mirroring
-    # the "+" convention of converted trees.
-    while len(node.children) == 1 and not node.children[0].is_leaf:
-        node = node.children[0]
-        parts.append(node.label or "")
-    kids = []
-    for child in node.children:
-        if child.is_leaf:
-            kids.append(TraceNode(span=(child.leaf - 1, child.leaf), label="", kids=()))
-        else:
-            kids.append(_trace_node(child))
-    span = (node.leaf_positions[0] - 1, node.leaf_positions[-1])
-    return TraceNode(span=span, label="+".join(parts), kids=tuple(kids))
-
-
-def gold_trace(tree: ConstituentTree) -> TraceNode:
-    """The tree of gold span decisions: a label per span, splits at kids' right ends."""
+def gold_trace(tree: ConstituentTree) -> dict[Span, str]:
+    """The labeled spans of a valid tree; every other span's gold label is ""."""
     problems = tree.validate()
     if problems:
         raise ValueError("invalid tree: " + "; ".join(problems))
-    return _trace_node(tree.root)
+    return tree.spans()
 
 
 def _label_head(label: str) -> str:
@@ -142,53 +117,59 @@ def _best_labels(label_values: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     return np.where(allowed, label_values, -np.inf).argmax(axis=-1)
 
 
-def loss_topdown(enc: Encoding, gold: TraceNode, bound: BoundParams) -> Var:
+def loss_topdown(enc: Encoding, gold: Mapping[Span, str], bound: BoundParams) -> Var:
     """Margin-one hinge loss along the gold derivation.
 
-    The descent picks the best-scoring gold-consistent split at every
-    n-ary decision; terms with no incorrect alternative contribute zero.
+    ``gold`` maps the gold tree's labeled spans to their labels, root span
+    first (see :func:`gold_trace`).  The descent picks the best-scoring
+    gold-consistent split at every n-ary decision; terms with no incorrect
+    alternative contribute zero.
     """
     n = enc.n
-    if gold.span != (0, n):
-        raise ValueError(f"gold trace covers {gold.span}, encoder has n={n}")
+    if next(iter(gold), None) != (0, n):
+        raise ValueError(f"gold spans start with {next(iter(gold), None)}, encoder has n={n}")
     spans, table = _span_table(n)
     split_v = split_scores(enc, spans, bound)
     span_scores = split_v.value[table]
     candidates = _candidate_table(tuple(bound.config.labels))
+    # Bounds of the smallest gold span strictly containing each fencepost:
+    # k is a gold split point of a decided span (i, j) when that gold span
+    # contains (i, j), i.e. k lies between two children of (i, j)'s node.
+    lo, hi = np.zeros(n + 1, dtype=np.intp), np.zeros(n + 1, dtype=np.intp)
+    for i, j in gold:  # preorder: a smaller span overwrites a larger one
+        lo[i + 1 : j], hi[i + 1 : j] = i, j
 
-    # (span, gold label, candidate mask) of every label decision.
-    label_decisions: list[tuple[tuple[int, int], str, np.ndarray]] = []
+    label_index = bound.params.labels.index
+    # (span, gold label id, candidate mask) of every label decision.
+    label_decisions: list[tuple[Span, int, np.ndarray]] = []
     # Span rows of each split term: gold left, gold right, wrong left, wrong right.
     split_terms: list[np.ndarray] = []
 
-    # Preorder over (i, j, cover, mode, node left edge), where ``cover``
-    # holds the gold nodes that tile span (i, j): one node decides its own
-    # label, several the empty label of an implicit binarization.
-    stack: list[tuple[int, int, tuple[TraceNode, ...], str, int]] = [(0, n, (gold,), TOP, -1)]
+    stack: list[tuple[int, int, str, int]] = [(0, n, TOP, -1)]  # (i, j, mode, node left edge)
     while stack:
-        i, j, cover, mode, node_left = stack.pop()
-        label, kids = (cover[0].label, cover[0].kids) if len(cover) == 1 else ("", cover)
-        label_decisions.append(((i, j), label, candidates[(mode, i == node_left)]))
-        if len(kids) < 2:
+        i, j, mode, node_left = stack.pop()
+        label = gold.get((i, j), "")
+        allowed = candidates[(mode, i == node_left)]
+        if label not in label_index:
+            raise ValueError(f"gold label {label!r} missing from the label inventory")
+        if not allowed[label_index[label]]:
+            raise ValueError(f"gold label {label!r} of span {(i, j)} is not allowed at its position")
+        label_decisions.append(((i, j), label_index[label], allowed))
+        if j - i < 2:
             continue
         mode, node_left = _child_position(label, i, mode, node_left)
-        gold_ks = np.array([kid.span[1] for kid in kids[:-1]])
-        k_star = _best_split(span_scores, i, j, gold_ks)
-        wrong_ks = np.delete(np.arange(i + 1, j), gold_ks - (i + 1))
-        if wrong_ks.size:
-            k_wrong = _best_split(span_scores, i, j, wrong_ks)
+        ks = np.arange(i + 1, j)
+        is_gold = (lo[ks] <= i) & (hi[ks] >= j)
+        k_star = _best_split(span_scores, i, j, ks[is_gold])
+        if not is_gold.all():
+            k_wrong = _best_split(span_scores, i, j, ks[~is_gold])
             split_terms.append(table[[i, k_star, i, k_wrong], [k_star, j, k_wrong, j]])
-        cut = gold_ks.tolist().index(k_star) + 1  # kids[:cut] end at or before k*
-        stack.append((k_star, j, kids[cut:], mode, node_left))
-        stack.append((i, k_star, kids[:cut], mode, node_left))
+        stack.append((k_star, j, mode, node_left))
+        stack.append((i, k_star, mode, node_left))
 
-    label_index = bound.params.labels.index
-    for _, label, allowed in label_decisions:
-        if label not in label_index or not allowed[label_index[label]]:
-            raise ValueError(f"gold label {label!r} missing from the label inventory")
-    decided, gold_labels, masks = zip(*label_decisions)
+    decided, gold_ids, masks = zip(*label_decisions)
     label_v = label_scores(enc, decided, bound)
-    gold_ids = np.array([label_index[label] for label in gold_labels])
+    gold_ids = np.array(gold_ids)
     wrong = np.array(masks)
     wrong[np.arange(len(gold_ids)), gold_ids] = False
     terms = np.flatnonzero(wrong.any(axis=1))
@@ -233,31 +214,22 @@ def parse_topdown(
     span_scores = split_scores(enc, spans, bound).value[table]
 
     decided = [(0, n)]
-    split_at = np.zeros_like(table)
+    split_at: dict[Span, int] = {}
     for i, j in decided:  # grows while it is read: breadth first
         if j - i > 1:
             k = _best_split(span_scores, i, j, np.arange(i + 1, j))
             split_at[i, j] = k
             decided += [(i, k), (k, j)]
-    lo, hi = np.array(decided).T
-    decision_row = np.zeros_like(table)
-    decision_row[lo, hi] = np.arange(len(decided))
     label_values = label_scores(enc, decided, bound).value
 
-    def build(i: int, j: int, mode: str, node_left: int) -> list[TreeNode]:
-        allowed = candidates[(mode, i == node_left)]
-        label = labels[_best_labels(label_values[decision_row[i, j]], allowed)]
-        if j - i == 1:
-            children: list[TreeNode] = [TreeNode(leaf=j)]
-        else:
-            kid_mode, kid_left = _child_position(label, i, mode, node_left)
-            k = int(split_at[i, j])
-            children = build(i, k, kid_mode, kid_left) + build(k, j, kid_mode, kid_left)
-        parts = label.split("+") if label else []
-        for part in reversed(parts):
-            children = [TreeNode(label=part, children=tuple(children))]
-        return children
-
-    forest = build(0, n, TOP, -1)
-    assert len(forest) == 1 and forest[0].label == ROOT_LABEL
-    return ConstituentTree(tokens=tuple(tokens), root=forest[0])
+    position = {(0, n): (TOP, -1)}  # (mode, node left edge) of each decided span
+    chosen: dict[Span, str] = {}
+    for row, (i, j) in enumerate(decided):
+        mode, node_left = position[i, j]
+        label = labels[_best_labels(label_values[row], candidates[(mode, i == node_left)])]
+        if label:
+            chosen[i, j] = label
+        if j - i > 1:
+            k = split_at[i, j]
+            position[i, k] = position[k, j] = _child_position(label, i, mode, node_left)
+    return ConstituentTree.from_spans(tokens, chosen)

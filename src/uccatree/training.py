@@ -18,7 +18,7 @@ import numpy as np
 
 from .conversion import graph_to_tree, tree_to_graph
 from .evaluation import F1Report, score_corpus
-from .graph_model import ConstituentTree, Edge, Token, UccaGraph
+from .graph_model import ConstituentTree, Edge, Span, Token, UccaGraph
 from .neural_core import (
     NOT_PARENT,
     AdamState,
@@ -39,7 +39,7 @@ from .remote_recovery import (
     loss_remote,
     predict_remotes,
 )
-from .span_parser import TraceNode, gold_trace, loss_topdown, parse_topdown
+from .span_parser import gold_trace, loss_topdown, parse_topdown
 
 DECOMPOSITION_TOLERANCE = 1e-12
 
@@ -70,7 +70,7 @@ class Example:
 
     tokens: tuple[Token, ...]
     lang: str
-    trace: TraceNode
+    trace: dict[Span, str]  # the gold labeled spans, see gold_trace
     pairs: list[RemoteCandidatePair]
     gold_remotes: list[tuple[int, int, str]]
     external: np.ndarray | None = None
@@ -141,14 +141,9 @@ def _model_config_from_examples(
             ner.add(t.ner)
             dep.add(t.dep)
         langs.add(ex.lang)
-        nodes = [ex.trace]
-        while nodes:
-            node = nodes.pop()
-            labels.add(node.label)
-            nodes.extend(node.kids)
+        labels.update(ex.trace.values())
         for _, _, label in ex.gold_remotes:
             remote_labels.add(label)
-    labels.discard("")
     remote_labels.discard(NOT_PARENT)
     return ModelConfig(
         **config.hyperparams(),

@@ -94,6 +94,27 @@ def simple_graph(labels: list[str], n: int = 3, lang: str = "en") -> UccaGraph:
     )
 
 
+def right_branching_chain(depth: int) -> UccaGraph:
+    """A chain of ``depth`` >= 4 nonterminals, each with one token on its
+    left; the deepest one holds the last two tokens.  Edge labels cycle
+    through A, P and H, and one remote edge runs from the root to the
+    middle of the chain."""
+    n = depth + 1
+    chain = list(range(n + 1, n + 1 + depth))
+    edges = []
+    for level, node in enumerate(chain):
+        edges.append(Edge(node, level + 1, ""))
+        below = chain[level + 1] if level + 1 < depth else n
+        edges.append(Edge(node, below, "APH"[level % 3] if below > n else ""))
+    edges.append(Edge(chain[0], chain[depth // 2], "A", remote=True))
+    return UccaGraph(
+        tokens=tuple(Token(form=f"w{k}") for k in range(1, n + 1)),
+        root=chain[0],
+        nonterminals=frozenset(chain),
+        edges=tuple(edges),
+    )
+
+
 def offset_biases(tensors: dict[str, np.ndarray], seed: int) -> None:
     """Shift every bias away from zero, in place.
 

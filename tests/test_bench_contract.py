@@ -2,10 +2,10 @@
 
 ``perfbench/workloads.py`` imports public names of the package and calls
 them with fixed signatures.  This test imports it unchanged and runs the
-finite-difference check of the training workload, one train-n30 op with
-its replay and one convert-corpus op with its correctness check, so a
-change that deletes or reshapes an API the benchmark uses fails here,
-not first in a benchmark run.
+finite-difference check of the training workload and a few ops of each
+workload with their checks and traced replays, so a change that deletes
+or reshapes an API the benchmark uses fails here, not first in a
+benchmark run.
 """
 
 from __future__ import annotations
@@ -29,6 +29,17 @@ def test_one_convert_corpus_op_passes_its_check():
     state = workload.setup(seed=1)
     output = workload.op(state, 0)
     assert workload.check(state, 0, output) == []
+    assert workload.traced_op(state, 0, harness.Tracer(), {}) == output
+
+
+def test_parse_mixed_ops_pass_their_checks_and_replay():
+    workload = workloads.WORKLOADS["parse-mixed"]
+    state = workload.setup(seed=1)
+    for k in range(3):
+        graph = workload.op(state, k)
+        assert workload.check(state, k, graph) == []
+        traced = workload.traced_op(state, k, harness.Tracer(), {})
+        assert workload.signature(traced) == workload.signature(graph)
 
 
 def test_one_train_n30_op_passes_its_check_and_replays():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from uccatree.conversion import (
@@ -21,7 +23,7 @@ from uccatree.conversion import (
 from uccatree.generator import SyntheticSpec, generate
 from uccatree.graph_model import ConstituentTree, Edge, Token, TreeNode, UccaGraph
 
-from conftest import GERMAN_TREE_SEXPR, primary_only, simple_graph
+from conftest import GERMAN_TREE_SEXPR, primary_only, right_branching_chain, simple_graph
 
 
 def build_graph(forms, root, nonterminals, edges):
@@ -246,6 +248,14 @@ class TestTreeToGraph:
         assert g.primary_label[5] == "A"
         assert g.primary_parent[5] == 4
 
+    def test_nested_chain_reads_in_plus_form(self):
+        # A hand-written chain is one labeled span, read as its "+" label;
+        # the graph is the same as from the "+" form.
+        tree = tree_from_sexpr("(ROOT (H (A a b)))")
+        assert tree_to_sexpr(tree) == "(ROOT (H+A a b))"
+        g, _ = tree_to_graph(tree)
+        assert g == tree_to_graph(tree_from_sexpr("(ROOT (H+A a b))"))[0]
+
     def test_ancestor_marker_moves_child_up(self):
         g, marked = tree_to_graph(tree_from_sexpr("(ROOT (H (A-ancestor1 a) (P b)))"))
         assert marked == ()
@@ -319,6 +329,10 @@ class TestSexpr:
         with pytest.raises(ConversionError):
             tree_from_sexpr("(ROOT (H a)")
 
+    def test_node_without_children_rejected(self):
+        with pytest.raises(ConversionError, match="'H' has no children"):
+            tree_from_sexpr("(ROOT (H) a)")
+
     def test_trailing_content_rejected(self):
         with pytest.raises(ConversionError, match="trailing"):
             tree_from_sexpr("(ROOT (H a)) junk")
@@ -330,6 +344,30 @@ class TestSexpr:
         )
         with pytest.raises(ConversionError, match="reserved"):
             tree_to_sexpr(tree)
+
+
+class TestDeepInput:
+    """Deep trees convert at the default recursion limit.  Only
+    ``ConstituentTree.validate`` (about 990 levels) and the JSONL tree form
+    (about 490) still recurse."""
+
+    def test_2000_deep_chain_to_sexpr(self):
+        assert sys.getrecursionlimit() <= 1000
+        tree = graph_to_tree(right_branching_chain(2000)).tree
+        text = tree_to_sexpr(tree)
+        assert text.startswith("(ROOT w1 (A w2 (P w3 (H w4 (A w5")
+        assert text.endswith("(A w2000 w2001)" + ")" * 1999)
+        assert len(tree.spans()) == 2000
+
+    def test_500_deep_round_trip(self):
+        # About 1.5 s, nearly all in validate's leaf walk.
+        graph = right_branching_chain(500)
+        result = graph_to_tree(graph)
+        tree = tree_from_sexpr(tree_to_sexpr(result.tree))
+        assert tree.spans() == result.tree.spans()
+        restored, marked = tree_to_graph(tree)
+        assert restored.same_structure(primary_only(graph))
+        assert [restored.yield_of(m) for m in marked] == [tuple(range(251, 502))]
 
 
 def _flat_root(n: int):

@@ -233,7 +233,30 @@ class TestConstituentTree:
         tree = small_tree()
         h = tree.root.children[0]
         assert h.leaf_positions == (1, 2)
-        assert h.span == (0, 2)
+        # The root's one-child chain is one labeled span; leaves have none.
+        assert tree.spans() == {(0, 2): "ROOT+H"}
+
+    def test_spans_in_preorder(self):
+        tokens = tuple(Token(form=f) for f in "abcd")
+        leaf = [TreeNode(leaf=i) for i in range(1, 5)]
+        chain = TreeNode(label="C", children=(TreeNode(label="D", children=(leaf[2], leaf[3])),))
+        a = TreeNode(label="A", children=(TreeNode(label="B", children=(leaf[0],)), leaf[1]))
+        tree = ConstituentTree(tokens, TreeNode(label="ROOT", children=(a, chain)))
+        assert list(tree.spans().items()) == [
+            ((0, 4), "ROOT"), ((0, 2), "A"), ((0, 1), "B"), ((2, 4), "C+D")
+        ]
+
+    def test_from_spans_builds_the_plus_form(self):
+        tokens = tuple(Token(form=f) for f in "abc")
+        spans = {(1, 2): "P", (0, 3): "ROOT+H+A", (1, 3): "E"}
+        tree = ConstituentTree.from_spans(tokens, spans)
+        # Only the root's "ROOT" head is a node of its own.
+        leaf = [TreeNode(leaf=i) for i in range(1, 4)]
+        inner = TreeNode(label="E", children=(TreeNode(label="P", children=(leaf[1],)), leaf[2]))
+        chain = TreeNode(label="H+A", children=(leaf[0], inner))
+        assert tree == ConstituentTree(tokens, TreeNode(label="ROOT", children=(chain,)))
+        assert tree.validate() == []
+        assert tree.spans() == spans
 
     def test_wrong_root_label_rejected(self):
         tree = small_tree()

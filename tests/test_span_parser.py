@@ -9,7 +9,7 @@ from uccatree import span_parser
 from uccatree.autodiff import Var
 from uccatree.conversion import graph_to_tree, tree_from_sexpr, tree_to_graph, tree_to_sexpr
 from uccatree.generator import SyntheticSpec, generate
-from uccatree.graph_model import Token
+from uccatree.graph_model import ConstituentTree, Token
 from uccatree.neural_core import (
     UNK,
     AdamState,
@@ -65,8 +65,10 @@ def rig_heads(monkeypatch, spans, label_matrix, split_vector):
     scores of ``spans[r]``, whatever spans the parser asks for, in
     whatever order."""
 
+    row = {span: r for r, span in enumerate(spans)}
+
     def rows(asked):
-        return [spans.index(span) for span in asked]
+        return [row[span] for span in asked]
 
     monkeypatch.setattr(
         span_parser, "label_scores", lambda enc, asked, bound: Var(label_matrix[rows(asked)])
@@ -87,51 +89,41 @@ def zero_params(cfg: ModelConfig) -> ModelParams:
     return p
 
 
-def decisions(trace):
-    """Preorder list of the labeled spans of a gold trace.  The lone leaf
-    of a one-token node shares that node's span and decision."""
-    kids = [kid for kid in trace.kids if kid.span != trace.span]
-    return [trace] + [node for kid in kids for node in decisions(kid)]
-
-
-def node_map(trace):
-    return {node.span: node for node in decisions(trace)}
-
-
-def splits(node):
-    """A trace node's split points: the right ends of all kids but the last."""
-    return [kid.span[1] for kid in node.kids[:-1]]
+def splits(trace, span):
+    """The gold split points of a labeled span: the fenceposts inside it
+    that no smaller gold span strictly contains."""
+    i, j = span
+    inner = [(a, b) for a, b in trace if i <= a and b <= j and (a, b) != span]
+    return [k for k in range(i + 1, j) if not any(a < k < b for a, b in inner)]
 
 
 class TestGoldTrace:
     def test_binary_tree(self):
-        by_span = node_map(gold_trace(tree_from_sexpr("(ROOT (A a b) (P c d))")))
-        assert [(span, n.label, splits(n)) for span, n in by_span.items() if n.kids] == [
+        trace = gold_trace(tree_from_sexpr("(ROOT (A a b) (P c d))"))
+        assert [(span, label, splits(trace, span)) for span, label in trace.items()] == [
             ((0, 4), "ROOT", [2]),
             ((0, 2), "A", [1]),
             ((2, 4), "P", [3]),
         ]
-        assert by_span[(0, 1)].label == ""
+        assert (0, 1) not in trace  # a bare leaf's gold label is ""
 
     def test_ternary_splits(self):
         trace = gold_trace(tree_from_sexpr("(ROOT (A a b) (P c d e) (U f g))"))
-        assert splits(node_map(trace)[(0, 7)]) == [2, 5]
+        assert splits(trace, (0, 7)) == [2, 5]
 
     def test_same_span_chain_absorbed(self):
         trace = gold_trace(tree_from_sexpr("(ROOT (H (A a b)))"))
-        assert trace.label == "ROOT+H+A"
-        assert node_map(trace)[(0, 2)].label == "ROOT+H+A"
-        # The chain is one decision: no separate nodes for H or A.
-        assert sorted(node.span for node in decisions(trace)) == [(0, 1), (0, 2), (1, 2)]
+        # The chain is one decision: no separate spans for H or A.
+        assert trace == {(0, 2): "ROOT+H+A"}
 
     def test_worked_example_trace(self, german_graph):
-        by_span = node_map(gold_trace(graph_to_tree(german_graph).tree))
-        assert by_span[(0, 7)].label == "ROOT+H"
-        assert splits(by_span[(0, 7)]) == [1, 4, 5, 6]
-        assert (by_span[(1, 4)].label, splits(by_span[(1, 4)])) == ("H-ancestor1", [2])
-        assert by_span[(1, 2)].label == "A-remote"
-        assert (by_span[(2, 4)].label, splits(by_span[(2, 4)])) == ("P", [3])
-        assert by_span[(4, 5)].label == "L-ancestor1"
+        trace = gold_trace(graph_to_tree(german_graph).tree)
+        assert trace[(0, 7)] == "ROOT+H"
+        assert splits(trace, (0, 7)) == [1, 4, 5, 6]
+        assert (trace[(1, 4)], splits(trace, (1, 4))) == ("H-ancestor1", [2])
+        assert trace[(1, 2)] == "A-remote"
+        assert (trace[(2, 4)], splits(trace, (2, 4))) == ("P", [3])
+        assert trace[(4, 5)] == "L-ancestor1"
 
     def test_invalid_tree_rejected(self):
         from uccatree.graph_model import ConstituentTree, TreeNode
@@ -252,7 +244,7 @@ class TestLossValues:
         p = zero_params(cfg)
         tokens, bound, enc = encode_tokens(p, ["a", "b"])
         trace = gold_trace(tree_from_sexpr("(ROOT (A-ancestor1 a) (P b))"))
-        with pytest.raises(ValueError, match="gold label 'A-ancestor1' missing"):
+        with pytest.raises(ValueError, match=r"gold label 'A-ancestor1' of span \(0, 1\) is not allowed"):
             loss_topdown(enc, trace, bound)
 
     def test_unknown_gold_label_rejected(self):
@@ -290,7 +282,7 @@ class TestLossValues:
         tokens, bound, enc = encode_tokens(p, ["a", "b", "c", "d"])
         shallow = gold_trace(tree_from_sexpr("(ROOT (A a b c) d)"))
         nested = gold_trace(tree_from_sexpr("(ROOT (A a (P b c)) d)"))
-        assert (len(decisions(shallow)), len(decisions(nested))) == (6, 7)
+        assert (len(shallow), len(nested)) == (2, 3)
         shallow_loss = loss_topdown(enc, shallow, bound)
         nested_loss = loss_topdown(enc, nested, bound)
         assert (float(shallow_loss.value), float(nested_loss.value)) == (7.0, 8.0)
@@ -418,6 +410,67 @@ class TestGreedyParse:
         assert tree_to_sexpr(tree) == "(ROOT (A a) (A b))"
         restored, _ = tree_to_graph(tree)
         assert restored.validate() == []
+
+
+    def test_1100_token_right_branching_parse(self, monkeypatch):
+        # Every span of the derivation is labeled, so the tree is about
+        # 1,100 nodes deep; validate would recurse, so check the spans.
+        inventory = ["", "A", "P", "ROOT"]
+        n = 1100
+        p = zero_params(parser_config(inventory))
+        spans = all_spans(n)
+        derivation = {(0, n): "ROOT"}
+        for i in range(n - 1):
+            derivation[i, i + 1] = "P"
+            derivation[i + 1, n] = "A" if i + 1 < n - 1 else "P"
+        label_matrix = np.zeros((len(spans), len(inventory)))
+        split_vector = np.zeros(len(spans))
+        for r, span in enumerate(spans):
+            if span in derivation:
+                label_matrix[r, inventory.index(derivation[span])] = 10.0
+                split_vector[r] = 10.0
+        rig_heads(monkeypatch, spans, label_matrix, split_vector)
+        tokens, bound, enc = encode_tokens(p, ["a"] * n)
+        tree = parse_topdown(enc, tokens, bound)
+        assert tree.spans() == derivation
+        assert list(tree.spans())[:4] == [(0, n), (0, 1), (1, n), (1, 2)]
+
+
+def gold_consistent(span, gold):
+    """Whether ``span`` crosses no gold span."""
+    i, j = span
+    return not any(a < i < b < j or i < a < j < b for a, b in gold)
+
+
+class TestDecoderInvertsGold:
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_rigged_decoder_returns_the_converted_tree(self, monkeypatch, seed):
+        spec = SyntheticSpec(
+            sentences=25, max_tokens=14, max_depth=6, p_remote=0.3, p_discontinuity=1.0
+        )
+        corpus = generate(spec, seed=seed)
+        trees = [graph_to_tree(g).tree for g in corpus]
+        inventory = ["", *sorted({label for t in trees for label in t.spans().values()})]
+        p = zero_params(parser_config(inventory, words=("w",)))
+        inner_chains = 0
+        for g, tree in zip(corpus, trees):
+            gold = tree.spans()
+            inner_chains += sum("+" in label for span, label in gold.items() if span != (0, g.n))
+            assert ConstituentTree.from_spans(tree.tokens, gold) == tree
+            back = tree_from_sexpr(tree_to_sexpr(tree))
+            assert (back.root, [t.form for t in back.tokens]) == (
+                tree.root, [t.form for t in tree.tokens]
+            )
+
+            spans = all_spans(g.n)
+            label_matrix = np.zeros((len(spans), len(inventory)))
+            for r, span in enumerate(spans):
+                label_matrix[r, inventory.index(gold.get(span, ""))] = 10.0
+            split_vector = np.array([10.0 if gold_consistent(s, gold) else 0.0 for s in spans])
+            rig_heads(monkeypatch, spans, label_matrix, split_vector)
+            _, bound, enc = encode_tokens(p, ["w"] * g.n)
+            assert parse_topdown(enc, g.tokens, bound) == tree
+        assert inner_chains > 0
 
 
 class TestLossZeroMeansExactParse:

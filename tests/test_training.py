@@ -49,10 +49,6 @@ def tiny_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def trace_labels(node):
-    return {node.label}.union(*(trace_labels(kid) for kid in node.kids))
-
-
 def tiny_corpus():
     return [simple_graph(["A", "P"], n=2), simple_graph(["P", "A"], n=2)]
 
@@ -83,8 +79,8 @@ class TestPrepareAndVocab:
         assert ex.gold_remotes == [(10, 12, "A")]
         assert len(ex.pairs) == 8
         assert all(p.child == 12 for p in ex.pairs)
-        assert trace_labels(ex.trace) == {
-            "", "ROOT+H", "U", "H-ancestor1", "A-remote", "P", "L-ancestor1",
+        assert set(ex.trace.values()) == {
+            "ROOT+H", "U", "H-ancestor1", "A-remote", "P", "L-ancestor1",
         }
 
     def test_build_model_config_inventories(self, german_graph):
