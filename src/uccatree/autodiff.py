@@ -3,8 +3,10 @@
 A :class:`Var` wraps a numpy array and remembers how it was computed;
 calling :meth:`Var.backward` on a scalar result accumulates gradients
 into every reachable input.  The op set is exactly what the encoder,
-span scorer and biaffine classifier need — nothing more; the biaffine
-is ``reshape`` and ``matmul``, not an op of its own.
+span scorer and biaffine classifier need — nothing more: ``add``, ``sub``,
+``matmul``, ``linear``, ``concat``, ``index``, ``reshape``, ``relu``,
+``vsum``, ``lstm`` and ``cross_entropy_rows``.  An op's freshly allocated
+gradient product becomes a node's first gradient uncopied.
 
 Gradients are checked against central finite differences by
 :func:`gradcheck`; that numeric route is kept strictly independent of
@@ -13,6 +15,7 @@ the analytic rules here.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,12 +51,16 @@ class Var:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:  # a copy in the value's memory layout, no zero fill
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` to the gradient.  ``fresh``: the caller allocated
+        ``grad`` and keeps no reference, so a first write adopts it uncopied."""
+        if self.grad is not None:
+            self.grad += grad
+        elif fresh:
+            self.grad = grad
+        else:  # a copy in the value's memory layout, no zero fill
             self.grad = np.empty_like(self.value)
             self.grad[...] = grad
-        else:
-            self.grad += grad
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the whole graph."""
@@ -116,7 +123,7 @@ def sub(a: Var, b: Var) -> Var:
 
     def bw(g: np.ndarray) -> None:
         a._accumulate(_unbroadcast(g, a.value.shape))
-        b._accumulate(-_unbroadcast(g, b.value.shape))
+        b._accumulate(-_unbroadcast(g, b.value.shape), fresh=True)
 
     out._bw = bw
     return out
@@ -129,8 +136,29 @@ def matmul(a: Var, b: Var) -> Var:
     out = Var(a.value @ b.value, (a, b))
 
     def bw(g: np.ndarray) -> None:
-        a._accumulate(g @ b.value.T)
-        b._accumulate(a.value.T @ g)
+        a._accumulate(g @ b.value.T, fresh=True)
+        b._accumulate(a.value.T @ g, fresh=True)
+
+    out._bw = bw
+    return out
+
+
+def linear(x: Var, w: Var, b: Var | None = None) -> Var:
+    """``x @ w.T (+ b)`` for (m, in) rows ``x``, an (out, in) ``w`` and an
+    (out,) ``b``.  Backward writes ``w``'s gradient as ``g.T @ x``, in
+    ``w``'s own layout, so no transposed product is ever copied."""
+    if x.value.ndim != 2 or w.value.ndim != 2:
+        raise ValueError(f"linear takes 2-D operands, got {x.shape} and {w.shape}")
+    value = x.value @ w.value.T
+    if b is not None:
+        value += b.value
+    out = Var(value, (x, w) if b is None else (x, w, b))
+
+    def bw(g: np.ndarray) -> None:
+        x._accumulate(g @ w.value, fresh=True)
+        w._accumulate(g.T @ x.value, fresh=True)
+        if b is not None:
+            b._accumulate(g.sum(axis=0), fresh=True)
 
     out._bw = bw
     return out
@@ -160,14 +188,19 @@ def index(a: Var, key) -> Var:
     array of indices, or a tuple of them such as ``(rows, slice(None), cols)``.
 
     The backward pass scatters into ``a``'s gradient, so duplicate indices
-    accumulate.
+    accumulate: one ``bincount`` over the gathered cells' flat positions,
+    read from broadcast per-axis offsets, not an ``a.size``-long table.
     """
     out = Var(a.value[key], (a,))
 
     def bw(g: np.ndarray) -> None:
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, key, g)
+        shape = a.value.shape
+        cells = sum(
+            np.broadcast_to(offsets * math.prod(shape[axis + 1 :]), shape)[key]
+            for axis, offsets in enumerate(np.indices(shape, sparse=True))
+        )
+        grad = np.bincount(np.ravel(cells), weights=np.ravel(g), minlength=a.value.size)
+        a._accumulate(grad.reshape(shape), fresh=True)
 
     out._bw = bw
     return out
@@ -183,16 +216,6 @@ def reshape(a: Var, shape: tuple[int, ...]) -> Var:
     return out
 
 
-def transpose(a: Var) -> Var:
-    out = Var(a.value.T, (a,))
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g.T)
-
-    out._bw = bw
-    return out
-
-
 # -- nonlinearities -----------------------------------------------------
 
 
@@ -201,7 +224,7 @@ def relu(a: Var) -> Var:
     out = Var(value, (a,))
 
     def bw(g: np.ndarray) -> None:
-        a._accumulate(g * (a.value > 0.0))
+        a._accumulate(g * (a.value > 0.0), fresh=True)
 
     out._bw = bw
     return out
@@ -212,7 +235,7 @@ def vsum(a: Var) -> Var:
     out = Var(a.value.sum(), (a,))
 
     def bw(g: np.ndarray) -> None:
-        a._accumulate(np.full_like(a.value, float(g)))
+        a._accumulate(np.full_like(a.value, float(g)), fresh=True)
 
     out._bw = bw
     return out
@@ -247,7 +270,8 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
         tanh_cells = np.tanh(cells[1:])
         slopes = acts * (1.0 - acts)
         slopes[:, 3 * h_dim :] = 1.0 - acts[:, 3 * h_dim :] ** 2
-        d_gates = np.empty(x.shape)  # C order: each row's four gate blocks are views
+        d_projected = np.empty(x.shape)  # C order: each row's four gate blocks are views
+        d_gates = d_projected[::-1] if reverse else d_projected  # in step order
         dh, dc = np.zeros(h_dim), np.zeros(h_dim)
         for k in range(n - 1, -1, -1):
             i, f, o, g = acts[k].reshape(4, h_dim)
@@ -260,8 +284,8 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
             np.multiply(dc, i, out=d_g)
             d_gates[k] *= slopes[k]
             dc, dh = dc * f, wh.T @ d_gates[k]
-        projected._accumulate(d_gates[::-1] if reverse else d_gates)
-        w_h._accumulate(d_gates.T @ states[:-1])
+        projected._accumulate(d_projected, fresh=True)
+        w_h._accumulate(d_gates.T @ states[:-1], fresh=True)
 
     out._bw = bw
     return out
@@ -285,7 +309,7 @@ def cross_entropy_rows(scores: Var, gold: Sequence[int]) -> Var:
     def bw(g: np.ndarray) -> None:
         grad = softmax * float(g)
         grad[rows, gold] -= float(g)
-        scores._accumulate(grad)
+        scores._accumulate(grad, fresh=True)
 
     out._bw = bw
     return out

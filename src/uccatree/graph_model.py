@@ -650,7 +650,9 @@ class ConstituentTree:
                 problems.append(f"internal node {node.label!r} has no children")
                 continue
             pos = node.leaf_positions
-            if pos[-1] - pos[0] + 1 != len(pos):
+            if not pos:
+                problems.append(f"internal node {node.label!r} covers no token")
+            elif pos[-1] - pos[0] + 1 != len(pos):
                 problems.append(f"node {node.label!r} spans a non-contiguous interval {pos}")
         return problems
 

@@ -327,17 +327,19 @@ class Encoding:
     is the forward output after consuming tokens 1..i (f_0 is zero) and
     b_i the backward output after consuming tokens n..i+1 (b_n is zero).
     The feature of span (i, j), [f_j - f_i ; b_i - b_j], is row j minus
-    row i.
+    row i.  ``projections`` maps a weight leaf to the fenceposts projected
+    through it, so heads that share a layer project them once.
     """
 
     fenceposts: Var
     n: int
+    projections: dict[Var, Var] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _lstm_direction(inputs: Var, bound: BoundParams, prefix: str, reverse: bool) -> Var:
     """(n, hidden) outputs of one LSTM direction over an (n, d) input
-    matrix: one matmul projects every token, one op runs the recurrence."""
-    projected = ad.matmul(inputs, ad.transpose(bound[prefix + "_wx"])) + bound[prefix + "_b"]
+    matrix: one ``linear`` projects every token, one op runs the recurrence."""
+    projected = ad.linear(inputs, bound[prefix + "_wx"], bound[prefix + "_b"])
     return ad.lstm(projected, bound[prefix + "_wh"], reverse=reverse)
 
 
@@ -363,7 +365,7 @@ def encode(inputs: Var, bound: BoundParams) -> Encoding:
 
 def affine(reprs: Var, bound: BoundParams, name: str) -> Var:
     """``reprs @ W.T + b`` with the tensors ``<name>_w`` and ``<name>_b``."""
-    return ad.matmul(reprs, ad.transpose(bound[name + "_w"])) + bound[name + "_b"]
+    return ad.linear(reprs, bound[name + "_w"], bound[name + "_b"])
 
 
 def span_affine(
@@ -371,14 +373,17 @@ def span_affine(
 ) -> Var:
     """(m, out) rows ``W·r(i, j) + b`` of the layer ``name`` for every span
     (i, j).  The layer is linear in the span feature r(i, j), the fencepost
-    row j minus row i, so it projects the n + 1 fenceposts once and
-    subtracts projected rows: q_j - q_i + b."""
+    row j minus row i, so it projects the n + 1 fenceposts once per
+    encoding and weight leaf and subtracts projected rows: q_j - q_i + b."""
     lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
     bad = np.flatnonzero((lo < 0) | (lo >= hi) | (hi > enc.n))
     if bad.size:
         i, j = lo[bad[0]], hi[bad[0]]
         raise ValueError(f"degenerate or out-of-range span ({i}, {j}) for n={enc.n}")
-    q = ad.matmul(enc.fenceposts, ad.transpose(bound[name + "_w"]))
+    w = bound[name + "_w"]
+    if w not in enc.projections:
+        enc.projections[w] = ad.linear(enc.fenceposts, w)
+    q = enc.projections[w]
     return ad.index(q, hi) - ad.index(q, lo) + bound[name + "_b"]
 
 
@@ -407,7 +412,7 @@ def biaffine(children: Var, parents: Var, w: Var) -> Var:
     c, (rows, labels, dp), m = children.shape[0], w.shape, parents.shape[0]
     extended = ad.concat([children, Var(np.ones((c, 1)))], axis=1)
     left = ad.reshape(ad.matmul(extended, ad.reshape(w, (rows, labels * dp))), (c * labels, dp))
-    return ad.reshape(ad.matmul(left, ad.transpose(parents)), (c, labels, m))
+    return ad.reshape(ad.linear(left, parents), (c, labels, m))
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +482,12 @@ def adam_step(
     one scratch block.  A non-finite gradient raises before any tensor or
     any optimizer state changes.
     """
-    # Flat views of the tensors (a non-contiguous one raises here, before
-    # anything changes) and of the gradients (copied if not contiguous).
-    flat = [
-        (name, tensors[name].reshape(-1, copy=False), grad.reshape(-1))
-        for name, grad in _checked_updates(grads, skip)
-    ]
+    updates = _checked_updates(grads, skip)
+    for name, _ in updates:  # before anything changes
+        if not tensors[name].flags.c_contiguous:
+            raise ValueError(f"tensor {name!r} is not C-contiguous; Adam updates it in place")
+    # Flat views of the tensors, and of the gradients (copied if not contiguous).
+    flat = [(name, tensors[name].reshape(-1), grad.reshape(-1)) for name, grad in updates]
     state.t += 1
     t = state.t
     correction = (1.0 - beta2**t) ** 0.5
@@ -493,7 +498,7 @@ def adam_step(
         if name not in state.m:
             state.m[name] = np.zeros(tensors[name].shape)
             state.v[name] = np.zeros(tensors[name].shape)
-        m, v = state.m[name].reshape(-1, copy=False), state.v[name].reshape(-1, copy=False)
+        m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)  # C order: views
         for lo in range(0, theta.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, theta.size)
             gb, mb, vb, buf = g[lo:hi], m[lo:hi], v[lo:hi], scratch[: hi - lo]

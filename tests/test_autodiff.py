@@ -112,6 +112,60 @@ class TestHandDerived:
         assert float((5.0 - a).value) == 3.0
 
 
+class TestLinear:
+    def test_matches_matmul_of_transpose_plus_bias(self):
+        r = rng(30)
+        x, w, b = r.standard_normal((3, 4)), r.standard_normal((5, 4)), r.standard_normal(5)
+        assert np.array_equal(ad.linear(Var(x), Var(w), Var(b)).value, x @ w.T + b)
+        assert np.array_equal(ad.linear(Var(x), Var(w)).value, x @ w.T)
+
+    def test_gradients_are_adopted_in_the_operands_layout(self):
+        r = rng(31)
+        x, w, b = Var(r.standard_normal((3, 4))), Var(r.standard_normal((5, 4))), Var(np.zeros(5))
+        ad.vsum(ad.linear(x, w, b)).backward()
+        for leaf in (x, w, b):
+            assert leaf.grad.shape == leaf.shape and leaf.grad.flags.c_contiguous
+        assert np.array_equal(w.grad, np.ones((5, 3)) @ x.value)
+        assert b.grad.tolist() == [3.0] * 5
+
+    def test_rejects_1d_operands(self):
+        with pytest.raises(ValueError, match="2-D"):
+            ad.linear(Var(np.ones(4)), Var(np.ones((2, 4))))
+
+
+class TestIndexScatter:
+    """``index``'s backward is bit-equal to ``np.add.at`` into zeros."""
+
+    @pytest.mark.parametrize(
+        "shape, key",
+        [
+            ((5, 3), [4, 0, 4, 2, 4, 4]),  # duplicate rows
+            ((3, 2, 4), ([0, 2, 0, 1, 0], slice(None), [1, 3, 1, 0, 1])),
+            ((4, 3), (np.array([3, 1, 3]), np.array([2, 0, 2]))),
+            ((4, 3), (slice(None), 1)),
+            ((4, 3), []),  # empty key
+        ],
+    )
+    def test_backward_matches_add_at_bitwise(self, shape, key):
+        r = rng(40)
+        a = Var(r.standard_normal(shape))
+        out = ad.index(a, key)
+        # Magnitudes spread over 16 decades, so the summation order of the
+        # duplicates shows in the low bits.
+        g = r.standard_normal(out.shape) * 10.0 ** r.uniform(-8, 8, out.shape)
+        weighted(out, g).backward()
+        want = np.zeros(shape)
+        np.add.at(want, key, g)
+        assert a.grad.shape == shape
+        assert a.grad.tobytes() == want.tobytes()
+
+    def test_second_gather_adds_to_the_first(self):
+        a = Var(np.zeros((3, 2)))
+        loss = ad.vsum(ad.index(a, [2, 2])) + ad.vsum(ad.index(a, (slice(None), 0)))
+        loss.backward()
+        assert a.grad.tolist() == [[1.0, 0.0], [1.0, 0.0], [3.0, 2.0]]
+
+
 class TestUnbroadcast:
     def test_extra_leading_axis_summed(self):
         g = np.ones((3, 2))
@@ -142,7 +196,7 @@ class TestFiniteDifferences:
         def build(v):
             # ``a`` reaches the loss along two paths, so its gradients add.
             diff = ad.sub(ad.add(v["a"], v["b"]), v["b"])
-            return weighted(ad.matmul(diff, ad.transpose(v["a"])), w)
+            return weighted(ad.linear(diff, v["a"]), w)
 
         fd_check(build, tensors)
 
@@ -178,8 +232,25 @@ class TestFiniteDifferences:
                 np.array([[1.0, -1.0, 2.0], [0.5, 1.5, -2.5]]),
             )
             elem = ad.add(ad.index(ad.index(v["a"], 1), 2), ad.index(v["b"], (0, 1)))
-            tr = weighted(ad.transpose(v["b"]), w3)
+            tr = weighted(ad.linear(Var(np.eye(2)), v["b"]), w3)  # b transposed
             return cat + rows + sl + st + elem + tr
+
+        fd_check(build, tensors)
+
+    @pytest.mark.parametrize("rows, bias", [(3, True), (3, False), (1, True)])
+    def test_linear(self, rows, bias):
+        r = rng(20 + rows)
+        tensors = {"x": r.standard_normal((rows, 4)), "w": r.standard_normal((5, 4))}
+        if bias:
+            tensors["b"] = r.standard_normal(5)
+        c = r.standard_normal((rows, 5))
+
+        def build(v):
+            # ``x`` also feeds ``w``'s place, so both of its gradients add.
+            square = ad.linear(v["x"], v["x"])
+            return weighted(ad.linear(v["x"], v["w"], v.get("b")), c) + weighted(
+                square, np.ones((rows, rows))
+            )
 
         fd_check(build, tensors)
 

@@ -249,6 +249,26 @@ class TestConvertAndRestore:
         assert "trees.jsonl:1:" in payload["error"]["message"]
         assert "invalid tree: leaves [2, 1]" in payload["error"]["message"]
 
+    def test_restore_reports_internal_node_without_tokens_with_its_line(self, tmp_path, capsys):
+        tree = json.loads(
+            '{"label":"ROOT","children":[{"leaf":1},'
+            '{"label":"A","children":[{"label":"B","children":[]}]}]}'
+        )
+        trees = tmp_path / "trees.jsonl"
+        write_json(trees, {"tokens": [{"form": "a"}], "lang": "en", "tree": tree})
+        ckpt = tmp_path / "model.json"
+        cfg = build_model_config([german_example()], TrainConfig.from_json(TINY_TRAIN))
+        ModelParams.initialize(cfg, seed=0).save(str(ckpt))
+        code, _, stderr = run_cli(
+            capsys, "restore", "--in", str(trees), "--remotes-model", str(ckpt),
+            "--out", str(tmp_path / "x"), "--format", "jsonl",
+        )
+        assert code == 1
+        payload = json.loads(stderr)
+        assert payload["error"]["type"] == "CliError"
+        assert "trees.jsonl:1:" in payload["error"]["message"]
+        assert "internal node 'A' covers no token" in payload["error"]["message"]
+
 
 class TestTrainParseEval:
     def test_full_workflow(self, tmp_path, capsys, tiny_corpus_file):

@@ -285,6 +285,16 @@ class TestConstituentTree:
         )
         assert any("empty label" in p for p in ConstituentTree(tokens, root).validate())
 
+    def test_internal_node_over_childless_nodes_reported(self):
+        # "A" has a child but no leaf below it: a problem, not an IndexError.
+        tree = json.loads(
+            '{"label":"ROOT","children":[{"leaf":1},'
+            '{"label":"A","children":[{"label":"B","children":[]}]}]}'
+        )
+        data = {"tokens": [{"form": "a"}], "lang": "en", "tree": tree}
+        with pytest.raises(ValueError, match="internal node 'A' covers no token"):
+            ConstituentTree.from_json(data)
+
     def test_tree_json_round_trip(self):
         tree = small_tree()
         back = ConstituentTree.from_json(json.loads(json.dumps(tree.to_json())))

@@ -526,6 +526,14 @@ class TestOptimizers:
         for name, g in grads.items():
             assert np.array_equal(g, kept[name])
 
+    def test_adam_rejects_non_contiguous_tensor_before_any_change(self):
+        t = {"a": np.full(3, 0.5), "w": np.ones((3, 4)).T}
+        state = AdamState()
+        with pytest.raises(ValueError, match="'w' is not C-contiguous"):
+            adam_step(t, {"a": np.ones(3), "w": np.ones((4, 3))}, state)
+        assert t["a"].tolist() == [0.5] * 3 and np.array_equal(t["w"], np.ones((4, 3)))
+        assert state.t == 0 and not state.m and not state.v
+
     def test_failed_step_changes_nothing(self):
         # The bad gradient comes after a good one: the good tensor must
         # not move either, nor may the optimizer state.

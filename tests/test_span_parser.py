@@ -33,7 +33,7 @@ from uccatree.span_parser import (
 )
 from uccatree.training import TrainConfig, build_model_config
 
-from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, primary_only, tape_nodes
+from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, primary_only, tape_nodes, tape_vars
 
 
 def parser_config(labels, words=("a", "b", "c"), **overrides) -> ModelConfig:
@@ -299,6 +299,18 @@ class TestLossValues:
         grads = bound.grads()
         assert "label_out_w" in grads
         assert not {"span_out_w", "span_out_b", "span_hidden_w"} & set(grads)
+
+    def test_shared_hidden_projects_the_fenceposts_once(self):
+        # With sharing on, the split and label heads read one hidden layer,
+        # so the loss projects the fenceposts through it once, not per head.
+        cfg = parser_config(["", "A", "P", "ROOT"], share_span_hidden=True)
+        p = ModelParams.initialize(cfg, seed=4)
+        tokens, bound, enc = encode_tokens(p, ["a", "b", "c"])
+        loss = loss_topdown(enc, gold_trace(tree_from_sexpr("(ROOT (A a b) (P c))")), bound)
+        loss.backward()
+        assert {"span_out_w", "label_out_w", "head_hidden_w"} <= set(bound.grads())
+        readers = [v for v in tape_vars(loss) if any(q is enc.fenceposts for q in v._parents)]
+        assert len(readers) == 1
 
     def test_score_shift_invariance(self):
         # Adding one constant to every label score and another to every

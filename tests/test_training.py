@@ -104,6 +104,19 @@ class TestSentenceLoss:
         assert abs(joint - (topdown + remote)) <= 1e-12
         assert grads and all(np.all(np.isfinite(g)) for g in grads.values())
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_gradients_share_memory_with_nothing(self, german_graph, shared):
+        # Ops hand the arrays they allocate to the tape uncopied; no
+        # gradient may alias a parameter tensor or another gradient.
+        cfg = build_model_config([german_graph], tiny_config(share_span_hidden=shared))
+        params = ModelParams.initialize(cfg, seed=2)
+        grads = sentence_loss(prepare_example(german_graph), params)[3]
+        assert len(grads) > 10
+        for name, grad in grads.items():
+            others = list(params.tensors.values())
+            others += [g for other, g in grads.items() if other != name]
+            assert not any(np.shares_memory(grad, other) for other in others), name
+
     def test_loss_and_parse_leave_no_var_to_the_cyclic_collector(self, german_graph):
         # The decoding walk is a recursive closure, hence a reference
         # cycle.  A Var that it, or any other cycle on these paths,
