@@ -81,14 +81,20 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     lossy = 0
     dropped = 0
     with atomic_output(args.out) as fh:
-        for g in graphs:
+        for r, g in enumerate(graphs, start=1):
             result = graph_to_tree(g)
             lossy += result.lossy_moves
             dropped += len(result.dropped_remote_edges)
             if args.format == "sexpr":
                 fh.write(tree_to_sexpr(result.tree) + "\n")
-            else:
-                fh.write(json.dumps(result.tree.to_json(), sort_keys=True) + "\n")
+                continue
+            try:  # the JSONL form nests two JSON levels per tree level
+                line = json.dumps(result.tree.to_json(), sort_keys=True)
+            except RecursionError:
+                raise CliError(
+                    f"{args.infile}: record {r}: tree too deep for JSONL; use --format sexpr"
+                ) from None
+            fh.write(line + "\n")
     print(
         f"converted {len(graphs)} graphs to {args.out} "
         f"({dropped} remote edges dropped, {lossy} lossy moves)"

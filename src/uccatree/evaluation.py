@@ -138,8 +138,11 @@ def score_corpus(gold: list[UccaGraph], pred: list[UccaGraph]) -> F1Report:
         raise ValueError(f"{len(gold)} gold graphs vs {len(pred)} predicted graphs")
     primary = KindScore(0, 0, 0)
     remote = KindScore(0, 0, 0)
-    for g, p in zip(gold, pred):
-        report = score(g, p)
+    for r, (g, p) in enumerate(zip(gold, pred), start=1):
+        try:
+            report = score(g, p)
+        except ValueError as exc:
+            raise ValueError(f"record {r}: {exc}") from exc
         primary += report.primary
         remote += report.remote
     return F1Report(primary=primary, remote=remote)

@@ -65,6 +65,12 @@ def tokens_from_json(data: dict) -> tuple[Token, ...]:
     )
 
 
+def token_problems(tokens: Sequence[Token]) -> list[str]:
+    """Why a token sequence cannot be a sentence: no tokens, or empty forms."""
+    empty = [f"token {i} has an empty form" for i, t in enumerate(tokens, start=1) if not t.form]
+    return empty if tokens else ["sentence has no tokens"]
+
+
 @dataclass(frozen=True)
 class Edge:
     """A labeled parent->child edge, either primary (tree) or remote."""
@@ -171,13 +177,8 @@ class UccaGraph:
         An empty list means the graph is well-formed.  This method never
         touches the cached accessors, so it is safe on malformed input.
         """
-        problems: list[str] = []
+        problems = token_problems(self.tokens)
         n = self.n
-        if n == 0:
-            problems.append("graph has no tokens")
-        for i, tok in enumerate(self.tokens, start=1):
-            if not tok.form:
-                problems.append(f"token {i} has an empty form")
         terminals = set(range(1, n + 1))
         if self.root not in self.nonterminals:
             problems.append(f"root {self.root} is not a nonterminal")
@@ -511,8 +512,17 @@ def dump_corpus(graphs: Iterable[UccaGraph], path: str) -> None:
 
 
 def load_token_lines(path: str) -> list[tuple[Token, ...]]:
-    """Read token sequences from corpus JSONL, ignoring any graph part."""
-    return load_jsonl(path, tokens_from_json, "token")
+    """Read token sequences from corpus JSONL, ignoring any graph part;
+    each must pass :func:`token_problems`."""
+
+    def sentence(data: dict) -> tuple[Token, ...]:
+        tokens = tokens_from_json(data)
+        problems = token_problems(tokens)
+        if problems:
+            raise ValueError("; ".join(problems))
+        return tokens
+
+    return load_jsonl(path, sentence, "token")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ else, so the empty label is never an option for the whole sentence.
 Move markers are further restricted at decode time (no marker under a
 bare "ROOT" node or at a node's left edge, none on non-head chain parts)
 so that every produced tree stays restorable to a graph; see
-``_candidate_ids``.
+``_label_masks``.
 
 Training walks the gold tree (teacher forcing) and accumulates hinge
 penalties with margin one for labels and splits; a loss of zero implies
@@ -39,62 +39,39 @@ def gold_trace(tree: ConstituentTree) -> dict[Span, str]:
     return tree.spans()
 
 
-def _label_head(label: str) -> str:
-    return label.split("+", 1)[0]
-
-
-# Label-decision positions.  TOP is the whole sentence; UNDER_ROOT marks
-# spans emitted as direct children of a bare "ROOT" node, where an
-# ancestor-marked head would be unrestorable (the moved node would have
-# no grandparent to return to); INNER is everything else.  Additionally,
-# a move marker on a non-head chain part is never decodable (undoing it
-# would leave the preceding chain part childless), and an ancestor-marked
-# head is forbidden at a node's left edge so that every emitted node
-# keeps at least one child that stays put when markers are undone.
-# Graph-derived gold trees satisfy all of this already: a moved subtree
-# always starts strictly inside its new parent's span and always has
-# siblings, so it is never a leftmost child and never part of a chain.
-TOP, UNDER_ROOT, INNER = "top", "under_root", "inner"
-
-
-def _marked_head(label: str) -> bool:
-    return split_label(_label_head(label))[2]
-
-
-def _marked_tail(label: str) -> bool:
-    return any(split_label(part)[2] for part in label.split("+")[1:])
-
-
-def _candidate_ids(labels: Sequence[str], mode: str, at_left_edge: bool) -> list[int]:
-    ids = [i for i, lab in enumerate(labels) if not _marked_tail(lab)]
-    if mode == TOP:
-        return [i for i in ids if _label_head(labels[i]) == ROOT_LABEL]
-    ids = [i for i in ids if _label_head(labels[i]) != ROOT_LABEL]
-    if mode == UNDER_ROOT or at_left_edge:
-        ids = [i for i in ids if not _marked_head(labels[i])]
-    return ids
-
-
 @lru_cache(maxsize=8)
-def _candidate_table(labels: tuple[str, ...]) -> dict[tuple[str, bool], np.ndarray]:
-    """``_candidate_ids`` of every (mode, at_left_edge) position as a
-    read-only boolean mask over the label inventory, built once per
-    inventory, not once per decision or per call."""
-    table = {
-        (mode, at_left): np.isin(np.arange(len(labels)), _candidate_ids(labels, mode, at_left))
-        for mode in (TOP, UNDER_ROOT, INNER)
-        for at_left in (False, True)
-    }
-    for mask in table.values():
+def _label_masks(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three read-only boolean masks over the label inventory, built once
+    per inventory: the labels the whole sentence may take, those any other
+    span may take, and those of the latter whose head is not move-marked.
+
+    The whole sentence takes a "ROOT"-headed label, every other span a
+    non-"ROOT" head.  No label with a move marker on a non-head chain part
+    is ever decodable: undoing it would leave the preceding part childless.
+    A marked head is decodable only on a span starting after its ``edge``:
+    below a labeled node that is the node's left edge, so the node keeps a
+    child that stays put when markers are undone, and below a bare "ROOT"
+    it is n, since the moved node would have no grandparent to return to.
+    Graph-derived gold trees satisfy all of this already: a moved subtree
+    starts strictly inside its new parent's span, has siblings and is never
+    part of a chain.
+    """
+    chains = [label.split("+") for label in labels]
+    marked = [[split_label(part)[2] for part in chain] for chain in chains]
+    root = np.array([chain[0] == ROOT_LABEL for chain in chains], dtype=bool)
+    untailed = np.array([not any(m[1:]) for m in marked], dtype=bool)
+    unmarked = np.array([not m[0] for m in marked], dtype=bool)
+    masks = (root & untailed, ~root & untailed, ~root & untailed & unmarked)
+    for mask in masks:
         mask.flags.writeable = False
-    return table
+    return masks
 
 
-def _child_position(label: str, i: int, mode: str, node_left: int) -> tuple[str, int]:
-    """Mode and node left edge below a label decision on a span starting at i."""
+def _edge_below(label: str, i: int, n: int, edge: int) -> int:
+    """``edge`` of the spans below a label decision on a span starting at i."""
     if not label:  # empty label: still binarizing the same parent node
-        return mode, node_left
-    return (UNDER_ROOT if mode == TOP and label == ROOT_LABEL else INNER), i
+        return edge
+    return n if label == ROOT_LABEL else i
 
 
 def _span_table(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -131,7 +108,7 @@ def loss_topdown(enc: Encoding, gold: Mapping[Span, str], bound: BoundParams) ->
     spans, table = _span_table(n)
     split_v = split_scores(enc, spans, bound)
     span_scores = split_v.value[table]
-    candidates = _candidate_table(tuple(bound.config.labels))
+    whole, inner, unmarked = _label_masks(tuple(bound.config.labels))
     # Bounds of the smallest gold span strictly containing each fencepost:
     # k is a gold split point of a decided span (i, j) when that gold span
     # contains (i, j), i.e. k lies between two children of (i, j)'s node.
@@ -140,16 +117,16 @@ def loss_topdown(enc: Encoding, gold: Mapping[Span, str], bound: BoundParams) ->
         lo[i + 1 : j], hi[i + 1 : j] = i, j
 
     label_index = bound.params.labels.index
-    # (span, gold label id, candidate mask) of every label decision.
+    # (span, gold label id, allowed-label mask) of every label decision.
     label_decisions: list[tuple[Span, int, np.ndarray]] = []
     # Span rows of each split term: gold left, gold right, wrong left, wrong right.
     split_terms: list[np.ndarray] = []
 
-    stack: list[tuple[int, int, str, int]] = [(0, n, TOP, -1)]  # (i, j, mode, node left edge)
+    stack = [(0, n, n)]  # (i, j, edge); the whole sentence's edge is never read
     while stack:
-        i, j, mode, node_left = stack.pop()
+        i, j, edge = stack.pop()
         label = gold.get((i, j), "")
-        allowed = candidates[(mode, i == node_left)]
+        allowed = whole if j - i == n else inner if i > edge else unmarked
         if label not in label_index:
             raise ValueError(f"gold label {label!r} missing from the label inventory")
         if not allowed[label_index[label]]:
@@ -157,15 +134,15 @@ def loss_topdown(enc: Encoding, gold: Mapping[Span, str], bound: BoundParams) ->
         label_decisions.append(((i, j), label_index[label], allowed))
         if j - i < 2:
             continue
-        mode, node_left = _child_position(label, i, mode, node_left)
+        edge = _edge_below(label, i, n, edge)
         ks = np.arange(i + 1, j)
         is_gold = (lo[ks] <= i) & (hi[ks] >= j)
         k_star = _best_split(span_scores, i, j, ks[is_gold])
         if not is_gold.all():
             k_wrong = _best_split(span_scores, i, j, ks[~is_gold])
             split_terms.append(table[[i, k_star, i, k_wrong], [k_star, j, k_wrong, j]])
-        stack.append((k_star, j, mode, node_left))
-        stack.append((i, k_star, mode, node_left))
+        stack.append((k_star, j, edge))
+        stack.append((i, k_star, edge))
 
     decided, gold_ids, masks = zip(*label_decisions)
     label_v = label_scores(enc, decided, bound)
@@ -200,15 +177,15 @@ def parse_topdown(
     resolve to the smallest split point and the smallest label index.
     The full span must pick a "ROOT"-headed label chain; other spans may
     pick the empty label, which emits no node.  Move-marker placements
-    that could not be undone are excluded from the candidate sets, so the
+    that could not be undone are masked out (see ``_label_masks``), so the
     output is always restorable.
     """
     n = enc.n
     if len(tokens) != n:
         raise ValueError(f"{len(tokens)} tokens but encoding has n={n}")
     labels = bound.config.labels
-    candidates = _candidate_table(tuple(labels))
-    if not candidates[(TOP, False)].any():
+    whole, inner, unmarked = _label_masks(tuple(labels))
+    if not whole.any():
         raise ValueError('the label inventory has no "ROOT"-headed entry')
     spans, table = _span_table(n)
     span_scores = split_scores(enc, spans, bound).value[table]
@@ -222,14 +199,15 @@ def parse_topdown(
             decided += [(i, k), (k, j)]
     label_values = label_scores(enc, decided, bound).value
 
-    position = {(0, n): (TOP, -1)}  # (mode, node left edge) of each decided span
+    edges = {(0, n): n}  # the whole sentence's is never read
     chosen: dict[Span, str] = {}
     for row, (i, j) in enumerate(decided):
-        mode, node_left = position[i, j]
-        label = labels[_best_labels(label_values[row], candidates[(mode, i == node_left)])]
+        edge = edges[i, j]
+        allowed = whole if j - i == n else inner if i > edge else unmarked
+        label = labels[_best_labels(label_values[row], allowed)]
         if label:
             chosen[i, j] = label
         if j - i > 1:
             k = split_at[i, j]
-            position[i, k] = position[k, j] = _child_position(label, i, mode, node_left)
+            edges[i, k] = edges[k, j] = _edge_below(label, i, n, edge)
     return ConstituentTree.from_spans(tokens, chosen)

@@ -27,7 +27,7 @@ from uccatree.graph_model import (
 from uccatree.neural_core import ModelParams
 from uccatree.training import TrainConfig, build_model_config
 
-from conftest import german_example, primary_only, simple_graph
+from conftest import german_example, primary_only, right_branching_chain, simple_graph
 
 TINY_TRAIN = {
     "seed": 1,
@@ -139,6 +139,23 @@ class TestConvertAndRestore:
         assert code == 0
         record = json.loads(out.read_text(encoding="utf-8"))
         assert "tokens" in record and "lang" in record
+
+    def test_convert_jsonl_too_deep_names_the_record_and_leaves_no_output(
+        self, tmp_path, capsys
+    ):
+        corpus = tmp_path / "deep.jsonl"
+        dump_corpus([german_example(), right_branching_chain(600)], str(corpus))
+        out = tmp_path / "trees.jsonl"
+        code, stdout, stderr = run_cli(
+            capsys, "convert", "--in", str(corpus), "--out", str(out), "--format", "jsonl"
+        )
+        assert code == 1 and stdout == ""
+        message = json.loads(stderr)["error"]["message"]
+        assert message.startswith(f"{corpus}: record 2: ")
+        assert "--format sexpr" in message
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.jsonl"]
+        code, _, _ = run_cli(capsys, "convert", "--in", str(corpus), "--out", str(out))
+        assert code == 0 and len(out.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_restore_round_trips_the_worked_example(self, tmp_path, capsys, german_file):
         trees = tmp_path / "trees.txt"
@@ -328,6 +345,43 @@ class TestTrainParseEval:
         message = json.loads(stderr)["error"]["message"]
         assert "pred.jsonl:1:" in message
         assert "invalid graph: node 5 has 2 primary parents, expected 1" in message
+
+    def test_eval_names_the_record_over_other_tokens(self, tmp_path, capsys):
+        gold = [simple_graph(["A", "P"], n=2), simple_graph(["P", "A"], n=2)]
+        other = dataclasses.replace(gold[1], tokens=(Token(form="x"), Token(form="y")))
+        gold_path, pred_path = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        dump_corpus(gold, str(gold_path))
+        dump_corpus([gold[0], other], str(pred_path))
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--gold", str(gold_path), "--pred", str(pred_path)
+        )
+        assert code == 1 and stdout == ""
+        message = json.loads(stderr)["error"]["message"]
+        assert message == "record 2: gold and predicted graphs are over different token sequences"
+
+    @pytest.mark.parametrize(
+        "tokens, problem",
+        [([], "sentence has no tokens"), ([{"form": "a"}, {"form": ""}], "token 2 has an empty form")],
+        ids=["no-tokens", "empty-form"],
+    )
+    def test_parse_rejects_unparseable_sentence_with_its_line(
+        self, tmp_path, capsys, tokens, problem
+    ):
+        ckpt = tmp_path / "model.json"
+        cfg = build_model_config([german_example()], TrainConfig.from_json(TINY_TRAIN))
+        ModelParams.initialize(cfg, seed=0).save(str(ckpt))
+        sentences = tmp_path / "sentences.jsonl"
+        sentences.write_text(
+            json.dumps({"tokens": [{"form": "a"}]}) + "\n" + json.dumps({"tokens": tokens}) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "parsed.jsonl"
+        code, _, stderr = run_cli(
+            capsys, "parse", "--model", str(ckpt), "--in", str(sentences), "--out", str(out)
+        )
+        assert code == 1 and not out.exists()
+        message = json.loads(stderr)["error"]["message"]
+        assert message == f"{sentences}:2: malformed token record: {problem}"
 
     def test_train_rejects_unknown_config_keys(self, tmp_path, capsys, tiny_corpus_file):
         config = write_json(tmp_path / "bad.json", {"seed": 1, "momentum": 0.9})

@@ -22,11 +22,8 @@ from uccatree.neural_core import (
     label_scores,
 )
 from uccatree.span_parser import (
-    INNER,
-    TOP,
-    UNDER_ROOT,
-    _candidate_ids,
-    _candidate_table,
+    _edge_below,
+    _label_masks,
     gold_trace,
     loss_topdown,
     parse_topdown,
@@ -139,62 +136,72 @@ class TestGoldTrace:
 class TestCandidateSets:
     LABELS = ["", "A", "A-ancestor1", "A-remote-ancestor1", "ROOT", "ROOT+H"]
 
+    @staticmethod
+    def allowed(labels):
+        """Label ids of the whole-sentence, inner and marker-free masks."""
+        return [np.flatnonzero(m).tolist() for m in _label_masks(tuple(labels))]
+
     def test_top_requires_root_head(self):
-        assert _candidate_ids(self.LABELS, TOP, False) == [4, 5]
+        assert self.allowed(self.LABELS)[0] == [4, 5]
 
     def test_inner_takes_everything_else(self):
-        assert _candidate_ids(self.LABELS, INNER, False) == [0, 1, 2, 3]
+        assert self.allowed(self.LABELS)[1] == [0, 1, 2, 3]
 
     def test_under_root_hides_ancestor_marked_heads(self):
-        assert _candidate_ids(self.LABELS, UNDER_ROOT, False) == [0, 1]
-        assert _candidate_ids(self.LABELS, UNDER_ROOT, True) == [0, 1]
+        # Below a bare "ROOT" the edge is n, so no span starts after it.
+        assert _edge_below("ROOT", 0, 5, 5) == 5
+        assert self.allowed(self.LABELS)[2] == [0, 1]
 
     def test_left_edge_hides_ancestor_marked_heads(self):
         # A marked head at its parent's left edge could leave that parent
         # childless once the marker is undone.
-        assert _candidate_ids(self.LABELS, INNER, True) == [0, 1]
+        assert _edge_below("A", 2, 5, 0) == 2
+        assert _edge_below("", 3, 5, 2) == 2  # the empty label keeps the edge
+        assert self.allowed(self.LABELS)[2] == [0, 1]
 
     def test_marker_on_chain_tail_never_decodable(self):
         labels = ["", "H+A-ancestor1", "ROOT"]
         # Undoing the tail marker would leave the chain head childless.
-        for mode in (UNDER_ROOT, INNER):
-            for at_left in (False, True):
-                assert _candidate_ids(labels, mode, at_left) == [0]
+        assert self.allowed(labels)[1:] == [[0], [0]]
 
     def test_marked_head_with_tail_allowed_off_edge(self):
         labels = ["", "E-ancestor1+A", "ROOT"]
-        assert _candidate_ids(labels, INNER, False) == [0, 1]
-        assert _candidate_ids(labels, INNER, True) == [0]
+        assert self.allowed(labels)[1:] == [[0, 1], [0]]
 
     def test_root_chain_with_marked_tail_excluded_from_top(self):
         labels = ["", "ROOT", "ROOT+H-ancestor1"]
-        assert _candidate_ids(labels, TOP, False) == [1]
+        assert self.allowed(labels)[0] == [1]
 
-    def test_table_holds_every_position(self):
-        table = _candidate_table(tuple(self.LABELS))
-        assert set(table) == {(m, a) for m in (TOP, UNDER_ROOT, INNER) for a in (False, True)}
-        for (mode, at_left), allowed in table.items():
+    def test_three_masks_over_the_inventory(self):
+        whole, inner, unmarked = _label_masks(tuple(self.LABELS))
+        for allowed in (whole, inner, unmarked):
             assert allowed.dtype == bool and allowed.shape == (len(self.LABELS),)
-            assert np.flatnonzero(allowed).tolist() == _candidate_ids(self.LABELS, mode, at_left)
+        assert not (whole & inner).any() and not (unmarked & ~inner).any()
 
-    def test_table_masks_are_read_only(self):
-        # The table is shared by every call on one inventory.
-        allowed = _candidate_table(tuple(self.LABELS))[(INNER, False)]
-        with pytest.raises(ValueError, match="read-only"):
-            allowed[0] = False
+    def test_masks_are_read_only(self):
+        # The masks are shared by every call on one inventory.
+        for allowed in _label_masks(tuple(self.LABELS)):
+            with pytest.raises(ValueError, match="read-only"):
+                allowed[0] = False
 
-    def test_loss_filters_the_inventory_a_fixed_number_of_times(self, monkeypatch):
-        # The candidate sets depend on the inventory only, so it is filtered
-        # once per position for the model, however many decisions and
-        # losses follow.
-        calls = []
+    def test_every_one_or_two_part_label(self):
+        marks = ("", "-remote", "-ancestor1", "-remote-ancestor1")
+        parts = [base + mark for base in ("A", "ROOT") for mark in marks]
+        labels = ["", *parts, *(f"{a}+{b}" for a in parts for b in parts)]
+        whole, inner, unmarked = _label_masks(tuple(labels))
+        for r, label in enumerate(labels):
+            head, *tail = label.split("+")
+            marked_tail = any(part.endswith("-ancestor1") for part in tail)
+            assert whole[r] == (head == "ROOT" and not marked_tail), label
+            assert inner[r] == (head != "ROOT" and not marked_tail), label
+            assert unmarked[r] == (
+                head != "ROOT" and not marked_tail and not head.endswith("-ancestor1")
+            ), label
 
-        def counting(labels, mode, at_left_edge):
-            calls.append((mode, at_left_edge))
-            return _candidate_ids(labels, mode, at_left_edge)
-
-        monkeypatch.setattr(span_parser, "_candidate_ids", counting)
-        _candidate_table.cache_clear()
+    def test_loss_filters_the_inventory_a_fixed_number_of_times(self):
+        # The masks depend on the inventory only, so they are built once
+        # for the model, however many decisions and losses follow.
+        _label_masks.cache_clear()
         forms = "a b c d e f g h i j k l".split()
         cfg = parser_config(["", "A", "P", "ROOT"], words=forms)
         p = ModelParams.initialize(cfg, seed=4)
@@ -205,7 +212,8 @@ class TestCandidateSets:
             tree = tree_from_sexpr(sexpr)
             tokens, bound, enc = encode_tokens(p, [t.form for t in tree.tokens])
             loss_topdown(enc, gold_trace(tree), bound)
-        assert len(calls) == 6
+            parse_topdown(enc, tokens, bound)
+        assert _label_masks.cache_info().misses == 1
 
 
 class TestLossValues:
