@@ -23,6 +23,7 @@ from .evaluation import report_json, score_corpus
 from .generator import SyntheticSpec, generate
 from .graph_model import (
     ConstituentTree,
+    Token,
     UccaGraph,
     atomic_output,
     dump_corpus,
@@ -31,7 +32,7 @@ from .graph_model import (
     load_lines,
     load_token_lines,
 )
-from .neural_core import ModelParams
+from .neural_core import ModelParams, check_external
 from .stats import discontinuity_stats
 from .training import TrainConfig, encode_sentence, parse_pipeline, restore_graph, train
 
@@ -45,10 +46,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _load_external(path: str) -> list[np.ndarray]:
-    return load_jsonl(
-        path, lambda record: np.asarray(record["vectors"], dtype=np.float64), "external feature"
-    )
+def _load_external(
+    paths: Sequence[str], sentences: Sequence[Sequence[Token]], what: str, width: int = 0
+) -> tuple[list[np.ndarray], int]:
+    """The per-token feature matrices in ``paths``, one per sentence in
+    order, and their width; each is checked before any work is done."""
+
+    def vectors(record: dict) -> np.ndarray:
+        return np.asarray(record["vectors"], dtype=np.float64)
+
+    loaded = [load_jsonl(path, vectors, "external feature") for path in paths]
+    matrices = [matrix for records in loaded for matrix in records]
+    if len(matrices) != len(sentences):
+        raise CliError(f"{len(matrices)} external feature records for {len(sentences)} {what}")
+    for path, records in zip(paths, loaded):
+        width = check_external(records, sentences, path, width)
+        sentences = sentences[len(records) :]
+    return matrices, width
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -137,26 +151,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
     for path in args.train:
         train_graphs.extend(load_corpus(path))
     dev_graphs = load_corpus(args.dev)
-    external_train = None
+    external_train = external_dev = None
+    width = 0
     if args.external_features:
-        external_train = []
-        for path in args.external_features:
-            external_train.extend(_load_external(path))
-        if len(external_train) != len(train_graphs):
-            raise CliError(
-                f"{len(external_train)} external feature records for "
-                f"{len(train_graphs)} training sentences"
-            )
-        if config.external_dim == 0 and external_train:
-            config.external_dim = external_train[0].shape[1]
-    external_dev = None
+        sentences = [g.tokens for g in train_graphs]
+        external_train, width = _load_external(args.external_features, sentences, "training sentences")
     if args.dev_external_features:
-        external_dev = _load_external(args.dev_external_features)
-        if len(external_dev) != len(dev_graphs):
-            raise CliError(
-                f"{len(external_dev)} external feature records for "
-                f"{len(dev_graphs)} dev sentences"
-            )
+        paths, sentences = [args.dev_external_features], [g.tokens for g in dev_graphs]
+        external_dev, _ = _load_external(paths, sentences, "dev sentences", width)
     result = train(
         train_graphs,
         dev_graphs,
@@ -176,11 +178,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_parse(args: argparse.Namespace) -> int:
     params = ModelParams.load(args.model)
     sentences = load_token_lines(args.infile)
-    external = _load_external(args.external_features) if args.external_features else None
-    if external is not None and len(external) != len(sentences):
-        raise CliError(
-            f"{len(external)} external feature records for {len(sentences)} sentences"
-        )
+    external = None
+    if args.external_features:
+        paths, width = [args.external_features], params.config.external_dim
+        external, _ = _load_external(paths, sentences, "sentences", width)
     parsed = []
     for k, tokens in enumerate(sentences):
         ext = external[k] if external is not None else None

@@ -54,7 +54,8 @@ class MoveRecord:
     common ancestor of the discontinuous node and the gap terminal (then
     ``ancestor_distance`` counts the primary edges from there down to the
     discontinuous node), or "discontinuous" when the upward walk stopped
-    early at another discontinuous node.
+    early at another discontinuous node.  ``marked`` says whether the moved
+    node's label got the ``-ancestor1`` marker, which makes the move lossless.
     """
 
     moved: int
@@ -62,6 +63,7 @@ class MoveRecord:
     to_parent: int
     category: str
     ancestor_distance: int | None = None
+    marked: bool = False
 
 
 @dataclass(frozen=True)
@@ -218,8 +220,9 @@ def remove_discontinuities(
             distance = None
             category = "discontinuous"
         state.move(c, a)
-        if category == "ancestor" and distance == 1 and c > state.n:
-            state.label[c] = state.label[c] + ANCESTOR_SUFFIX
+        marked = category == "ancestor" and distance == 1 and c > state.n
+        if marked:
+            state.label[c] += ANCESTOR_SUFFIX
         moves.append(
             MoveRecord(
                 moved=c,
@@ -227,16 +230,9 @@ def remove_discontinuities(
                 to_parent=a,
                 category=category,
                 ancestor_distance=distance,
+                marked=marked,
             )
         )
-
-
-def is_lossless_move(move: MoveRecord, moved_is_terminal: bool = False) -> bool:
-    return (
-        move.category == "ancestor"
-        and move.ancestor_distance == 1
-        and not moved_is_terminal
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +279,7 @@ def graph_to_tree(graph: UccaGraph) -> ConversionResult:
     stripped, dropped = strip_remotes(graph)
     projective, moves = remove_discontinuities(stripped)
     tree = push_labels(projective)
-    lossy = sum(
-        0 if is_lossless_move(m, moved_is_terminal=m.moved <= graph.n) else 1
-        for m in moves
-    )
+    lossy = sum(not m.marked for m in moves)
     return ConversionResult(tree=tree, dropped_remote_edges=dropped, lossy_moves=lossy)
 
 

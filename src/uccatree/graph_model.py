@@ -642,9 +642,7 @@ class ConstituentTree:
         return cls(tokens=tuple(tokens), root=root)
 
     def validate(self) -> list[str]:
-        problems: list[str] = []
-        if not self.tokens:
-            problems.append("tree has no tokens")
+        problems = token_problems(self.tokens)
         if self.root.is_leaf or self.root.label != ROOT_LABEL:
             problems.append(f"root label is {self.root.label!r}, expected {ROOT_LABEL!r}")
         leaves = list(self.root.leaves())

@@ -44,7 +44,6 @@ class ModelHyperparams:
     use_dep: bool = True
     multilingual: bool = False
     freeze_pretrained: bool = False
-    external_dim: int = 0
     share_span_hidden: bool = False
 
     def hyperparams(self) -> dict:
@@ -56,13 +55,15 @@ class ModelHyperparams:
 class ModelConfig(ModelHyperparams):
     """Hyperparameters and vocabularies of one model.
 
-    ``pretrained_dim`` is the width of the pretrained vectors, 0 without
+    ``pretrained_dim`` and ``external_dim`` are the widths of the pretrained
+    vectors and of the external features, read from the data, 0 without
     them.  Vocabulary lists carry their reserved first entry explicitly:
     index 0 is ``<unk>`` for token-feature vocabularies, the empty label
     for span labels, and ``NOT-PARENT`` for remote labels.
     """
 
     pretrained_dim: int = 0
+    external_dim: int = 0
     words: list[str] = field(default_factory=lambda: [UNK])
     pos_tags: list[str] = field(default_factory=lambda: [UNK])
     ner_tags: list[str] = field(default_factory=lambda: [UNK])
@@ -171,7 +172,7 @@ class ModelParams:
                         f"pretrained matrix shape {pretrained.shape} does not match "
                         f"{len(config.pretrained_words) + 1} words x {config.pretrained_dim}"
                     )
-                # A C-ordered copy: the optimizers update tensors in place.
+                # A C-ordered copy: Adam updates tensors in place.
                 tensors["emb_pre"] = np.array(pretrained, dtype=np.float64, order="C")
             else:
                 tensors["emb_pre"] = _embedding(
@@ -271,6 +272,23 @@ class BoundParams:
 # Embedding
 
 
+def check_external(
+    matrices: Sequence[np.ndarray], sentences: Sequence[Sequence[Token]], source: str, width: int = 0
+) -> int:
+    """The width of per-token external feature matrices, one per sentence:
+    ``width`` if nonzero, else the first matrix's.  A matrix without one row
+    per token of that width raises, naming ``source`` and its 1-based record."""
+    for k, (matrix, tokens) in enumerate(zip(matrices, sentences), start=1):
+        shape = np.shape(matrix)
+        width = width or (shape[1] if len(shape) == 2 else 0)
+        if shape != (len(tokens), width):
+            raise ValueError(
+                f"{source}: record {k}: external features of shape {shape}, "
+                f"expected ({len(tokens)}, {width})"
+            )
+    return width
+
+
 def embed(
     tokens: Sequence[Token],
     lang: str,
@@ -305,13 +323,8 @@ def embed(
     if cfg.external_dim:
         if external is None:
             raise ValueError("model expects external feature vectors but none were given")
-        external = np.asarray(external, dtype=np.float64)
-        if external.shape != (n, cfg.external_dim):
-            raise ValueError(
-                f"external feature shape {external.shape} does not match "
-                f"({n}, {cfg.external_dim})"
-            )
-        parts.append(Var(external))
+        check_external([external], [tokens], "sentence", cfg.external_dim)
+        parts.append(Var(np.asarray(external, dtype=np.float64)))
     return ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
 
 
@@ -416,7 +429,7 @@ def biaffine(children: Var, parents: Var, w: Var) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 
 
 def _check_finite(name: str, grad: np.ndarray) -> None:
@@ -426,29 +439,6 @@ def _check_finite(name: str, grad: np.ndarray) -> None:
         total = grad.sum()
     if not np.isfinite(total) and not np.isfinite(grad).all():
         raise OptimizationError(f"non-finite gradient for tensor {name!r}")
-
-
-def _checked_updates(
-    grads: dict[str, np.ndarray], skip: frozenset[str]
-) -> list[tuple[str, np.ndarray]]:
-    """The (name, gradient) pairs an optimizer step applies, each checked
-    to be finite before the step mutates anything."""
-    updates = [(name, grad) for name, grad in grads.items() if name not in skip]
-    for name, grad in updates:
-        _check_finite(name, grad)
-    return updates
-
-
-def sgd_step(
-    tensors: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    lr: float,
-    skip: frozenset[str] = frozenset(),
-) -> None:
-    """Plain gradient descent, updating tensors in place.  A non-finite
-    gradient raises before any tensor changes."""
-    for name, grad in _checked_updates(grads, skip):
-        tensors[name] -= lr * grad
 
 
 @dataclass
@@ -472,22 +462,22 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    skip: frozenset[str] = frozenset(),
 ) -> None:
     """Adam with bias correction, updating tensors, ``m`` and ``v`` in place.
 
     The bias correction is folded into the step size and epsilon (Kingma
     & Ba, arXiv 1412.6980, end of section 2), so no corrected moment is
     ever stored.  The flattened arrays are updated block by block through
-    one scratch block.  A non-finite gradient raises before any tensor or
-    any optimizer state changes.
+    one scratch block.  Only the tensors named in ``grads`` change.  A
+    non-finite gradient raises before any tensor or any optimizer state
+    changes.
     """
-    updates = _checked_updates(grads, skip)
-    for name, _ in updates:  # before anything changes
+    for name, grad in grads.items():  # before anything changes
+        _check_finite(name, grad)
         if not tensors[name].flags.c_contiguous:
             raise ValueError(f"tensor {name!r} is not C-contiguous; Adam updates it in place")
     # Flat views of the tensors, and of the gradients (copied if not contiguous).
-    flat = [(name, tensors[name].reshape(-1), grad.reshape(-1)) for name, grad in updates]
+    flat = [(name, tensors[name].reshape(-1), grad.reshape(-1)) for name, grad in grads.items()]
     state.t += 1
     t = state.t
     correction = (1.0 - beta2**t) ** 0.5

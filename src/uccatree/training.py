@@ -2,8 +2,8 @@
 
 Both objectives share the encoder: each sentence contributes
 ``loss = loss_topdown + loss_remote`` (the decomposition is asserted at
-every step), gradients flow through one backward pass, and one optimizer
-step is taken per sentence.  Model selection tracks the pooled F1 of the
+every step), gradients flow through one backward pass, and one Adam step
+is taken per sentence.  Model selection tracks the pooled F1 of the
 full parse pipeline on the dev set; training stops after ``patience``
 epochs without improvement or at the epoch cap.
 """
@@ -29,9 +29,9 @@ from .neural_core import (
     ModelParams,
     Vocab,
     adam_step,
+    check_external,
     embed,
     encode,
-    sgd_step,
 )
 from .remote_recovery import (
     RemoteCandidatePair,
@@ -51,7 +51,6 @@ class TrainConfig(ModelHyperparams):
     seed: int = 1
     max_epochs: int = 100
     patience: int = 10
-    optimizer: str = "adam"  # "adam" or "sgd"
     learning_rate: float = 1e-3
     pretrained_path: str | None = None
 
@@ -148,6 +147,7 @@ def _model_config_from_examples(
     return ModelConfig(
         **config.hyperparams(),
         pretrained_dim=pretrained_dim,
+        external_dim=next((ex.external.shape[1] for ex in examples if ex.external is not None), 0),
         words=Vocab.build(words).items,
         pos_tags=Vocab.build(pos).items,
         ner_tags=Vocab.build(ner).items,
@@ -290,6 +290,8 @@ def train(
     if config.pretrained_path:
         pretrained_words, pretrained_matrix = load_pretrained(config.pretrained_path)
         pretrained_dim = pretrained_matrix.shape[1]
+    width = check_external(external_train or (), [g.tokens for g in train_graphs], "training set")
+    check_external(external_dev or (), [g.tokens for g in dev_graphs], "dev set", width)
 
     examples = []
     for k, g in enumerate(train_graphs):
@@ -300,7 +302,6 @@ def train(
     )
     params = ModelParams.initialize(model_config, seed=config.seed, pretrained=pretrained_matrix)
 
-    skip = frozenset({"emb_pre"}) if config.freeze_pretrained else frozenset()
     adam = AdamState()
     rng = np.random.default_rng(config.seed)
 
@@ -318,12 +319,9 @@ def train(
         for idx in order:
             joint, _, _, grads = sentence_loss(examples[int(idx)], params)
             epoch_loss += joint
-            if config.optimizer == "adam":
-                adam_step(params.tensors, grads, adam, lr=config.learning_rate, skip=skip)
-            elif config.optimizer == "sgd":
-                sgd_step(params.tensors, grads, config.learning_rate, skip=skip)
-            else:
-                raise ValueError(f"unknown optimizer {config.optimizer!r}")
+            if config.freeze_pretrained:
+                grads.pop("emb_pre", None)
+            adam_step(params.tensors, grads, adam, lr=config.learning_rate)
         report = evaluate_model(params, dev_graphs, external=external_dev)
         dev_f1 = report.averaged.f1
         history.append(EpochStats(epoch=epoch, train_loss=epoch_loss, dev_f1=dev_f1))

@@ -204,7 +204,6 @@ def test_criterion_4_overfit_small_corpus() -> None:
         seed=1,
         max_epochs=100,
         patience=100,
-        optimizer="adam",
         learning_rate=0.002,
         word_dim=64,
         tag_dim=4,
@@ -265,7 +264,6 @@ def test_criterion_6_decomposition_and_determinism(tmp_path) -> None:
         seed=3,
         max_epochs=2,
         patience=2,
-        optimizer="adam",
         learning_rate=0.01,
         word_dim=6,
         tag_dim=2,

@@ -33,7 +33,6 @@ TINY_TRAIN = {
     "seed": 1,
     "max_epochs": 3,
     "patience": 10,
-    "optimizer": "adam",
     "learning_rate": 0.05,
     "word_dim": 4,
     "tag_dim": 2,
@@ -286,6 +285,21 @@ class TestConvertAndRestore:
         assert "trees.jsonl:1:" in payload["error"]["message"]
         assert "internal node 'A' covers no token" in payload["error"]["message"]
 
+    def test_restore_rejects_empty_token_form_with_its_line(self, tmp_path, capsys):
+        tree = {"label": "ROOT", "children": [{"leaf": 1}, {"leaf": 2}]}
+        trees = tmp_path / "trees.jsonl"
+        write_json(trees, {"tokens": [{"form": "a"}, {"form": ""}], "lang": "en", "tree": tree})
+        ckpt = tmp_path / "model.json"
+        cfg = build_model_config([german_example()], TrainConfig.from_json(TINY_TRAIN))
+        ModelParams.initialize(cfg, seed=0).save(str(ckpt))
+        code, _, stderr = run_cli(
+            capsys, "restore", "--in", str(trees), "--remotes-model", str(ckpt),
+            "--out", str(tmp_path / "x"), "--format", "jsonl",
+        )
+        assert code == 1
+        message = json.loads(stderr)["error"]["message"]
+        assert message == f"{trees}:1: malformed tree record: invalid tree: token 2 has an empty form"
+
 
 class TestTrainParseEval:
     def test_full_workflow(self, tmp_path, capsys, tiny_corpus_file):
@@ -408,6 +422,56 @@ class TestTrainParseEval:
         assert code == 1
         message = json.loads(stderr)["error"]["message"]
         assert "1 external feature records for 2 training sentences" in message
+
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wider", "extra-row"])
+    @pytest.mark.parametrize("flag", ["--external-features", "--dev-external-features"])
+    def test_train_checks_every_external_matrix_first(self, tmp_path, capsys, flag, shape):
+        # Three two-token sentences; one file's third record is off.
+        corpus = tmp_path / "corpus.jsonl"
+        dump_corpus([simple_graph(["A", "P"], n=2)] * 3, str(corpus))
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        records = [{"vectors": [[0.5, 0.5]] * 2}] * 3
+        good.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        records[2] = {"vectors": [[0.5] * shape[1]] * shape[0]}
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        train_feats = bad if flag == "--external-features" else good
+        dev_feats = good if flag == "--external-features" else bad
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--train", str(corpus), "--dev", str(corpus),
+            "--config", write_json(tmp_path / "train.json", TINY_TRAIN),
+            "--external-features", str(train_feats), "--dev-external-features", str(dev_feats),
+            "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        message = json.loads(stderr)["error"]["message"]
+        assert message == f"{bad}: record 3: external features of shape {shape}, expected (2, 2)"
+
+    def test_parse_checks_external_matrices_before_the_first_sentence(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        graphs = [simple_graph(["A", "P"], n=2), simple_graph(["P", "A"], n=2)]
+        corpus = tmp_path / "corpus.jsonl"
+        dump_corpus(graphs, str(corpus))
+        cfg = build_model_config(graphs, TrainConfig.from_json(TINY_TRAIN))
+        ckpt = tmp_path / "model.json"
+        ModelParams.initialize(dataclasses.replace(cfg, external_dim=2), seed=0).save(str(ckpt))
+        feats = tmp_path / "feats.jsonl"
+        vectors = [[[0.25, 0.5]] * 2, [[0.1] * 3] * 2]  # the second is too wide
+        feats.write_text(
+            "".join(json.dumps({"vectors": v}) + "\n" for v in vectors), encoding="utf-8"
+        )
+        parsed = []
+        monkeypatch.setattr("uccatree.cli.parse_pipeline", lambda *a, **k: parsed.append(a))
+        out = tmp_path / "parsed.jsonl"
+        code, _, stderr = run_cli(
+            capsys, "parse", "--model", str(ckpt), "--in", str(corpus),
+            "--external-features", str(feats), "--out", str(out),
+        )
+        assert code == 1 and parsed == [] and not out.exists()
+        message = json.loads(stderr)["error"]["message"]
+        assert message == f"{feats}: record 2: external features of shape (2, 3), expected (2, 2)"
 
 
 class TestErrorContract:

@@ -10,7 +10,6 @@ from uccatree.conversion import (
     ConversionError,
     MoveRecord,
     graph_to_tree,
-    is_lossless_move,
     push_labels,
     remove_discontinuities,
     split_label,
@@ -91,11 +90,11 @@ class TestRemoveDiscontinuities:
     def test_worked_example_two_ancestor1_moves(self, german_graph):
         stripped, _ = strip_remotes(german_graph)
         projective, moves = remove_discontinuities(stripped)
+        lossless = dict(from_parent=8, to_parent=10, category="ancestor", ancestor_distance=1)
         assert moves == (
-            MoveRecord(moved=9, from_parent=8, to_parent=10, category="ancestor", ancestor_distance=1),
-            MoveRecord(moved=14, from_parent=8, to_parent=10, category="ancestor", ancestor_distance=1),
+            MoveRecord(moved=9, **lossless, marked=True),
+            MoveRecord(moved=14, **lossless, marked=True),
         )
-        assert all(is_lossless_move(m) for m in moves)
         assert projective.primary_label[9] == "H-ancestor1"
         assert projective.primary_label[14] == "L-ancestor1"
         assert projective.yield_of(10) == tuple(range(1, 8))
@@ -121,7 +120,7 @@ class TestRemoveDiscontinuities:
         assert moves == (
             MoveRecord(moved=7, from_parent=4, to_parent=6, category="ancestor", ancestor_distance=2),
         )
-        assert not is_lossless_move(moves[0])
+        assert not moves[0].marked
         assert tree_to_sexpr(push_labels(projective)) == "(ROOT (H+F t1 (E t2) t3))"
         assert graph_to_tree(g).lossy_moves == 1
 
@@ -149,7 +148,7 @@ class TestRemoveDiscontinuities:
         assert moves == (
             MoveRecord(moved=10, from_parent=9, to_parent=8, category="discontinuous", ancestor_distance=None),
         )
-        assert not is_lossless_move(moves[0])
+        assert not moves[0].marked
         assert (
             tree_to_sexpr(push_labels(projective))
             == "(ROOT (H w1 (F w2 w3) w4) w5 (H w6))"
@@ -157,8 +156,21 @@ class TestRemoveDiscontinuities:
         assert graph_to_tree(g).lossy_moves == 1
 
     def test_moved_terminal_is_lossy(self):
-        move = MoveRecord(moved=2, from_parent=9, to_parent=8, category="ancestor", ancestor_distance=1)
-        assert not is_lossless_move(move, moved_is_terminal=True)
+        # The gap filler is a terminal under the lca one level up: a
+        # terminal edge carries no label, so no marker can record the move.
+        g = build_graph(
+            ["t1", "t2", "t3"],
+            root=4,
+            nonterminals={4, 5},
+            edges=[(4, 5, "H"), (4, 2, ""), (5, 1, ""), (5, 3, "")],
+        )
+        assert g.validate() == []
+        projective, moves = remove_discontinuities(g)
+        assert moves == (
+            MoveRecord(moved=2, from_parent=4, to_parent=5, category="ancestor", ancestor_distance=1),
+        )
+        assert projective.primary_label[2] == ""
+        assert graph_to_tree(g).lossy_moves == 1
 
 
 class TestPushLabels:

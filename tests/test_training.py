@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,6 @@ def tiny_config(**overrides) -> TrainConfig:
         seed=1,
         max_epochs=3,
         patience=10,
-        optimizer="adam",
         learning_rate=0.05,
         word_dim=4,
         tag_dim=2,
@@ -57,19 +59,32 @@ class TestConfig:
     def test_defaults_match_contract(self):
         cfg = TrainConfig()
         assert (cfg.seed, cfg.max_epochs, cfg.patience) == (1, 100, 10)
-        assert (cfg.optimizer, cfg.learning_rate) == ("adam", 1e-3)
+        assert cfg.learning_rate == 1e-3
         assert (cfg.word_dim, cfg.tag_dim, cfg.lang_dim) == (100, 50, 50)
         assert (cfg.lstm_hidden, cfg.mlp_hidden, cfg.remote_mlp_dim) == (250, 250, 100)
         assert cfg.use_pos and cfg.use_ner and cfg.use_dep
         assert not cfg.multilingual and not cfg.share_span_hidden
 
     def test_from_json_round_trip(self):
-        cfg = TrainConfig.from_json({"seed": 7, "optimizer": "sgd"})
-        assert cfg.seed == 7 and cfg.optimizer == "sgd"
+        cfg = TrainConfig.from_json({"seed": 7, "learning_rate": 0.5})
+        assert cfg.seed == 7 and cfg.learning_rate == 0.5
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown training config keys"):
             TrainConfig.from_json({"seed": 7, "momentum": 0.9})
+
+    @pytest.mark.parametrize("key, value", [("optimizer", "sgd"), ("external_dim", 2)])
+    def test_from_json_rejects_settings_that_are_not_choices(self, key, value):
+        # Adam is the only update rule; the external width comes with the data.
+        with pytest.raises(ValueError, match="unknown training config keys"):
+            TrainConfig.from_json({"seed": 7, key: value})
+
+    def test_readme_lists_every_train_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        start = readme.index("`train.json` overrides")
+        paragraph = readme[start : readme.index("\n\n", start)]
+        keys = set(re.findall(r"`([a-z_]+)`", paragraph))
+        assert keys == {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 class TestPrepareAndVocab:
@@ -183,7 +198,7 @@ class TestTrainingLoop:
 
     def test_zero_learning_rate_stops_after_patience(self):
         graphs = tiny_corpus()
-        cfg = tiny_config(optimizer="sgd", learning_rate=0.0, patience=1, max_epochs=50)
+        cfg = tiny_config(learning_rate=0.0, patience=1, max_epochs=50)
         result = train(graphs, graphs, cfg)
         # Epoch 1 sets the baseline; epoch 2 cannot improve and trips patience.
         assert result.epochs_run == 2
@@ -197,11 +212,6 @@ class TestTrainingLoop:
         assert result.best_f1 == max(h.dev_f1 for h in result.history)
         rescored = evaluate_model(result.params, graphs)
         assert rescored.averaged.f1 == pytest.approx(result.best_f1)
-
-    def test_unknown_optimizer_rejected(self):
-        graphs = tiny_corpus()
-        with pytest.raises(ValueError, match="unknown optimizer"):
-            train(graphs, graphs, tiny_config(optimizer="rmsprop"))
 
     def test_empty_train_set_cannot_parse_dev(self):
         with pytest.raises(ValueError, match="ROOT"):
@@ -285,14 +295,14 @@ class TestPretrained:
         graphs = tiny_corpus()  # token forms t1, t2 overlap the vectors
         frozen = train(
             graphs, graphs,
-            tiny_config(optimizer="sgd", learning_rate=0.5, max_epochs=1,
+            tiny_config(learning_rate=0.5, max_epochs=1,
                         pretrained_path=vecs, freeze_pretrained=True),
         )
         _, matrix = load_pretrained(vecs)
         assert np.array_equal(frozen.params.tensors["emb_pre"], matrix)
         tuned = train(
             graphs, graphs,
-            tiny_config(optimizer="sgd", learning_rate=0.5, max_epochs=1,
+            tiny_config(learning_rate=0.5, max_epochs=1,
                         pretrained_path=vecs, freeze_pretrained=False),
         )
         assert not np.array_equal(tuned.params.tensors["emb_pre"], matrix)
@@ -302,9 +312,10 @@ class TestExternalFeatures:
     def test_training_and_parsing_with_external_vectors(self):
         graphs = tiny_corpus()
         ext = [np.full((len(g.tokens), 2), 0.25) for g in graphs]
-        cfg = tiny_config(max_epochs=1, external_dim=2)
+        cfg = tiny_config(max_epochs=1)
         result = train(graphs, graphs, cfg, external_train=ext, external_dev=ext)
         assert result.epochs_run == 1
+        assert result.params.config.external_dim == 2  # the width comes from the data
         parsed = parse_pipeline(graphs[0].tokens, result.params, external=ext[0])
         assert parsed.validate() == []
         report = evaluate_model(result.params, graphs, external=ext)
@@ -313,7 +324,22 @@ class TestExternalFeatures:
     def test_missing_external_matrix_rejected(self):
         graphs = tiny_corpus()
         ext = [np.full((len(g.tokens), 2), 0.25) for g in graphs]
-        cfg = tiny_config(max_epochs=1, external_dim=2)
+        cfg = tiny_config(max_epochs=1)
         result = train(graphs, graphs, cfg, external_train=ext, external_dev=ext)
         with pytest.raises(ValueError, match="external"):
             parse_pipeline(graphs[0].tokens, result.params)
+
+    @pytest.mark.parametrize(
+        "part, shape", [("train", (2, 3)), ("train", (3, 2)), ("dev", (2, 3)), ("dev", (1, 2))]
+    )
+    def test_every_matrix_is_checked_before_the_first_step(self, monkeypatch, part, shape):
+        graphs = tiny_corpus() * 2
+        ext = {k: [np.zeros((2, 2)) for _ in graphs] for k in ("train", "dev")}
+        ext[part][2] = np.zeros(shape)
+        steps = []
+        monkeypatch.setattr("uccatree.training.sentence_loss", lambda *a: steps.append(a))
+        where = "training set" if part == "train" else "dev set"
+        message = f"{where}: record 3: external features of shape {shape}, expected (2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(graphs, graphs, tiny_config(), external_train=ext["train"], external_dev=ext["dev"])
+        assert steps == []
