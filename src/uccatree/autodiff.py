@@ -183,22 +183,40 @@ def concat(vars_: Sequence[Var], axis: int = -1) -> Var:
     return out
 
 
+def _row_gather(key) -> np.ndarray | None:
+    """The first-axis integer indices of a key that takes whole rows (an
+    int, an integer list or array, or such a key followed by whole slices),
+    else None."""
+    if isinstance(key, tuple):
+        if not key or not all(isinstance(k, slice) and k == slice(None) for k in key[1:]):
+            return None
+        key = key[0]
+    rows = np.asarray(key)  # a slice, None or Ellipsis gives an object array
+    return rows.astype(np.intp, copy=False) if rows.dtype.kind in "iu" else None
+
+
 def index(a: Var, key) -> Var:
     """``a.value[key]`` for any numpy index: an int, a slice, a list or
     array of indices, or a tuple of them such as ``(rows, slice(None), cols)``.
 
     The backward pass scatters into ``a``'s gradient, so duplicate indices
     accumulate: one ``bincount`` over the gathered cells' flat positions,
-    read from broadcast per-axis offsets, not an ``a.size``-long table.
+    not an ``a.size``-long table.  A gather of whole rows reads them from
+    its row offsets, any other key from broadcast per-axis offsets.
     """
     out = Var(a.value[key], (a,))
 
     def bw(g: np.ndarray) -> None:
         shape = a.value.shape
-        cells = sum(
-            np.broadcast_to(offsets * math.prod(shape[axis + 1 :]), shape)[key]
-            for axis, offsets in enumerate(np.indices(shape, sparse=True))
-        )
+        rows = _row_gather(key)
+        if rows is not None:
+            width = math.prod(shape[1:])
+            cells = (rows % shape[0])[..., None] * width + np.arange(width)
+        else:
+            cells = sum(
+                np.broadcast_to(offsets * math.prod(shape[axis + 1 :]), shape)[key]
+                for axis, offsets in enumerate(np.indices(shape, sparse=True))
+            )
         grad = np.bincount(np.ravel(cells), weights=np.ravel(g), minlength=a.value.size)
         a._accumulate(grad.reshape(shape), fresh=True)
 
@@ -250,40 +268,54 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
     (4h, h) recurrent weights ``w_h``.  ``reverse`` runs from the last row;
     row t of the result is always the state after reading row t.  Gates and
     cells are arrays, not tape nodes: backward fills one (n, 4h) gate-gradient
-    array, then takes each input's gradient in one product (arXiv 1604.01946)."""
+    array, then takes each input's gradient in one product (arXiv 1604.01946).
+    Each step writes into rows of those arrays, allocating nothing."""
     x, wh = projected.value[::-1] if reverse else projected.value, w_h.value
     n, h_dim = x.shape[0], wh.shape[1]
-    acts = np.empty_like(x)  # sigmoid of the i, f, o blocks, tanh of g
+    acts = np.empty(x.shape)  # sigmoid of the i, f, o blocks, tanh of g
     cells = np.zeros((n + 1, h_dim))  # row k + 1 after step k, row 0 the zero state
     states = np.zeros((n + 1, h_dim))
     for k in range(n):
-        pre = x[k] + wh @ states[k]
-        acts[k, : 3 * h_dim] = 1.0 / (1.0 + np.exp(-pre[: 3 * h_dim]))
-        acts[k, 3 * h_dim :] = np.tanh(pre[3 * h_dim :])
-        i, f, o, g = acts[k].reshape(4, h_dim)
-        cells[k + 1] = f * cells[k] + i * g
-        states[k + 1] = o * np.tanh(cells[k + 1])
+        pre, c, s = acts[k], cells[k + 1], states[k + 1]
+        np.dot(wh, states[k], out=pre)
+        pre += x[k]
+        sig = pre[: 3 * h_dim]
+        np.negative(sig, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        np.tanh(pre[3 * h_dim :], out=pre[3 * h_dim :])
+        i, f, o, g = pre.reshape(4, h_dim)
+        np.multiply(f, cells[k], out=c)
+        np.multiply(i, g, out=s)  # s as scratch until the state is written
+        c += s
+        np.tanh(c, out=s)
+        s *= o
     out = Var(states[:0:-1] if reverse else states[1:], (projected, w_h))
 
     def bw(grad: np.ndarray) -> None:
         d_states = grad[::-1] if reverse else grad
         tanh_cells = np.tanh(cells[1:])
+        d_tanh_cells = 1.0 - tanh_cells**2
         slopes = acts * (1.0 - acts)
         slopes[:, 3 * h_dim :] = 1.0 - acts[:, 3 * h_dim :] ** 2
         d_projected = np.empty(x.shape)  # C order: each row's four gate blocks are views
         d_gates = d_projected[::-1] if reverse else d_projected  # in step order
-        dh, dc = np.zeros(h_dim), np.zeros(h_dim)
+        dh, dc, scratch = np.zeros(h_dim), np.zeros(h_dim), np.empty(h_dim)
         for k in range(n - 1, -1, -1):
             i, f, o, g = acts[k].reshape(4, h_dim)
-            dh = dh + d_states[k]
-            dc = dc + dh * o * (1.0 - tanh_cells[k] ** 2)
+            dh += d_states[k]
+            np.multiply(dh, o, out=scratch)
+            scratch *= d_tanh_cells[k]
+            dc += scratch
             d_i, d_f, d_o, d_g = d_gates[k].reshape(4, h_dim)
             np.multiply(dc, g, out=d_i)
             np.multiply(dc, cells[k], out=d_f)
             np.multiply(dh, tanh_cells[k], out=d_o)
             np.multiply(dc, i, out=d_g)
             d_gates[k] *= slopes[k]
-            dc, dh = dc * f, wh.T @ d_gates[k]
+            dc *= f
+            np.dot(wh.T, d_gates[k], out=dh)
         projected._accumulate(d_projected, fresh=True)
         w_h._accumulate(d_gates.T @ states[:-1], fresh=True)
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conversion import graph_to_tree, tree_from_sexpr, tree_to_sexpr
+from .conversion import ConversionError, graph_to_tree, tree_from_sexpr, tree_to_sexpr
 from .evaluation import report_json, score_corpus
 from .generator import SyntheticSpec, generate
 from .graph_model import (
@@ -96,7 +96,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     dropped = 0
     with atomic_output(args.out) as fh:
         for r, g in enumerate(graphs, start=1):
-            result = graph_to_tree(g)
+            try:
+                result = graph_to_tree(g)
+            except ConversionError as exc:
+                raise CliError(f"{args.infile}: record {r}: {exc}") from exc
             lossy += result.lossy_moves
             dropped += len(result.dropped_remote_edges)
             if args.format == "sexpr":
@@ -132,9 +135,12 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     params = ModelParams.load(args.remotes_model)
     trees = _read_trees(args.infile, args.format, args.lang)
     restored = []
-    for tree in trees:
+    for r, tree in enumerate(trees, start=1):
         bound, enc = encode_sentence(tree.tokens, params)
-        restored.append(restore_graph(tree, enc, bound))
+        try:
+            restored.append(restore_graph(tree, enc, bound))
+        except ConversionError as exc:
+            raise CliError(f"{args.infile}: record {r}: {exc}") from exc
     dump_corpus(restored, args.out)
     print(f"restored {len(restored)} graphs to {args.out}")
     return 0

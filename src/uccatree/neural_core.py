@@ -299,7 +299,7 @@ def embed(
 
     Lookups of unseen strings fall back to the reserved row 0.  When the
     model was built with external features, ``external`` must supply one
-    vector per token of the configured width.
+    vector per token of the configured width; otherwise it must be None.
     """
     cfg = bound.config
     p = bound.params
@@ -325,6 +325,8 @@ def embed(
             raise ValueError("model expects external feature vectors but none were given")
         check_external([external], [tokens], "sentence", cfg.external_dim)
         parts.append(Var(np.asarray(external, dtype=np.float64)))
+    elif external is not None:
+        raise ValueError("model takes no external feature vectors but some were given")
     return ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
 
 
@@ -382,13 +384,14 @@ def affine(reprs: Var, bound: BoundParams, name: str) -> Var:
 
 
 def span_affine(
-    enc: Encoding, spans: Sequence[tuple[int, int]], bound: BoundParams, name: str
+    enc: Encoding, spans: Sequence[tuple[int, int]] | np.ndarray, bound: BoundParams, name: str
 ) -> Var:
     """(m, out) rows ``W·r(i, j) + b`` of the layer ``name`` for every span
-    (i, j).  The layer is linear in the span feature r(i, j), the fencepost
-    row j minus row i, so it projects the n + 1 fenceposts once per
-    encoding and weight leaf and subtracts projected rows: q_j - q_i + b."""
-    lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+    (i, j), given as pairs or as the rows of an (m, 2) integer array.  The
+    layer is linear in the span feature r(i, j), the fencepost row j minus
+    row i, so it projects the n + 1 fenceposts once per encoding and weight
+    leaf and subtracts projected rows: q_j - q_i + b."""
+    lo, hi = np.asarray(spans, dtype=np.intp).reshape(-1, 2).T
     bad = np.flatnonzero((lo < 0) | (lo >= hi) | (hi > enc.n))
     if bad.size:
         i, j = lo[bad[0]], hi[bad[0]]

@@ -74,13 +74,14 @@ def _edge_below(label: str, i: int, n: int, edge: int) -> int:
     return n if label == ROOT_LABEL else i
 
 
-def _span_table(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Every span of an n-token sentence, and the ``(n + 1, n + 1)`` matrix
-    whose cell (i, j) holds the row of span (i, j) in that list (-1 if i >= j)."""
-    spans = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+def _span_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every span (i, j) of an n-token sentence as the rows of an (m, 2)
+    array, ordered by i then j, and the ``(n + 1, n + 1)`` matrix whose cell
+    (i, j) holds the row of span (i, j) (-1 if i >= j)."""
+    lo, hi = np.triu_indices(n + 1, 1)
     table = np.full((n + 1, n + 1), -1)
-    table[tuple(np.array(spans).T)] = np.arange(len(spans))
-    return spans, table
+    table[lo, hi] = np.arange(lo.size)
+    return np.stack([lo, hi], axis=1), table
 
 
 def _best_split(span_scores: np.ndarray, i: int, j: int, ks: np.ndarray) -> int:

@@ -284,6 +284,9 @@ def train(
     external_dev: Sequence[np.ndarray] | None = None,
 ) -> TrainResult:
     """Run joint training and return the best-on-dev model."""
+    if (external_train is None) != (external_dev is None):
+        given, missing = ("training", "dev") if external_dev is None else ("dev", "training")
+        raise ValueError(f"external features given for the {given} set but not for the {missing} set")
     pretrained_matrix = None
     pretrained_words: list[str] | None = None
     pretrained_dim = 0

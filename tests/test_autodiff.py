@@ -144,6 +144,11 @@ class TestIndexScatter:
             ((4, 3), (np.array([3, 1, 3]), np.array([2, 0, 2]))),
             ((4, 3), (slice(None), 1)),
             ((4, 3), []),  # empty key
+            ((5, 2, 3), ([1, 4, 1, 1], slice(None), slice(None))),  # whole rows, repeated
+            ((5, 3), (np.array([[0, 3], [3, 3]]),)),  # a 2-D row key
+            ((5, 3), np.array([-1, 4, -5, 0], dtype=np.int32)),  # negative rows
+            ((5, 3), 2),
+            ((6,), [5, 1, 5]),  # rows of a vector
         ],
     )
     def test_backward_matches_add_at_bitwise(self, shape, key):
@@ -159,11 +164,89 @@ class TestIndexScatter:
         assert a.grad.shape == shape
         assert a.grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "shape, key",
+        [
+            ((5, 3), [4, 0, 4, 2, 4, 4]),
+            ((30, 250), np.array([7, 3, 7, 29, 0, 7] * 5)),
+            ((5, 2, 3), (np.array([[1, 4], [1, 1]]), slice(None))),
+            ((5, 3), [-2, 3, 3]),
+        ],
+    )
+    def test_row_gather_matches_the_general_positions_bitwise(self, shape, key):
+        """Whole-row gathers take their flat positions from row offsets; the
+        gradient is the one the per-axis position rule gives, repeated rows
+        included."""
+        r = rng(41)
+        a = Var(r.standard_normal(shape))
+        out = ad.index(a, key)
+        g = r.standard_normal(out.shape) * 10.0 ** r.uniform(-8, 8, out.shape)
+        weighted(out, g).backward()
+        cells = sum(
+            np.broadcast_to(offsets * math.prod(shape[axis + 1 :]), shape)[key]
+            for axis, offsets in enumerate(np.indices(shape, sparse=True))
+        )
+        want = np.bincount(np.ravel(cells), weights=np.ravel(g), minlength=a.value.size)
+        assert a.grad.tobytes() == want.reshape(shape).tobytes()
+
     def test_second_gather_adds_to_the_first(self):
         a = Var(np.zeros((3, 2)))
         loss = ad.vsum(ad.index(a, [2, 2])) + ad.vsum(ad.index(a, (slice(None), 0)))
         loss.backward()
         assert a.grad.tolist() == [[1.0, 0.0], [1.0, 0.0], [3.0, 2.0]]
+
+
+def reference_lstm(x, wh, d_states, reverse):
+    """States and input gradients of an LSTM written step by step with a
+    fresh array per operation, in the operand order ``ad.lstm`` uses."""
+    if reverse:
+        x, d_states = x[::-1], d_states[::-1]
+    n, h = x.shape[0], wh.shape[1]
+    acts = np.empty(x.shape)
+    cells, states = np.zeros((n + 1, h)), np.zeros((n + 1, h))
+    for k in range(n):
+        pre = x[k] + wh @ states[k]
+        acts[k, : 3 * h] = 1.0 / (1.0 + np.exp(-pre[: 3 * h]))
+        acts[k, 3 * h :] = np.tanh(pre[3 * h :])
+        i, f, o, g = acts[k].reshape(4, h)
+        cells[k + 1] = f * cells[k] + i * g
+        states[k + 1] = o * np.tanh(cells[k + 1])
+    tanh_cells = np.tanh(cells[1:])
+    slopes = acts * (1.0 - acts)
+    slopes[:, 3 * h :] = 1.0 - acts[:, 3 * h :] ** 2
+    d_gates = np.empty(x.shape)
+    dh, dc = np.zeros(h), np.zeros(h)
+    for k in range(n - 1, -1, -1):
+        i, f, o, g = acts[k].reshape(4, h)
+        dh = dh + d_states[k]
+        dc = dc + dh * o * (1.0 - tanh_cells[k] ** 2)
+        d_gates[k] = np.concatenate([dc * g, dc * cells[k], dh * tanh_cells[k], dc * i])
+        d_gates[k] *= slopes[k]
+        dc, dh = dc * f, wh.T @ d_gates[k]
+    d_wh = d_gates.T @ states[:-1]
+    if reverse:
+        return states[:0:-1], d_gates[::-1], d_wh
+    return states[1:], d_gates, d_wh
+
+
+class TestLstmSteps:
+    """The in-place recurrence is bit-equal to the step-by-step reference."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_matches_the_reference_bitwise(self, n, reverse):
+        r = rng(50 + n)
+        h = 7
+        x = r.standard_normal((n, 4 * h))
+        wh = r.standard_normal((4 * h, h)) * 0.6
+        d_states = r.standard_normal((n, h))
+        p, w = Var(x.copy()), Var(wh.copy())
+        out = ad.lstm(p, w, reverse=reverse)
+        out._bw(d_states)
+        states, d_x, d_wh = reference_lstm(x, wh, d_states, reverse)
+        assert out.value.tobytes() == np.ascontiguousarray(states).tobytes()
+        assert p.grad.tobytes() == np.ascontiguousarray(d_x).tobytes()
+        assert w.grad.tobytes() == d_wh.tobytes()
 
 
 class TestUnbroadcast:

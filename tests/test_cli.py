@@ -300,6 +300,50 @@ class TestConvertAndRestore:
         message = json.loads(stderr)["error"]["message"]
         assert message == f"{trees}:1: malformed tree record: invalid tree: token 2 has an empty form"
 
+    @pytest.mark.parametrize(
+        "bad_tree, problem",
+        [
+            ("(ROOT (+ w1 w2))", "empty label part in '+'"),
+            ("(ROOT (A-ancestor1 w1) (B w2))", "-ancestor1 marker on a child of the root"),
+        ],
+    )
+    def test_restore_names_the_record_a_tree_fails_to_decode_in(
+        self, tmp_path, capsys, bad_tree, problem
+    ):
+        trees = tmp_path / "trees.txt"
+        trees.write_text("(ROOT (A a b))\n" + bad_tree + "\n", encoding="utf-8")
+        ckpt = tmp_path / "model.json"
+        cfg = build_model_config([german_example()], TrainConfig.from_json(TINY_TRAIN))
+        ModelParams.initialize(cfg, seed=0).save(str(ckpt))
+        out = tmp_path / "restored.jsonl"
+        code, stdout, stderr = run_cli(
+            capsys, "restore", "--in", str(trees), "--remotes-model", str(ckpt), "--out", str(out)
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        payload = json.loads(stderr)["error"]
+        assert payload["type"] == "CliError"
+        assert payload["message"].startswith(f"{trees}: record 2: {problem}")
+
+    def test_convert_names_the_record_a_graph_fails_to_convert_in(self, tmp_path, capsys):
+        # Valid as a graph, but the edge above node 4 has no label to put in a tree.
+        unlabeled = UccaGraph(
+            tokens=(Token(form="a"), Token(form="b")),
+            root=3,
+            nonterminals=frozenset({3, 4, 5}),
+            edges=(Edge(3, 4, ""), Edge(3, 5, "P"), Edge(4, 1, ""), Edge(5, 2, "")),
+        )
+        assert unlabeled.validate() == []
+        corpus = tmp_path / "corpus.jsonl"
+        dump_corpus([simple_graph(["A", "P"], n=2), unlabeled], str(corpus))
+        out = tmp_path / "trees.txt"
+        code, stdout, stderr = run_cli(capsys, "convert", "--in", str(corpus), "--out", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        payload = json.loads(stderr)["error"]
+        assert payload["type"] == "CliError"
+        assert payload["message"] == (
+            f"{corpus}: record 2: nonterminal edge above node 4 has an empty label"
+        )
+
 
 class TestTrainParseEval:
     def test_full_workflow(self, tmp_path, capsys, tiny_corpus_file):
@@ -447,6 +491,48 @@ class TestTrainParseEval:
         assert code == 1 and stdout == "" and not out.exists()
         message = json.loads(stderr)["error"]["message"]
         assert message == f"{bad}: record 3: external features of shape {shape}, expected (2, 2)"
+
+    @pytest.mark.parametrize("given, missing", [("training", "dev"), ("dev", "training")])
+    def test_train_needs_external_features_for_both_sets(
+        self, tmp_path, capsys, monkeypatch, tiny_corpus_file, given, missing
+    ):
+        feats = tmp_path / "feats.jsonl"
+        record = json.dumps({"vectors": [[0.5, 0.5]] * 2})
+        feats.write_text(f"{record}\n{record}\n", encoding="utf-8")
+        flag = "--external-features" if given == "training" else "--dev-external-features"
+        steps = []
+        monkeypatch.setattr("uccatree.training.sentence_loss", lambda *a: steps.append(a))
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--train", tiny_corpus_file, "--dev", tiny_corpus_file,
+            "--config", write_json(tmp_path / "train.json", TINY_TRAIN),
+            flag, str(feats), "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists() and steps == []
+        message = json.loads(stderr)["error"]["message"]
+        assert message == f"external features given for the {given} set but not for the {missing} set"
+
+    def test_parse_refuses_external_features_the_model_does_not_take(
+        self, tmp_path, capsys, tiny_corpus_file
+    ):
+        graphs = load_corpus(tiny_corpus_file)
+        ckpt = tmp_path / "model.json"
+        cfg = build_model_config(graphs, TrainConfig.from_json(TINY_TRAIN))
+        assert cfg.external_dim == 0
+        ModelParams.initialize(cfg, seed=0).save(str(ckpt))
+        feats = tmp_path / "feats.jsonl"
+        feats.write_text(
+            "".join(json.dumps({"vectors": [[0.25, 0.5]] * 2}) + "\n" for _ in graphs),
+            encoding="utf-8",
+        )
+        out = tmp_path / "parsed.jsonl"
+        code, stdout, stderr = run_cli(
+            capsys, "parse", "--model", str(ckpt), "--in", tiny_corpus_file,
+            "--external-features", str(feats), "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        payload = json.loads(stderr)["error"]
+        assert payload["message"] == "model takes no external feature vectors but some were given"
 
     def test_parse_checks_external_matrices_before_the_first_sentence(
         self, tmp_path, capsys, monkeypatch

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from uccatree import remote_recovery
 from uccatree.autodiff import Var
 from uccatree.conversion import tree_from_sexpr, tree_to_graph
-from uccatree.graph_model import Edge, Token, UccaGraph
+from uccatree.generator import SyntheticSpec, generate
+from uccatree.graph_model import Edge, Token, UccaGraph, reachable
 from uccatree.neural_core import (
     NOT_PARENT,
     UNK,
@@ -22,12 +24,13 @@ from uccatree.neural_core import (
 )
 from uccatree.remote_recovery import (
     RemoteCandidatePair,
+    _pair_score_matrix,
     enumerate_pairs,
     loss_remote,
     predict_remotes,
 )
 
-from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, simple_graph, tape_nodes
+from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, primary_only, simple_graph, tape_nodes
 
 
 def recovery_config(words, remote_labels=(NOT_PARENT, "A"), **overrides) -> ModelConfig:
@@ -69,19 +72,19 @@ def german_restored():
 
 
 def rig_scores(monkeypatch, score_by_parent, n_labels=2):
-    """Make every candidate pair score a fixed vector chosen by its parent."""
+    """Make every candidate cell of the score grid a fixed vector chosen by
+    its (parent, child) pair."""
 
-    def fake_matrix(pairs, enc, bound):
+    def fake_grid(child_spans, parent_spans, enc, bound):
         default = np.full(n_labels, -1.0)
         default[0] = 0.0
-        return Var(
-            np.array(
-                [score_by_parent.get((p.parent, p.child), default) for p in pairs],
-                dtype=float,
-            )
-        )
+        cells = [
+            [score_by_parent.get((parent, child), default) for parent in parent_spans]
+            for child in child_spans
+        ]
+        return Var(np.array(cells, dtype=float).transpose(0, 2, 1))
 
-    monkeypatch.setattr("uccatree.remote_recovery._pair_score_matrix", fake_matrix)
+    monkeypatch.setattr("uccatree.remote_recovery._score_grid", fake_grid)
 
 
 class TestEnumeratePairs:
@@ -290,3 +293,73 @@ class TestPredictRemotes:
     def test_no_marked_nodes_short_circuits(self):
         graph, _, bound, enc = self._german_setup()
         assert predict_remotes(graph, [], enc, bound) == []
+
+
+def pair_list_predict(graph, remote_marked, enc, bound):
+    """The pair-list formulation of ``predict_remotes``: one proposal per
+    enumerated pair, scored through ``_pair_score_matrix``."""
+    pairs = enumerate_pairs(graph, remote_marked)
+    if not pairs:
+        return []
+    labels = bound.config.remote_labels
+    scores = _pair_score_matrix(pairs, enc, bound).value
+    proposals = [
+        (float(values[best] - values[0]), pair, labels[best])
+        for pair, values, best in zip(pairs, scores, scores.argmax(axis=1))
+        if best != 0
+    ]
+    proposals.sort(key=lambda item: (-item[0], item[1].child, item[1].parent))
+    primary = {(e.parent, e.child) for e in graph.primary_edges}
+    out_edges = {v: set() for v in graph.node_ids}
+    for e in graph.primary_edges:
+        out_edges[e.parent].add(e.child)
+    accepted = []
+    for _, pair, label in proposals:
+        if (pair.parent, pair.child) in primary or reachable(out_edges, pair.child, pair.parent):
+            continue
+        out_edges[pair.parent].add(pair.child)
+        accepted.append((pair.parent, pair.child, label))
+    return accepted
+
+
+class TestGridMatchesPairList:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        corpus = generate(SyntheticSpec(sentences=20, min_tokens=8, max_tokens=12), seed=3)
+        return primary_only(max(corpus, key=lambda g: len(g.nonterminals)))
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_edges_as_the_pair_list(self, graph, count, seed):
+        forms = [t.form for t in graph.tokens]
+        cfg = recovery_config(words=tuple(forms), remote_labels=(NOT_PARENT, "A", "E"))
+        p = ModelParams.initialize(cfg, seed=seed)
+        _, bound, enc = encode_tokens(p, forms)
+        order = np.random.default_rng(seed).permutation(sorted(graph.nonterminals))
+        marked = [int(v) for v in order[:count]]
+        want = pair_list_predict(graph, marked, enc, bound)
+        assert predict_remotes(graph, marked, enc, bound) == want
+
+    def test_some_cases_accept_and_drop_edges(self, graph):
+        """The comparison above is not vacuous: its models propose edges,
+        and some proposals are dropped."""
+        forms = [t.form for t in graph.tokens]
+        cfg = recovery_config(words=tuple(forms), remote_labels=(NOT_PARENT, "A", "E"))
+        p = ModelParams.initialize(cfg, seed=0)
+        _, bound, enc = encode_tokens(p, forms)
+        marked = sorted(graph.nonterminals)[:5]
+        pairs = enumerate_pairs(graph, marked)
+        proposed = int((_pair_score_matrix(pairs, enc, bound).value.argmax(axis=1) != 0).sum())
+        accepted = len(predict_remotes(graph, marked, enc, bound))
+        assert 0 < accepted < proposed
+
+    def test_prediction_builds_no_pair_objects(self, graph, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pair objects built at prediction time")
+
+        monkeypatch.setattr(remote_recovery, "RemoteCandidatePair", forbidden)
+        monkeypatch.setattr(remote_recovery, "enumerate_pairs", forbidden)
+        forms = [t.form for t in graph.tokens]
+        p = ModelParams.initialize(recovery_config(words=tuple(forms)), seed=0)
+        _, bound, enc = encode_tokens(p, forms)
+        predict_remotes(graph, sorted(graph.nonterminals)[:2], enc, bound)

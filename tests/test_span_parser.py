@@ -24,6 +24,7 @@ from uccatree.neural_core import (
 from uccatree.span_parser import (
     _edge_below,
     _label_masks,
+    _span_table,
     gold_trace,
     loss_topdown,
     parse_topdown,
@@ -60,12 +61,12 @@ def encode_tokens(params: ModelParams, forms):
 def rig_heads(monkeypatch, spans, label_matrix, split_vector):
     """Make row r of ``label_matrix`` and entry r of ``split_vector`` the
     scores of ``spans[r]``, whatever spans the parser asks for, in
-    whatever order."""
+    whatever order and as pairs or array rows."""
 
     row = {span: r for r, span in enumerate(spans)}
 
     def rows(asked):
-        return [row[span] for span in asked]
+        return [row[i, j] for i, j in asked]
 
     monkeypatch.setattr(
         span_parser, "label_scores", lambda enc, asked, bound: Var(label_matrix[rows(asked)])
@@ -92,6 +93,19 @@ def splits(trace, span):
     i, j = span
     inner = [(a, b) for a, b in trace if i <= a and b <= j and (a, b) != span]
     return [k for k in range(i + 1, j) if not any(a < k < b for a, b in inner)]
+
+
+class TestSpanTable:
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_rows_and_table_match_the_pair_list(self, n):
+        spans, table = _span_table(n)
+        expected = all_spans(n)
+        assert spans.shape == (len(expected), 2)
+        assert [tuple(row) for row in spans.tolist()] == expected
+        want = np.full((n + 1, n + 1), -1)
+        for r, (i, j) in enumerate(expected):
+            want[i, j] = r
+        assert table.dtype == want.dtype and np.array_equal(table, want)
 
 
 class TestGoldTrace:

@@ -12,6 +12,7 @@ import pytest
 
 from uccatree.autodiff import Var
 from uccatree.generator import SyntheticSpec, generate
+from uccatree.graph_model import Token
 from uccatree.neural_core import NOT_PARENT, UNK, ModelParams, embed, BoundParams
 from uccatree.remote_recovery import loss_remote
 from uccatree.span_parser import loss_topdown
@@ -306,6 +307,29 @@ class TestPretrained:
                         pretrained_path=vecs, freeze_pretrained=False),
         )
         assert not np.array_equal(tuned.params.tensors["emb_pre"], matrix)
+
+
+class TestLongSentences:
+    def test_random_model_parses_lengths_up_to_200_to_valid_graphs(self):
+        """A random-parameter model marks many nodes for remote recovery, and
+        its remote head proposes an edge in many (child, parent) cells, so a
+        200-token sentence gets tens of thousands of remote edges."""
+        corpus = generate(
+            SyntheticSpec(sentences=30, max_tokens=10, p_remote=0.4, p_discontinuity=0.6),
+            seed=21,
+        )
+        cfg = build_model_config(corpus, tiny_config())
+        params = ModelParams.initialize(cfg, seed=0)
+        rng = np.random.default_rng(200)
+        lengths = [1, 2, 200, *rng.integers(3, 200, size=12).tolist()]
+        remotes = 0
+        for n in lengths:
+            tokens = tuple(Token(form=f"w{k}") for k in rng.integers(0, 50, size=n))
+            graph = parse_pipeline(tokens, params)  # raises on an invalid graph
+            assert graph.validate() == []
+            assert graph.n == n
+            remotes += len(graph.remote_edges)
+        assert remotes > 20_000
 
 
 class TestExternalFeatures:
