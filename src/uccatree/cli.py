@@ -96,10 +96,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     dropped = 0
     with atomic_output(args.out) as fh:
         for r, g in enumerate(graphs, start=1):
-            try:
-                result = graph_to_tree(g)
-            except ConversionError as exc:
-                raise CliError(f"{args.infile}: record {r}: {exc}") from exc
+            result = graph_to_tree(g)
             lossy += result.lossy_moves
             dropped += len(result.dropped_remote_edges)
             if args.format == "sexpr":

@@ -15,7 +15,9 @@ The forward direction turns a graph into a tree in three passes:
 
 ``tree_to_graph`` inverts pass 3, re-expands ``-ancestor1`` moves and
 returns the list of nodes whose incoming remote edges must be recovered
-by a classifier.
+by a classifier.  The markers, and the label grammar that keeps graph
+labels clear of them, are defined in :mod:`uccatree.graph_model`; both
+directions start from input that its ``validate`` methods accept.
 """
 
 from __future__ import annotations
@@ -24,22 +26,21 @@ import re
 from dataclasses import dataclass
 
 from .graph_model import (
+    ANCESTOR_SUFFIX,
+    REMOTE_SUFFIX,
     ROOT_LABEL,
     ConstituentTree,
     Edge,
     Span,
     Token,
     UccaGraph,
+    checked,
     graph_from_children,
     node_yields,
     preorder_edges,
     span_preorder,
+    split_label,
 )
-
-# A node label is one or more "+"-joined parts; each part is a base
-# category optionally carrying the remote marker and then the move marker.
-REMOTE_SUFFIX = "-remote"
-ANCESTOR_SUFFIX = "-ancestor1"
 
 
 class ConversionError(ValueError):
@@ -71,21 +72,6 @@ class ConversionResult:
     tree: ConstituentTree
     dropped_remote_edges: tuple[tuple[int, int, str], ...]
     lossy_moves: int
-
-
-def split_label(label: str) -> tuple[str, bool, bool]:
-    """Split a label part into (base, has_remote, has_ancestor1)."""
-    ancestor = label.endswith(ANCESTOR_SUFFIX)
-    if ancestor:
-        label = label[: -len(ANCESTOR_SUFFIX)]
-    remote = label.endswith(REMOTE_SUFFIX)
-    if remote:
-        label = label[: -len(REMOTE_SUFFIX)]
-    return label, remote, ancestor
-
-
-def strip_suffixes(label: str) -> str:
-    return split_label(label)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +244,15 @@ def push_labels(tree_graph: UccaGraph) -> ConstituentTree:
     # Preorder puts a parent's label before its child's on a shared span.
     pairs = preorder_edges(tree_graph.primary_children, tree_graph.root, n, tree_graph._yields)
     for _, v in pairs:
-        label = labels[v]
-        if v <= n and label != "":
-            raise ConversionError(
-                f"terminal {v} has a labeled edge ({label!r}); terminal edges must be unlabeled"
-            )
         if v > n:
-            if strip_suffixes(label) == "":
-                raise ConversionError(f"nonterminal edge above node {v} has an empty label")
             span = tree_graph.fencepost_span(v)
-            spans[span] = f"{spans[span]}+{label}" if span in spans else label
+            spans[span] = f"{spans[span]}+{labels[v]}" if span in spans else labels[v]
     return ConstituentTree.from_spans(tree_graph.tokens, spans)
 
 
 def graph_to_tree(graph: UccaGraph) -> ConversionResult:
     """Full forward conversion: graph -> constituent tree."""
-    problems = graph.validate()
-    if problems:
-        raise ConversionError("invalid graph: " + "; ".join(problems))
-    stripped, dropped = strip_remotes(graph)
+    stripped, dropped = strip_remotes(checked(graph, "graph", ConversionError))
     projective, moves = remove_discontinuities(stripped)
     tree = push_labels(projective)
     lossy = sum(not m.marked for m in moves)
@@ -294,11 +270,7 @@ def tree_to_graph(tree: ConstituentTree) -> tuple[UccaGraph, tuple[int, ...]]:
     carried the ``-remote`` marker, i.e. the nodes for which incoming
     remote edges still need to be recovered.
     """
-    problems = tree.validate()
-    if problems:
-        raise ConversionError("invalid tree: " + "; ".join(problems))
-
-    n = tree.n
+    n = checked(tree, "tree", ConversionError).n
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {}
     labels: dict[int, str] = {}
@@ -316,8 +288,6 @@ def tree_to_graph(tree: ConstituentTree) -> tuple[UccaGraph, tuple[int, ...]]:
             above = stack[-1] if stack else None
             for part in value.split("+"):
                 base, remote, ancestor = split_label(part)
-                if not base:
-                    raise ConversionError(f"empty label part in {value!r}")
                 ident = n + 1 + len(children)  # nonterminal ids in preorder
                 children[ident] = []
                 labels[ident] = base
@@ -379,12 +349,11 @@ def unescape_token(form: str) -> str:
 
 
 def tree_to_sexpr(tree: ConstituentTree) -> str:
-    """Serialize a tree to a single-line bracketed expression."""
+    """Serialize a valid tree to a single-line bracketed expression; the
+    label grammar keeps labels clear of its brackets and white space."""
     pieces: list[str] = []
     for kind, value in span_preorder(tree.n, tree.spans()):
         if kind == "open":
-            if "(" in value or ")" in value or " " in value:
-                raise ConversionError(f"label {value!r} contains reserved characters")
             pieces.append(f"({value}")
         elif kind == "leaf":
             pieces.append(escape_token(tree.tokens[value - 1].form))
@@ -413,8 +382,6 @@ def tree_from_sexpr(line: str, lang: str = "") -> ConstituentTree:
         if tokens and not open_nodes:  # the tree is complete
             raise ConversionError(f"trailing content after tree: {text[item.start():]!r}")
         if item.group(1) is not None:
-            if not item.group(1):
-                raise ConversionError(f"missing label at position {item.start() + 1} in {text!r}")
             open_nodes.append((len(tokens), item.group(1)))
         elif item.group() == ")":
             if not open_nodes:
@@ -430,8 +397,4 @@ def tree_from_sexpr(line: str, lang: str = "") -> ConstituentTree:
         raise ConversionError(
             "unbalanced brackets" if open_nodes else "unexpected end of bracketed expression"
         )
-    tree = ConstituentTree.from_spans(tokens, spans)
-    problems = tree.validate()
-    if problems:
-        raise ConversionError("invalid tree: " + "; ".join(problems))
-    return tree
+    return checked(ConstituentTree.from_spans(tokens, spans), "tree", ConversionError)

@@ -14,7 +14,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .conversion import strip_suffixes
 from .graph_model import EdgeRecord, UccaGraph
 
 
@@ -88,23 +87,12 @@ class F1Report:
 
 
 def edge_records(graph: UccaGraph) -> Counter[EdgeRecord]:
-    """Multiset of scoring records for all labeled edges of a graph.
-
-    Conversion markers are stripped and "+"-joined chain labels expand
-    into one record per part so that tree artifacts can never leak into
-    a score.
-    """
-    records: Counter[EdgeRecord] = Counter()
-    for edge in graph.edges:
-        if edge.label == "":
-            continue
-        positions = frozenset(graph.yield_of(edge.child))
-        for part in edge.label.split("+"):
-            base = strip_suffixes(part)
-            if base == "":
-                continue
-            records[EdgeRecord(positions=positions, label=base, remote=edge.remote)] += 1
-    return records
+    """Multiset of scoring records for all labeled edges of a graph."""
+    return Counter(
+        EdgeRecord(positions=frozenset(graph.yield_of(e.child)), label=e.label, remote=e.remote)
+        for e in graph.edges
+        if e.label
+    )
 
 
 def _score_kind(gold: Counter[EdgeRecord], pred: Counter[EdgeRecord]) -> KindScore:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import Edge, Token, UccaGraph, graph_from_children, node_yields, reachable
+from .graph_model import Edge, Token, UccaGraph, checked, graph_from_children, node_yields, reachable
 
 _POS_TAGS = ("NOUN", "VERB", "ADJ", "DET")
 _NER_TAGS = ("O", "PER", "LOC")
@@ -180,8 +180,5 @@ def generate(spec: SyntheticSpec, seed: int, lang: str = "en") -> list[UccaGraph
             builder.inject_discontinuity(root)
         remotes = builder.add_remotes(root)
         graph = builder.to_graph(tokens, root, remotes)
-        problems = graph.validate()
-        if problems:  # a bug in the generator, not in the input
-            raise AssertionError(f"generated an invalid graph: {problems}")
-        graphs.append(graph)
+        graphs.append(checked(graph, "generated graph", AssertionError))  # a bug here, not bad input
     return graphs

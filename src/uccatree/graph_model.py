@@ -10,7 +10,8 @@ Conventions used throughout the package:
   edges form a tree.  *Remote* edges add reentrancies on top of that
   tree and the full edge set must stay acyclic.
 * Terminal-attaching edges carry the empty label ""; terminals carry no
-  label of their own.
+  label of their own.  Every other label follows the label grammar below,
+  which keeps graph labels clear of the syntax the tree conversion writes.
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import secrets
 import shutil
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 NodeId = int
+Checked = TypeVar("Checked", "UccaGraph", "ConstituentTree")
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,78 @@ def tokens_from_json(data: dict) -> tuple[Token, ...]:
     )
 
 
+# ---------------------------------------------------------------------------
+# Label grammar: graph labels stay clear of the syntax trees reserve.  A tree
+# label is one or more "+"-joined parts (a chain of nodes on one span), each a
+# graph label followed by the remote marker and then the move marker, both
+# optional.  "ROOT" names every tree's root, "NOT-PARENT" the remote
+# classifier's negative class.
+
+ROOT_LABEL = "ROOT"
+NOT_PARENT = "NOT-PARENT"
+REMOTE_SUFFIX = "-remote"
+ANCESTOR_SUFFIX = "-ancestor1"
+
+# No label holds the bracketed format's delimiters, the chain joiner or an
+# unpaired surrogate (no UTF-8 file can); no form a line break or surrogate.
+_LABEL_BREAKERS = re.compile(r"[\s()+\ud800-\udfff]")
+_FORM_BREAKERS = re.compile(r"[\n\r\ud800-\udfff]")
+
+
+def split_label(part: str) -> tuple[str, bool, bool]:
+    """Split a tree label part into (graph label, has_remote, has_ancestor1)."""
+    ancestor = part.endswith(ANCESTOR_SUFFIX)
+    if ancestor:
+        part = part[: -len(ANCESTOR_SUFFIX)]
+    remote = part.endswith(REMOTE_SUFFIX)
+    if remote:
+        part = part[: -len(REMOTE_SUFFIX)]
+    return part, remote, ancestor
+
+
+def label_problem(label: object) -> str | None:
+    """Why ``label`` cannot label a graph edge that ends at a nonterminal,
+    or None if it can."""
+    if not isinstance(label, str):
+        return f"label {label!r} is not a string"
+    if not label:
+        return "empty label"
+    if _LABEL_BREAKERS.search(label):
+        return f"label {label!r} holds white space, '(', ')', '+' or an unpaired surrogate"
+    if label.endswith((REMOTE_SUFFIX, ANCESTOR_SUFFIX)):
+        return f"label {label!r} ends in a conversion marker"
+    if label in (ROOT_LABEL, NOT_PARENT):
+        return f"label {label!r} is reserved"
+    return None
+
+
+def tree_label_problem(label: object) -> str | None:
+    """Why ``label`` cannot label a tree node below the root, or None: each
+    "+"-joined part must be a graph label with optional markers."""
+    if not isinstance(label, str):
+        return f"label {label!r} is not a string"
+    for part in label.split("+"):
+        base = split_label(part)[0]
+        problem = label_problem(base)
+        if problem:
+            return problem if base == label else f"in {label!r}, {problem}"
+    return None
+
+
 def token_problems(tokens: Sequence[Token]) -> list[str]:
-    """Why a token sequence cannot be a sentence: no tokens, or empty forms."""
-    empty = [f"token {i} has an empty form" for i, t in enumerate(tokens, start=1) if not t.form]
-    return empty if tokens else ["sentence has no tokens"]
+    """Why a token sequence cannot be a sentence: no tokens, a feature that
+    is not a string, or a form that is empty or breaks a line."""
+    if not tokens:
+        return ["sentence has no tokens"]
+    problems = []
+    for i, t in enumerate(tokens, start=1):
+        if not all(isinstance(value, str) for value in vars(t).values()):
+            problems.append(f"token {i} has a feature that is not a string")
+        elif not t.form:
+            problems.append(f"token {i} has an empty form")
+        elif _FORM_BREAKERS.search(t.form):
+            problems.append(f"token {i} has a line break or an unpaired surrogate in its form")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -172,7 +243,8 @@ class UccaGraph:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check all structural invariants; return human-readable violations.
+        """Check the structural invariants, the label grammar and the token
+        rules; return human-readable violations.
 
         An empty list means the graph is well-formed.  This method never
         touches the cached accessors, so it is safe on malformed input.
@@ -194,6 +266,13 @@ class UccaGraph:
                 problems.append(f"edge references unknown child {e.child}")
             if e.parent in terminals:
                 problems.append(f"terminal {e.parent} has a child ({e.child})")
+            if e.child in terminals:
+                if e.label != "":
+                    problems.append(f"edge {e.parent}->{e.child} to a terminal has label {e.label!r}")
+            else:
+                problem = label_problem(e.label)
+                if problem:
+                    problems.append(f"edge {e.parent}->{e.child}: {problem}")
 
         seen_pairs = Counter((e.parent, e.child) for e in self.edges)
         for (p, c), count in seen_pairs.items():
@@ -222,59 +301,26 @@ class UccaGraph:
         if problems:
             return problems
 
-        # Reachability of the primary tree (parent uniqueness already holds,
-        # so full coverage plus the edge count rules out primary cycles).
-        children: dict[NodeId, list[NodeId]] = {v: [] for v in nodes}
-        for e in self.edges:
-            if not e.remote:
-                children[e.parent].append(e.child)
-        reached = {self.root}
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for c in children[v]:
-                if c not in reached:
-                    reached.add(c)
-                    stack.append(c)
-        missing = nodes - reached
-        if missing:
-            problems.append(f"nodes unreachable from root via primary edges: {sorted(missing)}")
-            return problems
-        for v in sorted(self.nonterminals):
-            if not children[v]:
-                problems.append(f"nonterminal {v} has no children")
-        if problems:
-            return problems
-
-        # Acyclicity of the full edge set (remote edges included).
+        # Every node but the root has one primary parent, so the primary
+        # edges form a tree below the root exactly when the full edge set
+        # holds no cycle, which is when Kahn's algorithm pops every node.
+        childless = self.nonterminals - {p for p, _ in primary_pairs}
+        problems = [f"nonterminal {v} has no children" for v in sorted(childless)]
         out: dict[NodeId, list[NodeId]] = {v: [] for v in nodes}
+        indegree = dict.fromkeys(nodes, 0)
         for e in self.edges:
             out[e.parent].append(e.child)
-        state: dict[NodeId, int] = {}  # 1 = on stack, 2 = done
-
-        def has_cycle(v: NodeId) -> bool:
-            stack = [(v, iter(out[v]))]
-            state[v] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if state.get(w) == 1:
-                        return True
-                    if w not in state:
-                        state[w] = 1
-                        stack.append((w, iter(out[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
-            return False
-
-        for v in sorted(nodes):
-            if v not in state and has_cycle(v):
-                problems.append("full edge set contains a cycle")
-                break
+            indegree[e.child] += 1
+        ready = [v for v, d in indegree.items() if d == 0]
+        popped = 0
+        while ready:
+            popped += 1
+            for w in out[ready.pop()]:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    ready.append(w)
+        if popped < len(nodes):
+            problems.append("full edge set contains a cycle")
         return problems
 
     # -- canonical identity ---------------------------------------------
@@ -438,36 +484,47 @@ def graph_from_children(
 
 
 def load_lines(path: str, decode: Callable[[str], object], what: str) -> list:
-    """``decode`` of every non-blank line, stripped; failures name ``path:line``."""
+    """``decode`` of every non-blank line, stripped; failures name ``path:line``.
+
+    Bytes that are not UTF-8 read as unpaired surrogates, which no label or
+    form may hold, so they fail where they stand too.
+    """
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 records.append(decode(line))
-            except (KeyError, ValueError, TypeError, RecursionError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed {what} record: {exc}") from exc
     return records
 
 
 def load_jsonl(path: str, decode: Callable[[dict], object], what: str) -> list:
-    """``decode`` of every non-blank line's JSON; failures name ``path:line``."""
-    return load_lines(path, lambda line: decode(json.loads(line)), what)
+    """``decode`` of every non-blank line's JSON object; failures name ``path:line``."""
+
+    def record(line: str) -> object:
+        data = json.loads(line)
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        return decode(data)
+
+    return load_lines(path, record, what)
 
 
-def _valid_graph(data: dict) -> UccaGraph:
-    graph = UccaGraph.from_json(data)
-    problems = graph.validate()
+def checked(value: Checked, what: str, error: type[Exception] = ValueError) -> Checked:
+    """``value``, or ``error`` naming every problem its ``validate`` finds."""
+    problems = value.validate()
     if problems:
-        raise ValueError("invalid graph: " + "; ".join(problems))
-    return graph
+        raise error(f"invalid {what}: " + "; ".join(problems))
+    return value
 
 
 def load_corpus(path: str) -> list[UccaGraph]:
     """Read one graph per line from a JSONL file; every graph must be valid."""
-    return load_jsonl(path, _valid_graph, "graph")
+    return load_jsonl(path, lambda data: checked(UccaGraph.from_json(data), "graph"), "graph")
 
 
 @contextmanager
@@ -562,8 +619,6 @@ class TreeNode:
             yield from c.iter_nodes()
 
 
-ROOT_LABEL = "ROOT"
-
 Span = tuple[int, int]
 
 
@@ -642,6 +697,7 @@ class ConstituentTree:
         return cls(tokens=tuple(tokens), root=root)
 
     def validate(self) -> list[str]:
+        """Violations of the tree invariants, the label grammar and the token rules."""
         problems = token_problems(self.tokens)
         if self.root.is_leaf or self.root.label != ROOT_LABEL:
             problems.append(f"root label is {self.root.label!r}, expected {ROOT_LABEL!r}")
@@ -652,8 +708,9 @@ class ConstituentTree:
         for node in self.root.iter_nodes():
             if node.is_leaf:
                 continue
-            if not node.label and node is not self.root:
-                problems.append("internal node with empty label")
+            problem = node is not self.root and tree_label_problem(node.label)
+            if problem:
+                problems.append(problem)
             if not node.children:
                 problems.append(f"internal node {node.label!r} has no children")
                 continue
@@ -685,8 +742,4 @@ class ConstituentTree:
                 children=tuple(decode(c) for c in node["children"]),
             )
 
-        tree = cls(tokens=tokens_from_json(data), root=decode(data["tree"]))
-        problems = tree.validate()
-        if problems:
-            raise ValueError("invalid tree: " + "; ".join(problems))
-        return tree
+        return checked(cls(tokens=tokens_from_json(data), root=decode(data["tree"])), "tree")

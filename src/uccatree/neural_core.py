@@ -18,10 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .graph_model import Token, atomic_output
+from .graph_model import NOT_PARENT, Token, atomic_output
 
 UNK = "<unk>"
-NOT_PARENT = "NOT-PARENT"
 
 
 class OptimizationError(Exception):
@@ -277,7 +276,8 @@ def check_external(
 ) -> int:
     """The width of per-token external feature matrices, one per sentence:
     ``width`` if nonzero, else the first matrix's.  A matrix without one row
-    per token of that width raises, naming ``source`` and its 1-based record."""
+    per token of that width, or with a NaN or infinite value, raises, naming
+    ``source`` and its 1-based record."""
     for k, (matrix, tokens) in enumerate(zip(matrices, sentences), start=1):
         shape = np.shape(matrix)
         width = width or (shape[1] if len(shape) == 2 else 0)
@@ -286,6 +286,8 @@ def check_external(
                 f"{source}: record {k}: external features of shape {shape}, "
                 f"expected ({len(tokens)}, {width})"
             )
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{source}: record {k}: external features hold NaN or infinite values")
     return width
 
 

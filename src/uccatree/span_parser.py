@@ -26,17 +26,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .conversion import split_label
-from .graph_model import ROOT_LABEL, ConstituentTree, Span, Token
+from .graph_model import ROOT_LABEL, ConstituentTree, Span, Token, checked, split_label
 from .neural_core import BoundParams, Encoding, label_scores, split_scores
 
 
 def gold_trace(tree: ConstituentTree) -> dict[Span, str]:
     """The labeled spans of a valid tree; every other span's gold label is ""."""
-    problems = tree.validate()
-    if problems:
-        raise ValueError("invalid tree: " + "; ".join(problems))
-    return tree.spans()
+    return checked(tree, "tree").spans()
 
 
 @lru_cache(maxsize=8)

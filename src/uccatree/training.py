@@ -10,6 +10,7 @@ epochs without improvement or at the epoch cap.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from .conversion import graph_to_tree, tree_to_graph
 from .evaluation import F1Report, score_corpus
-from .graph_model import ConstituentTree, Edge, Span, Token, UccaGraph
+from .graph_model import ConstituentTree, Edge, Span, Token, UccaGraph, checked
 from .neural_core import (
     NOT_PARENT,
     AdamState,
@@ -143,7 +144,6 @@ def _model_config_from_examples(
         labels.update(ex.trace.values())
         for _, _, label in ex.gold_remotes:
             remote_labels.add(label)
-    remote_labels.discard(NOT_PARENT)
     return ModelConfig(
         **config.hyperparams(),
         pretrained_dim=pretrained_dim,
@@ -163,8 +163,9 @@ def load_pretrained(path: str) -> tuple[list[str], np.ndarray]:
     """Read text-format word vectors: one whitespace-separated ``word v1 .. vk``
     line per word.
 
-    A leading ``count dim`` header line is accepted and skipped.  Returns
-    the word list and a matrix with a zero row 0 reserved for unknowns.
+    A leading ``count dim`` header line is accepted and skipped, and every
+    value must be a finite number.  Returns the word list and a matrix with
+    a zero row 0 reserved for unknowns.
     """
     words: list[str] = []
     vectors: list[list[float]] = []
@@ -190,9 +191,12 @@ def load_pretrained(path: str) -> tuple[list[str], np.ndarray]:
                     f"{path}:{lineno}: vector of width {len(values)}, expected {dim}"
                 )
             try:
-                vectors.append([float(v) for v in values])
+                vector = [float(v) for v in values]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, vector)):
+                raise ValueError(f"{path}:{lineno}: vector holds NaN or infinite values")
+            vectors.append(vector)
             words.append(word)
     if dim is None:
         raise ValueError(f"{path}: no vectors found")
@@ -246,10 +250,7 @@ def restore_graph(tree: ConstituentTree, enc: Encoding, bound: BoundParams) -> U
     if remotes:
         edges = tuple(Edge(p, c, label, remote=True) for p, c, label in remotes)
         graph = replace(graph, edges=graph.edges + edges)
-    problems = graph.validate()
-    if problems:  # the pipeline must only emit valid graphs
-        raise AssertionError(f"restored an invalid graph: {problems}")
-    return graph
+    return checked(graph, "restored graph", AssertionError)  # the pipeline emits only valid graphs
 
 
 def parse_pipeline(

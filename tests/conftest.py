@@ -8,11 +8,27 @@ nine nonterminals 8..16 (8 is the root).
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 
 from uccatree.autodiff import Var
 from uccatree.graph_model import Edge, Token, UccaGraph
+
+try:
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # Same examples on every run, and no example database on disk.
+    settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+    settings.load_profile("deterministic")
+    # Hypothesis also caches what it reads from source files; keep that
+    # in a directory that goes away with the test run.
+    _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(_hypothesis_home.name)
 
 GERMAN_FORMS = ["``", "lch", "ging", "umher", "und", "tastete", "."]
 

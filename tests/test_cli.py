@@ -303,8 +303,8 @@ class TestConvertAndRestore:
     @pytest.mark.parametrize(
         "bad_tree, problem",
         [
-            ("(ROOT (+ w1 w2))", "empty label part in '+'"),
             ("(ROOT (A-ancestor1 w1) (B w2))", "-ancestor1 marker on a child of the root"),
+            ("(ROOT (H (A-ancestor1 w1)) (B w2))", "-ancestor1 marker on node 5 cannot be undone"),
         ],
     )
     def test_restore_names_the_record_a_tree_fails_to_decode_in(
@@ -324,24 +324,46 @@ class TestConvertAndRestore:
         assert payload["type"] == "CliError"
         assert payload["message"].startswith(f"{trees}: record 2: {problem}")
 
+    @pytest.mark.parametrize(
+        "bad_tree, problem",
+        [
+            ("(ROOT (+ w1 w2))", "in '+', empty label"),
+            ("(ROOT (A-remote-remote w1) (B w2))", "in 'A-remote-remote', label 'A-remote' ends in"),
+            ("(ROOT (ROOT w1) (B w2))", "label 'ROOT' is reserved"),
+        ],
+    )
+    def test_restore_rejects_reserved_label_syntax_with_its_line(
+        self, tmp_path, capsys, bad_tree, problem
+    ):
+        trees = tmp_path / "trees.txt"
+        trees.write_text("(ROOT (A a b))\n" + bad_tree + "\n", encoding="utf-8")
+        ckpt = tmp_path / "model.json"
+        cfg = build_model_config([german_example()], TrainConfig.from_json(TINY_TRAIN))
+        ModelParams.initialize(cfg, seed=0).save(str(ckpt))
+        code, stdout, stderr = run_cli(
+            capsys, "restore", "--in", str(trees), "--remotes-model", str(ckpt),
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1 and stdout == ""
+        message = json.loads(stderr)["error"]["message"]
+        assert message.startswith(f"{trees}:2: malformed tree record: invalid tree: {problem}")
+
     def test_convert_names_the_record_a_graph_fails_to_convert_in(self, tmp_path, capsys):
-        # Valid as a graph, but the edge above node 4 has no label to put in a tree.
+        # The edge above node 4 has no label to put in a tree, so the graph
+        # is refused as it is read.
         unlabeled = UccaGraph(
             tokens=(Token(form="a"), Token(form="b")),
             root=3,
             nonterminals=frozenset({3, 4, 5}),
             edges=(Edge(3, 4, ""), Edge(3, 5, "P"), Edge(4, 1, ""), Edge(5, 2, "")),
         )
-        assert unlabeled.validate() == []
         corpus = tmp_path / "corpus.jsonl"
         dump_corpus([simple_graph(["A", "P"], n=2), unlabeled], str(corpus))
         out = tmp_path / "trees.txt"
         code, stdout, stderr = run_cli(capsys, "convert", "--in", str(corpus), "--out", str(out))
         assert code == 1 and stdout == "" and not out.exists()
-        payload = json.loads(stderr)["error"]
-        assert payload["type"] == "CliError"
-        assert payload["message"] == (
-            f"{corpus}: record 2: nonterminal edge above node 4 has an empty label"
+        assert json.loads(stderr)["error"]["message"] == (
+            f"{corpus}:2: malformed graph record: invalid graph: edge 3->4: empty label"
         )
 
 
@@ -389,9 +411,8 @@ class TestTrainParseEval:
 
     def test_eval_rejects_invalid_predicted_graph(self, tmp_path, capsys):
         gold = simple_graph(["A", "P", "E"], n=3)
-        # An unlabeled extra primary edge gives node 5 a second primary
-        # parent without adding a scored edge, so the counts alone match.
-        pred = dataclasses.replace(gold, edges=gold.edges + (Edge(6, 5, ""),))
+        # An extra primary edge gives node 5 a second primary parent.
+        pred = dataclasses.replace(gold, edges=gold.edges + (Edge(6, 5, "A"),))
         gold_path, pred_path = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
         dump_corpus([gold], str(gold_path))
         dump_corpus([pred], str(pred_path))
@@ -492,6 +513,28 @@ class TestTrainParseEval:
         message = json.loads(stderr)["error"]["message"]
         assert message == f"{bad}: record 3: external features of shape {shape}, expected (2, 2)"
 
+    @pytest.mark.parametrize("flag", ["--external-features", "--dev-external-features"])
+    def test_train_refuses_non_finite_external_features(self, tmp_path, capsys, flag):
+        corpus = tmp_path / "corpus.jsonl"
+        dump_corpus([simple_graph(["A", "P"], n=2)] * 2, str(corpus))
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        good.write_text('{"vectors": [[0.5, 0.5], [0.5, 0.5]]}\n' * 2, encoding="utf-8")
+        bad.write_text(
+            '{"vectors": [[0.5, 0.5], [0.5, 0.5]]}\n{"vectors": [[0.5, NaN], [0.5, 0.5]]}\n',
+            encoding="utf-8",
+        )
+        train_feats, dev_feats = (bad, good) if flag == "--external-features" else (good, bad)
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--train", str(corpus), "--dev", str(corpus),
+            "--config", write_json(tmp_path / "train.json", TINY_TRAIN),
+            "--external-features", str(train_feats), "--dev-external-features", str(dev_feats),
+            "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        message = json.loads(stderr)["error"]["message"]
+        assert message == f"{bad}: record 2: external features hold NaN or infinite values"
+
     @pytest.mark.parametrize("given, missing", [("training", "dev"), ("dev", "training")])
     def test_train_needs_external_features_for_both_sets(
         self, tmp_path, capsys, monkeypatch, tiny_corpus_file, given, missing
@@ -558,6 +601,24 @@ class TestTrainParseEval:
         assert code == 1 and parsed == [] and not out.exists()
         message = json.loads(stderr)["error"]["message"]
         assert message == f"{feats}: record 2: external features of shape (2, 3), expected (2, 2)"
+
+    def test_parse_refuses_non_finite_external_features(self, tmp_path, capsys):
+        graphs = [simple_graph(["A", "P"], n=2)]
+        corpus = tmp_path / "corpus.jsonl"
+        dump_corpus(graphs, str(corpus))
+        cfg = build_model_config(graphs, TrainConfig.from_json(TINY_TRAIN))
+        ckpt = tmp_path / "model.json"
+        ModelParams.initialize(dataclasses.replace(cfg, external_dim=2), seed=0).save(str(ckpt))
+        feats = tmp_path / "feats.jsonl"
+        feats.write_text('{"vectors": [[0.5, Infinity], [0.5, 0.5]]}\n', encoding="utf-8")
+        out = tmp_path / "parsed.jsonl"
+        code, stdout, stderr = run_cli(
+            capsys, "parse", "--model", str(ckpt), "--in", str(corpus),
+            "--external-features", str(feats), "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        message = json.loads(stderr)["error"]["message"]
+        assert message == f"{feats}: record 1: external features hold NaN or infinite values"
 
 
 class TestErrorContract:

@@ -14,7 +14,6 @@ from uccatree.conversion import (
     remove_discontinuities,
     split_label,
     strip_remotes,
-    strip_suffixes,
     tree_from_sexpr,
     tree_to_graph,
     tree_to_sexpr,
@@ -47,10 +46,6 @@ class TestLabelSuffixes:
     def test_split_both_markers(self):
         # The move marker is appended after the remote marker.
         assert split_label("P-remote-ancestor1") == ("P", True, True)
-
-    def test_strip_suffixes(self):
-        assert strip_suffixes("P-remote-ancestor1") == "P"
-        assert strip_suffixes("ROOT") == "ROOT"
 
 
 class TestStripRemotes:
@@ -350,12 +345,14 @@ class TestSexpr:
             tree_from_sexpr("(ROOT (H a)) junk")
 
     def test_label_with_space_rejected(self):
+        # The bracketed format cannot hold such a label, so no valid tree has one.
         tree = ConstituentTree(
             tokens=(Token(form="a"),),
             root=TreeNode(label="ROOT", children=(TreeNode(label="H X", children=(TreeNode(leaf=1),)),)),
         )
-        with pytest.raises(ConversionError, match="reserved"):
-            tree_to_sexpr(tree)
+        assert tree.validate() == [
+            "label 'H X' holds white space, '(', ')', '+' or an unpaired surrogate"
+        ]
 
 
 class TestDeepInput:

@@ -15,15 +15,14 @@ from uccatree.evaluation import (
     score_corpus,
 )
 from uccatree.generator import SyntheticSpec, generate
-from uccatree.graph_model import Edge, EdgeRecord, UccaGraph
+from uccatree.graph_model import Edge, EdgeRecord, Token, UccaGraph
 
 from conftest import primary_only, simple_graph
 
 
 # --- independent oracle ----------------------------------------------------
 # Recomputes everything from the raw edge list: own yield traversal, own
-# suffix stripping, own multiset matching.  Shares no helper with the
-# implementation under test.
+# multiset matching.  Shares no helper with the implementation under test.
 
 
 def _oracle_yield(graph: UccaGraph, node: int) -> frozenset[int]:
@@ -42,24 +41,12 @@ def _oracle_yield(graph: UccaGraph, node: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _oracle_base(part: str) -> str:
-    if part.endswith("-ancestor1"):
-        part = part[: -len("-ancestor1")]
-    if part.endswith("-remote"):
-        part = part[: -len("-remote")]
-    return part
-
-
 def _oracle_records(graph: UccaGraph) -> list[tuple]:
     records = []
     for e in graph.edges:
         if e.label == "":
             continue
-        positions = _oracle_yield(graph, e.child)
-        for part in e.label.split("+"):
-            base = _oracle_base(part)
-            if base:
-                records.append((positions, base, e.remote))
+        records.append((_oracle_yield(graph, e.child), e.label, e.remote))
     return records
 
 
@@ -96,6 +83,23 @@ def _oracle_report(gold: UccaGraph, pred: UccaGraph) -> dict:
         prec, rec, f1 = _oracle_prf(m, g, p)
         out[kind] = {"precision": prec, "recall": rec, "f1": f1}
     return out
+
+
+def unary_chain_graph(upper: str, lower: str) -> UccaGraph:
+    """Two tokens: the first under a unary chain labeled ``upper`` over
+    ``lower``, the second under a preterminal labeled "P"."""
+    return UccaGraph(
+        tokens=(Token(form="t1"), Token(form="t2")),
+        root=3,
+        nonterminals=frozenset({3, 4, 5, 6}),
+        edges=(
+            Edge(3, 4, upper),
+            Edge(4, 5, lower),
+            Edge(5, 1, ""),
+            Edge(3, 6, "P"),
+            Edge(6, 2, ""),
+        ),
+    )
 
 
 # --- frozen hand cases -----------------------------------------------------
@@ -165,26 +169,19 @@ class TestEdgeRecords:
         }
         assert dict(recs) == expected
 
-    def test_suffixes_stripped_and_chains_expanded(self):
-        graph = simple_graph(["A-remote", "H-ancestor1", "P+E"])
-        recs = edge_records(graph)
-        assert dict(recs) == {
-            EdgeRecord(frozenset({1}), "A", False): 1,
-            EdgeRecord(frozenset({2}), "H", False): 1,
-            EdgeRecord(frozenset({3}), "P", False): 1,
-            EdgeRecord(frozenset({3}), "E", False): 1,
+    def test_unary_chain_scores_one_record_per_edge(self):
+        graph = unary_chain_graph("H", "E")
+        assert dict(edge_records(graph)) == {
+            EdgeRecord(frozenset({1}), "H", False): 1,
+            EdgeRecord(frozenset({1}), "E", False): 1,
+            EdgeRecord(frozenset({2}), "P", False): 1,
         }
-
-    def test_marker_only_part_contributes_nothing(self):
-        graph = simple_graph(["-remote", "A"], n=2)
-        recs = edge_records(graph)
-        assert dict(recs) == {EdgeRecord(frozenset({2}), "A", False): 1}
 
     def test_duplicate_records_kept_as_multiset(self):
         gold = simple_graph(["A", "A"], n=2)
         # Both preterminals yield different positions, so they stay apart;
-        # force a true duplicate via a chain that repeats the base label.
-        dup = simple_graph(["A+A", "P"], n=2)
+        # force a true duplicate via a unary chain that repeats the label.
+        dup = unary_chain_graph("A", "A")
         recs = edge_records(dup)
         assert recs[EdgeRecord(frozenset({1}), "A", False)] == 2
         report = score(gold, dup)
@@ -256,27 +253,3 @@ class TestOracleEquivalence:
                         want[kind][key], abs=1e-12
                     ), (kind, key)
 
-    def test_oracle_agrees_on_suffixed_labels(self, german_graph):
-        import numpy as np
-
-        rng = np.random.default_rng(7)
-        decorations = ("-remote", "-ancestor1", "+E")
-        edges = tuple(
-            Edge(
-                e.parent,
-                e.child,
-                e.label + str(rng.choice(decorations)) if e.label else e.label,
-                e.remote,
-            )
-            for e in german_graph.edges
-        )
-        messy = UccaGraph(
-            tokens=german_graph.tokens,
-            root=german_graph.root,
-            nonterminals=german_graph.nonterminals,
-            edges=edges,
-        )
-        got = score(german_graph, messy).to_json()
-        want = _oracle_report(german_graph, messy)
-        for kind in ("primary", "remote", "averaged"):
-            assert got[kind]["f1"] == pytest.approx(want[kind]["f1"], abs=1e-12)

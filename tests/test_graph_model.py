@@ -15,6 +15,7 @@ from uccatree.graph_model import (
     dump_corpus,
     load_corpus,
     load_token_lines,
+    token_problems,
 )
 
 from conftest import german_example, simple_graph
@@ -144,6 +145,104 @@ class TestValidate:
             edges=(Edge(2, 1, ""),),
         )
         assert any("empty form" in p for p in g.validate())
+
+    @staticmethod
+    def chain_with_remotes(*remotes: tuple[int, int]) -> UccaGraph:
+        """Root 3 over H 4 over A 5 over P 6 over token 1, and root 3 over
+        U 7 over token 2, plus the given remote edges."""
+        return UccaGraph(
+            tokens=(Token(form="a"), Token(form="b")),
+            root=3,
+            nonterminals=frozenset({3, 4, 5, 6, 7}),
+            edges=(
+                Edge(3, 4, "H"), Edge(4, 5, "A"), Edge(5, 6, "P"), Edge(6, 1, ""),
+                Edge(3, 7, "U"), Edge(7, 2, ""),
+            )
+            + tuple(Edge(p, c, "A", remote=True) for p, c in remotes),
+        )
+
+    @pytest.mark.parametrize(
+        "remotes",
+        [[(5, 4)], [(6, 4)], [(5, 7), (7, 4)], [(6, 7), (7, 5)]],
+        ids=["2-edge", "3-edge", "3-edge-two-remotes", "4-edge-two-remotes"],
+    )
+    def test_cycles_closed_by_remote_edges_rejected(self, remotes):
+        assert self.chain_with_remotes(*remotes).validate() == ["full edge set contains a cycle"]
+
+    def test_primary_cycle_apart_from_the_root_rejected(self):
+        # 4 and 5 are each other's primary parent: every node has one, and
+        # neither is reachable from the root.
+        g = UccaGraph(
+            tokens=(Token(form="a"), Token(form="b")),
+            root=3,
+            nonterminals=frozenset({3, 4, 5}),
+            edges=(Edge(3, 1, ""), Edge(4, 5, "A"), Edge(5, 4, "B"), Edge(5, 2, "")),
+        )
+        assert g.validate() == ["full edge set contains a cycle"]
+
+    def test_remote_edges_into_a_chain_without_a_cycle_accepted(self):
+        assert self.chain_with_remotes((4, 6), (7, 5), (4, 7)).validate() == []
+
+    @pytest.mark.parametrize(
+        "label, problem",
+        [
+            ("", "empty label"),
+            (7, "label 7 is not a string"),
+            (None, "label None is not a string"),
+            ("A+B", "holds white space, '(', ')', '+' or an unpaired surrogate"),
+            ("A B", "holds white space"),
+            ("A\u00a0B", "holds white space"),
+            ("(A", "holds white space"),
+            ("A)", "holds white space"),
+            ("A\ud800", "holds white space"),
+            ("A-remote", "ends in a conversion marker"),
+            ("A-ancestor1", "ends in a conversion marker"),
+            ("ROOT", "label 'ROOT' is reserved"),
+            ("NOT-PARENT", "label 'NOT-PARENT' is reserved"),
+        ],
+    )
+    def test_label_grammar(self, label, problem):
+        [found] = simple_graph([label], n=1).validate()
+        assert found.startswith("edge 2->3: ") and problem in found
+
+    @pytest.mark.parametrize("label", ["A-remote1", "A-remoteX", "-", "Ä", "ROOTS", "root", "a-b_c"])
+    def test_label_grammar_allows(self, label):
+        assert simple_graph([label], n=1).validate() == []
+
+    def test_reserved_remote_label_rejected(self, german_graph):
+        bad = UccaGraph(
+            tokens=german_graph.tokens,
+            root=german_graph.root,
+            nonterminals=german_graph.nonterminals,
+            edges=german_graph.edges[:-1] + (Edge(10, 12, "NOT-PARENT", remote=True),),
+        )
+        assert bad.validate() == ["edge 10->12: label 'NOT-PARENT' is reserved"]
+
+    def test_labeled_terminal_edge_rejected(self):
+        g = UccaGraph(
+            tokens=(Token(form="a"),),
+            root=2,
+            nonterminals=frozenset({2}),
+            edges=(Edge(2, 1, "A"),),
+        )
+        assert g.validate() == ["edge 2->1 to a terminal has label 'A'"]
+
+    @pytest.mark.parametrize(
+        "token, problem",
+        [
+            (Token(form="a\nb"), "token 1 has a line break or an unpaired surrogate in its form"),
+            (Token(form="a\rb"), "token 1 has a line break or an unpaired surrogate in its form"),
+            (Token(form="\udc00"), "token 1 has a line break or an unpaired surrogate in its form"),
+            (Token(form=7), "token 1 has a feature that is not a string"),
+            (Token(form="a", pos=None), "token 1 has a feature that is not a string"),
+            (Token(form="a", lang=["en"]), "token 1 has a feature that is not a string"),
+        ],
+    )
+    def test_token_rule(self, token, problem):
+        assert token_problems([token]) == [problem]
+
+    def test_token_forms_may_hold_spaces_tabs_and_brackets(self):
+        assert token_problems([Token(form=f) for f in ["a b", "a\tb", "(", "\x0b"]]) == []
 
 
 class TestCanonical:
@@ -284,6 +383,29 @@ class TestConstituentTree:
             children=(TreeNode(label="", children=(TreeNode(leaf=1),)),),
         )
         assert any("empty label" in p for p in ConstituentTree(tokens, root).validate())
+
+    @pytest.mark.parametrize(
+        "label, problem",
+        [
+            ("E+F", None),
+            ("A-remote-ancestor1", None),
+            ("E-ancestor1+A-remote", None),
+            ("A-ancestor1-remote", "in 'A-ancestor1-remote', label 'A-ancestor1' ends in a conversion marker"),
+            ("A-remote-remote", "in 'A-remote-remote', label 'A-remote' ends in a conversion marker"),
+            ("A++B", "in 'A++B', empty label"),
+            ("-remote", "in '-remote', empty label"),
+            ("ROOT", "label 'ROOT' is reserved"),
+            ("H+ROOT", "in 'H+ROOT', label 'ROOT' is reserved"),
+            ("NOT-PARENT-remote", "in 'NOT-PARENT-remote', label 'NOT-PARENT' is reserved"),
+            (5, "label 5 is not a string"),
+        ],
+    )
+    def test_label_grammar_per_part(self, label, problem):
+        tree = ConstituentTree(
+            (Token(form="a"),),
+            TreeNode(label="ROOT", children=(TreeNode(label=label, children=(TreeNode(leaf=1),)),)),
+        )
+        assert tree.validate() == ([problem] if problem else [])
 
     def test_internal_node_over_childless_nodes_reported(self):
         # "A" has a child but no leaf below it: a problem, not an IndexError.

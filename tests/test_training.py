@@ -285,6 +285,13 @@ class TestPretrained:
         with pytest.raises(ValueError, match=r"vec\.txt:1: .*'x'"):
             load_pretrained(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_component_names_its_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"a 0.1 0.2\nthe 0.1 {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"vec\.txt:2: vector holds NaN or infinite values"):
+            load_pretrained(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("", encoding="utf-8")
