@@ -68,6 +68,14 @@ def tokens_from_json(data: dict) -> tuple[Token, ...]:
     )
 
 
+def json_typed(value, kind: type, what: str):
+    """``value`` when JSON read it as ``kind``: ``int`` takes no boolean or
+    float, ``bool`` nothing but ``true`` and ``false``."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Label grammar: graph labels stay clear of the syntax trees reserve.  A tree
 # label is one or more "+"-joined parts (a chain of nodes on one span), each a
@@ -381,17 +389,17 @@ class UccaGraph:
     def from_json(cls, data: dict) -> UccaGraph:
         edges = tuple(
             Edge(
-                parent=int(e["parent"]),
-                child=int(e["child"]),
+                parent=json_typed(e["parent"], int, "edge parent"),
+                child=json_typed(e["child"], int, "edge child"),
                 label=e.get("label", ""),
-                remote=bool(e.get("remote", False)),
+                remote=json_typed(e.get("remote", False), bool, "edge remote flag"),
             )
             for e in data["edges"]
         )
         return cls(
             tokens=tokens_from_json(data),
-            root=int(data["root"]),
-            nonterminals=frozenset(int(v) for v in data["nodes"]),
+            root=json_typed(data["root"], int, "root"),
+            nonterminals=frozenset(json_typed(v, int, "node id") for v in data["nodes"]),
             edges=edges,
         )
 
@@ -736,7 +744,7 @@ class ConstituentTree:
     def from_json(cls, data: dict) -> ConstituentTree:
         def decode(node: dict) -> TreeNode:
             if "leaf" in node:
-                return TreeNode(leaf=int(node["leaf"]))
+                return TreeNode(leaf=json_typed(node["leaf"], int, "leaf position"))
             return TreeNode(
                 label=node["label"],
                 children=tuple(decode(c) for c in node["children"]),

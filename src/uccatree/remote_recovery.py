@@ -1,22 +1,21 @@
 """Recovery of remote (reentrant) edges with a biaffine classifier.
 
 Each node whose tree label carried the ``-remote`` marker is paired with
-every other nonterminal of the restored graph.  Each node's span goes
-through its MLP once; one biaffine product (arXiv 1611.01734) then scores
-every remote label plus a distinguished NOT-PARENT outcome for every
-(child, parent) cell of one (child, label, parent) grid.  Training
-minimizes per-pair cross-entropy over the cells that
-:func:`enumerate_pairs` lists.  Prediction reads the grid itself and
-creates no pair objects: every cell off the diagonal whose best label is a
-real one proposes an edge, and proposals are accepted in order of
-confidence as long as they neither duplicate a primary edge nor close a
-cycle.
+every other nonterminal of the restored graph.  :func:`enumerate_pairs`
+lays these candidates out as the cells of one (child, parent) grid, and
+training and prediction both read exactly those cells.  Each node's span
+goes through its MLP once; one biaffine product (arXiv 1611.01734) then
+scores every remote label plus a distinguished NOT-PARENT outcome for
+every cell.  Training minimizes per-cell cross-entropy.  At prediction
+every cell whose best label is a real one proposes an edge, and proposals
+are accepted in order of confidence as long as they neither duplicate a
+primary edge nor close a cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,90 +26,81 @@ from .neural_core import BoundParams, Encoding, biaffine, span_affine
 
 
 @dataclass(frozen=True)
-class RemoteCandidatePair:
-    child: int
-    parent: int
-    child_span: tuple[int, int]
-    parent_span: tuple[int, int]
+class RemoteGrid:
+    """The remote candidates of one graph: candidate k is the cell
+    (``children[rows[k]]``, ``parents[cols[k]]``)."""
+
+    children: list[int]  # the distinct marked nodes, in first-marked order
+    parents: list[int]  # the candidate parent columns
+    spans: dict[int, Span]  # each node's fencepost span
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
-def enumerate_pairs(
-    graph: UccaGraph, remote_marked: Sequence[int]
-) -> list[RemoteCandidatePair]:
-    """All (marked child, candidate parent) pairs in a fixed order.
+def enumerate_pairs(graph: UccaGraph, remote_marked: Sequence[int]) -> RemoteGrid:
+    """All (marked child, candidate parent) cells in a fixed order: child
+    by child as marked, parents by ascending id, the child itself skipped.
 
     Candidate parents are every other nonterminal, including the child's
     own primary parent and the root.  Spans come from the yield of each
     node in the restored primary graph, so a discontinuous node spans its
     leftmost-to-rightmost interval.
     """
-    pairs: list[RemoteCandidatePair] = []
     for child in remote_marked:
         if child not in graph.nonterminals:
             raise ValueError(f"remote-marked node {child} is not a nonterminal")
-        child_span = graph.fencepost_span(child)
-        for parent in sorted(graph.nonterminals):
-            if parent == child:
-                continue
-            pairs.append(
-                RemoteCandidatePair(
-                    child=child,
-                    parent=parent,
-                    child_span=child_span,
-                    parent_span=graph.fencepost_span(parent),
-                )
-            )
-    return pairs
+    children = list(dict.fromkeys(remote_marked))
+    # Columns in the order the cells first name them: the first child is a
+    # column only as another child's candidate parent, so it comes last.
+    parents = [p for p in sorted(graph.nonterminals) if children and p != children[0]]
+    if len(children) > 1:
+        parents.append(children[0])
+    row_of = {c: k for k, c in enumerate(children)}
+    marked_rows = np.array([row_of[c] for c in remote_marked], dtype=np.intp)
+    columns = np.array(parents, dtype=np.intp)
+    by_id = np.argsort(columns)
+    # Row-major over (marked node, column by id), off the diagonal.
+    k, j = np.nonzero(np.array(remote_marked, dtype=np.intp)[:, None] != columns[by_id])
+    spans = {v: graph.fencepost_span(v) for v in children + parents}
+    return RemoteGrid(children, parents, spans, marked_rows[k], by_id[j])
 
 
-def _score_grid(
-    child_spans: Mapping[int, Span],
-    parent_spans: Mapping[int, Span],
-    enc: Encoding,
-    bound: BoundParams,
-) -> Var:
+def _score_grid(grid: RemoteGrid, enc: Encoding, bound: BoundParams) -> Var:
     """(children, remote labels, parents) scores of every cell, rows and
-    columns in the order of the two node -> span maps."""
-    children = span_affine(enc, list(child_spans.values()), bound, "remote_child")
-    parents = span_affine(enc, list(parent_spans.values()), bound, "remote_parent")
+    columns in the grid's order."""
+    children = span_affine(enc, [grid.spans[c] for c in grid.children], bound, "remote_child")
+    parents = span_affine(enc, [grid.spans[p] for p in grid.parents], bound, "remote_parent")
     return biaffine(ad.relu(children), ad.relu(parents), bound["biaffine_w"])
 
 
-def _pair_score_matrix(
-    pairs: Sequence[RemoteCandidatePair], enc: Encoding, bound: BoundParams
-) -> Var:
-    """(pairs, remote labels) scores, row k for ``pairs[k]``, gathered from
-    the grid over the distinct nodes in first-seen order."""
-    child_spans = {p.child: p.child_span for p in pairs}
-    parent_spans = {p.parent: p.parent_span for p in pairs}
-    grid = _score_grid(child_spans, parent_spans, enc, bound)
-    row = {node: k for k, node in enumerate(child_spans)}
-    col = {node: k for k, node in enumerate(parent_spans)}
-    return ad.index(grid, ([row[p.child] for p in pairs], slice(None), [col[p.parent] for p in pairs]))
-
-
 def loss_remote(
-    pairs: Sequence[RemoteCandidatePair],
+    grid: RemoteGrid,
     gold_remote_edges: Sequence[tuple[int, int, str]],
     enc: Encoding,
     bound: BoundParams,
 ) -> Var:
-    """Summed cross-entropy over all candidate pairs.
+    """Summed cross-entropy over all candidate cells.
 
-    Pairs that do not correspond to a gold remote edge train toward
+    Cells that do not correspond to a gold remote edge train toward
     NOT-PARENT (index 0 of the remote label inventory).
     """
-    if not pairs:
+    if not len(grid):
         return Var(np.zeros(()))
-    gold = {(parent, child): label for parent, child, label in gold_remote_edges}
     vocab = bound.params.remote_labels
-    gold_ids = []
-    for pair in pairs:
-        label = gold.get((pair.parent, pair.child))
-        if label is not None and label not in vocab.index:
-            raise ValueError(f"remote label {label!r} missing from the inventory")
-        gold_ids.append(0 if label is None else vocab.lookup(label))
-    return ad.cross_entropy_rows(_pair_score_matrix(pairs, enc, bound), gold_ids)
+    row = {c: k for k, c in enumerate(grid.children)}
+    col = {p: k for k, p in enumerate(grid.parents)}
+    gold_ids = np.zeros((len(grid.children), len(grid.parents)), dtype=np.intp)
+    gold = {(parent, child): label for parent, child, label in gold_remote_edges}
+    for (parent, child), label in gold.items():
+        if child in row and parent in col:
+            if label not in vocab.index:
+                raise ValueError(f"remote label {label!r} missing from the inventory")
+            gold_ids[row[child], col[parent]] = vocab.index[label]
+    scores = ad.index(_score_grid(grid, enc, bound), (grid.rows, slice(None), grid.cols))
+    return ad.cross_entropy_rows(scores, gold_ids[grid.rows, grid.cols])
 
 
 def predict_remotes(
@@ -121,36 +111,26 @@ def predict_remotes(
 ) -> list[tuple[int, int, str]]:
     """Predicted (parent, child, label) remote edges for a restored graph.
 
-    The grid is scored once, over the marked children and the columns of
-    :func:`enumerate_pairs`.  Every cell off the diagonal whose argmax
-    label is not NOT-PARENT becomes a proposal with confidence
-    ``score[best] - score[NOT-PARENT]``.  Proposals are processed by
-    descending confidence and dropped when they duplicate a primary edge
-    or would close a cycle.
+    The grid of :func:`enumerate_pairs` is scored once.  Every candidate
+    cell whose argmax label is not NOT-PARENT becomes a proposal with
+    confidence ``score[best] - score[NOT-PARENT]``.  Proposals are
+    processed by descending confidence and dropped when they duplicate a
+    primary edge or would close a cycle.
     """
-    nonterminals = sorted(graph.nonterminals)
-    for child in remote_marked:
-        if child not in graph.nonterminals:
-            raise ValueError(f"remote-marked node {child} is not a nonterminal")
-    children = list(dict.fromkeys(remote_marked))
-    if not children or len(nonterminals) < 2:
+    grid = enumerate_pairs(graph, remote_marked)
+    if not len(grid):
         return []
-    # The pair list's columns in its first-seen order: the first child is
-    # its own column only as another child's candidate parent.
-    parents = [p for p in nonterminals if p != children[0]]
-    if len(children) > 1:
-        parents.append(children[0])
-    child_spans = {c: graph.fencepost_span(c) for c in children}
-    parent_spans = {p: graph.fencepost_span(p) for p in parents}
-    grid = _score_grid(child_spans, parent_spans, enc, bound).value
-    best = grid.argmax(axis=1)  # (children, parents); label 0 is NOT-PARENT
-    margins = np.take_along_axis(grid, best[:, None, :], axis=1)[:, 0, :] - grid[:, 0, :]
-    # Nodes by their place among the sorted nonterminals, which orders them
-    # as their ids do.
+    scores = _score_grid(grid, enc, bound).value
+    best = scores.argmax(axis=1)  # (children, parents); label 0 is NOT-PARENT
+    margins = np.take_along_axis(scores, best[:, None, :], axis=1)[:, 0, :] - scores[:, 0, :]
+    candidate = np.zeros(best.shape, dtype=bool)
+    candidate[grid.rows, grid.cols] = True  # a child marked twice is one row
+    # Nodes by their place among the sorted nonterminals, in id order.
+    nonterminals = sorted(graph.nonterminals)
     index = {v: k for k, v in enumerate(nonterminals)}
-    child_at = np.array([index[c] for c in children])
-    parent_at = np.array([index[p] for p in parents])
-    rows, cols = np.nonzero((best != 0) & (child_at[:, None] != parent_at))
+    child_at = np.array([index[c] for c in grid.children])
+    parent_at = np.array([index[p] for p in grid.parents])
+    rows, cols = np.nonzero(candidate & (best != 0))
     proposals = sorted(
         zip(
             (-margins[rows, cols]).tolist(),

@@ -34,12 +34,7 @@ from .neural_core import (
     embed,
     encode,
 )
-from .remote_recovery import (
-    RemoteCandidatePair,
-    enumerate_pairs,
-    loss_remote,
-    predict_remotes,
-)
+from .remote_recovery import RemoteGrid, enumerate_pairs, loss_remote, predict_remotes
 from .span_parser import gold_trace, loss_topdown, parse_topdown
 
 DECOMPOSITION_TOLERANCE = 1e-12
@@ -71,7 +66,7 @@ class Example:
     tokens: tuple[Token, ...]
     lang: str
     trace: dict[Span, str]  # the gold labeled spans, see gold_trace
-    pairs: list[RemoteCandidatePair]
+    pairs: RemoteGrid  # the remote candidate cells, see enumerate_pairs
     gold_remotes: list[tuple[int, int, str]]
     external: np.ndarray | None = None
 
@@ -170,8 +165,10 @@ def load_pretrained(path: str) -> tuple[list[str], np.ndarray]:
     words: list[str] = []
     vectors: list[list[float]] = []
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if re.search(r"[\ud800-\udfff]", line):  # where a byte was not UTF-8
+                raise ValueError(f"{path}:{lineno}: bytes that are not UTF-8")
             # ASCII whitespace only: str.split() would also cut words that
             # contain a no-break space (U+00A0).
             parts = re.findall(r"[^ \t\n\r\f\v]+", line)

@@ -57,4 +57,11 @@ def test_one_train_n30_op_passes_its_check_and_replays():
     assert [workload.op(state, k) for k in (1, 2)] == first
     workload.restore(state, snap)
     tracer = harness.Tracer()
-    assert [workload.traced_op(state, k, tracer, None) for k in (1, 2)] == first
+    counts = {1: {}, 2: {}}
+    assert [workload.traced_op(state, k, tracer, counts[k]) for k in (1, 2)] == first
+    # Every marked node is a candidate child of every other nonterminal.
+    for k in (1, 2):
+        graph = state.graphs[k]
+        marked = {e.child for e in graph.remote_edges}
+        assert marked
+        assert counts[k]["remote_recovery.pairs"] == len(marked) * (len(graph.nonterminals) - 1)

@@ -649,6 +649,57 @@ class TestErrorContract:
         message = json.loads(stderr)["error"]["message"]
         assert "ext.jsonl:2: malformed external feature record" in message
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("parent", 3.9, "edge parent must be of type int, got 3.9"),
+            ("child", 4.0, "edge child must be of type int, got 4.0"),
+            ("parent", True, "edge parent must be of type int, got True"),
+            ("remote", "false", "edge remote flag must be of type bool, got 'false'"),
+            ("remote", 0, "edge remote flag must be of type bool, got 0"),
+            ("root", 3.0, "root must be of type int, got 3.0"),
+            ("nodes", [3, 4.0, 5], "node id must be of type int, got 4.0"),
+        ],
+    )
+    def test_graph_numbers_and_flags_are_read_as_written(
+        self, tmp_path, capsys, field, value, problem
+    ):
+        record = simple_graph(["A", "P"], n=2).to_json()
+        if field in record:
+            record[field] = value
+        else:
+            record["edges"][0][field] = value  # the edge 3->4
+        corpus = tmp_path / "corpus.jsonl"
+        good = json.dumps(simple_graph(["P", "A"], n=2).to_json())
+        corpus.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        out = tmp_path / "trees.txt"
+        code, stdout, stderr = run_cli(capsys, "convert", "--in", str(corpus), "--out", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        message = json.loads(stderr)["error"]["message"]
+        assert message == f"{corpus}:2: malformed graph record: {problem}"
+
+    @pytest.mark.parametrize("leaf", [True, 1.0])
+    def test_tree_leaf_positions_are_read_as_written(self, tmp_path, capsys, leaf):
+        trees = tmp_path / "trees.jsonl"
+        tokens = {"tokens": [{"form": "a"}, {"form": "b"}], "lang": "en"}
+        lines = [
+            {**tokens, "tree": {"label": "ROOT", "children": [{"leaf": 1}, {"leaf": 2}]}},
+            {**tokens, "tree": {"label": "ROOT", "children": [{"leaf": leaf}, {"leaf": 2}]}},
+        ]
+        trees.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        ckpt = tmp_path / "model.json"
+        cfg = build_model_config([german_example()], TrainConfig.from_json(TINY_TRAIN))
+        ModelParams.initialize(cfg, seed=0).save(str(ckpt))
+        code, stdout, stderr = run_cli(
+            capsys, "restore", "--in", str(trees), "--remotes-model", str(ckpt),
+            "--out", str(tmp_path / "x"), "--format", "jsonl",
+        )
+        assert code == 1 and stdout == ""
+        message = json.loads(stderr)["error"]["message"]
+        assert message == (
+            f"{trees}:2: malformed tree record: leaf position must be of type int, got {leaf!r}"
+        )
+
     def test_missing_subcommand_still_emits_json(self, capsys):
         code, _, stderr = run_cli(capsys)
         assert code == 1

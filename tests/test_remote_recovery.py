@@ -1,4 +1,4 @@
-"""Biaffine remote-edge recovery: pair enumeration, loss, filtered decoding."""
+"""Biaffine remote-edge recovery: the candidate grid, loss, filtered decoding."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from uccatree import remote_recovery
 from uccatree.autodiff import Var
 from uccatree.conversion import tree_from_sexpr, tree_to_graph
 from uccatree.generator import SyntheticSpec, generate
@@ -22,13 +21,7 @@ from uccatree.neural_core import (
     encode,
     span_affine,
 )
-from uccatree.remote_recovery import (
-    RemoteCandidatePair,
-    _pair_score_matrix,
-    enumerate_pairs,
-    loss_remote,
-    predict_remotes,
-)
+from uccatree.remote_recovery import enumerate_pairs, loss_remote, predict_remotes
 
 from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, primary_only, simple_graph, tape_nodes
 
@@ -71,16 +64,42 @@ def german_restored():
     return graph, marked
 
 
+def nested_loop_pairs(graph, remote_marked):
+    """The (child, parent) candidates in their documented order: child by
+    child as marked, parents by ascending id, the child itself skipped."""
+    return [(c, p) for c in remote_marked for p in sorted(graph.nonterminals) if p != c]
+
+
+def hand_scores(graph, pairs, enc, tensors):
+    """Remote-label scores of each (child, parent) pair, one pair at a time:
+    both MLP heads, then the biaffine form as one einsum."""
+
+    def head(name, node):
+        i, j = graph.fencepost_span(node)
+        r = enc.fenceposts.value[j] - enc.fenceposts.value[i]
+        return np.maximum(tensors[name + "_w"] @ r + tensors[name + "_b"], 0.0)
+
+    return [
+        np.einsum(
+            "i,ilj,j->l",
+            np.append(head("remote_child", child), 1.0),
+            tensors["biaffine_w"],
+            head("remote_parent", parent),
+        )
+        for child, parent in pairs
+    ]
+
+
 def rig_scores(monkeypatch, score_by_parent, n_labels=2):
     """Make every candidate cell of the score grid a fixed vector chosen by
     its (parent, child) pair."""
 
-    def fake_grid(child_spans, parent_spans, enc, bound):
+    def fake_grid(grid, enc, bound):
         default = np.full(n_labels, -1.0)
         default[0] = 0.0
         cells = [
-            [score_by_parent.get((parent, child), default) for parent in parent_spans]
-            for child in child_spans
+            [score_by_parent.get((parent, child), default) for parent in grid.parents]
+            for child in grid.children
         ]
         return Var(np.array(cells, dtype=float).transpose(0, 2, 1))
 
@@ -91,15 +110,16 @@ class TestEnumeratePairs:
     def test_german_worked_example_pairs(self):
         graph, marked = german_restored()
         assert tuple(marked) == (12,)
-        pairs = enumerate_pairs(graph, marked)
-        assert len(pairs) == 8
-        assert [p.parent for p in pairs] == [8, 9, 10, 11, 13, 14, 15, 16]
-        assert all(p.child == 12 for p in pairs)
-        assert all(p.child_span == (1, 2) for p in pairs)
+        grid = enumerate_pairs(graph, marked)
+        assert len(grid) == 8
+        assert grid.children == [12]
+        assert [grid.parents[c] for c in grid.cols] == [8, 9, 10, 11, 13, 14, 15, 16]
+        assert grid.rows.tolist() == [0] * 8
+        assert grid.spans[12] == (1, 2)
 
     def test_discontinuous_parent_span_is_its_interval(self):
         graph, marked = german_restored()
-        spans = {p.parent: p.parent_span for p in enumerate_pairs(graph, marked)}
+        spans = enumerate_pairs(graph, marked).spans
         # Node 9 yields terminals {1, 6, 7}; its span covers the whole gap.
         assert graph.yield_of(9) == (1, 6, 7)
         assert spans[9] == (0, 7)
@@ -116,6 +136,22 @@ class TestEnumeratePairs:
         graph = simple_graph(["A"], n=1)
         with pytest.raises(ValueError, match="not a nonterminal"):
             enumerate_pairs(graph, [1])
+
+    @pytest.mark.parametrize(
+        "marked", [[], [7], [7, 5], [8, 5, 6, 9, 7], [6, 8, 6], [5, 5]]
+    )
+    def test_cells_follow_the_nested_loop_order(self, marked):
+        graph = simple_graph(["A", "P", "E", "D"], n=4)
+        grid = enumerate_pairs(graph, marked)
+        cells = [(grid.children[r], grid.parents[c]) for r, c in zip(grid.rows, grid.cols)]
+        assert cells == nested_loop_pairs(graph, marked)
+        assert grid.children == list(dict.fromkeys(marked))
+        assert len(set(grid.parents)) == len(grid.parents)
+
+    def test_single_node_graph_has_no_cells(self):
+        toks = (Token(form="t1"),)
+        graph = UccaGraph(tokens=toks, root=2, nonterminals=frozenset({2}), edges=(Edge(2, 1, ""),))
+        assert len(enumerate_pairs(graph, [2])) == 0
 
 
 class TestLossRemote:
@@ -145,24 +181,15 @@ class TestLossRemote:
         )
         p = ModelParams.initialize(cfg, seed=5)
         _, bound, enc = encode_tokens(p, ["t1", "t2", "t3"])
-        pairs = enumerate_pairs(graph, [4, 6])
         gold = [(5, 4, "A"), (3, 6, "E")]
-        loss = float(loss_remote(pairs, gold, enc, bound).value)
+        loss = float(loss_remote(enumerate_pairs(graph, [4, 6]), gold, enc, bound).value)
 
         gold_map = {(pa, ch): lab for pa, ch, lab in gold}
         inventory = list(cfg.remote_labels)
-        t = p.tensors
-
-        def head(name, span):
-            r = enc.fenceposts.value[span[1]] - enc.fenceposts.value[span[0]]
-            return np.maximum(t[name + "_w"] @ r + t[name + "_b"], 0.0)
-
+        pairs = nested_loop_pairs(graph, [4, 6])
         expected = 0.0
-        for pair in pairs:
-            child = np.append(head("remote_child", pair.child_span), 1.0)
-            parent = head("remote_parent", pair.parent_span)
-            s = np.einsum("i,ilj,j->l", child, t["biaffine_w"], parent)
-            gold_id = inventory.index(gold_map.get((pair.parent, pair.child), NOT_PARENT))
+        for (child, parent), s in zip(pairs, hand_scores(graph, pairs, enc, p.tensors)):
+            gold_id = inventory.index(gold_map.get((parent, child), NOT_PARENT))
             expected += math.log(np.exp(s - s.max()).sum()) + s.max() - s[gold_id]
         assert loss == pytest.approx(expected, abs=1e-10)
 
@@ -192,19 +219,19 @@ class TestLossRemote:
         cfg = recovery_config(words=("t1", "t2", "t3"))
         p = ModelParams.initialize(cfg, seed=5)
         _, bound, enc = encode_tokens(p, ["t1", "t2", "t3"])
-        pairs = enumerate_pairs(graph, [4, 6])
         gold = [(5, 4, "A")]
-        few = loss_remote(pairs, gold, enc, bound)
-        many = loss_remote(pairs + pairs, gold, enc, bound)
-        assert len(pairs) == 6
-        assert float(many.value) == pytest.approx(2 * float(few.value), abs=1e-12)
+        few_cells, many_cells = enumerate_pairs(graph, [4]), enumerate_pairs(graph, [4, 6, 7, 5])
+        assert (len(few_cells), len(many_cells)) == (3, 12)
+        few = loss_remote(few_cells, gold, enc, bound)
+        many = loss_remote(many_cells, gold, enc, bound)
+        assert float(many.value) > float(few.value)
         assert tape_nodes(many) == tape_nodes(few)
 
     def test_no_pairs_is_zero_loss(self):
         cfg = recovery_config(words=("t1",))
         p = zero_params(cfg)
         _, bound, enc = encode_tokens(p, ["t1"])
-        loss = loss_remote([], [], enc, bound)
+        loss = loss_remote(enumerate_pairs(simple_graph(["A"], n=1), []), [], enc, bound)
         assert float(loss.value) == 0.0
         loss.backward()  # must not blow up on an empty sum
 
@@ -297,28 +324,26 @@ class TestPredictRemotes:
 
 def pair_list_predict(graph, remote_marked, enc, bound):
     """The pair-list formulation of ``predict_remotes``: one proposal per
-    enumerated pair, scored through ``_pair_score_matrix``."""
-    pairs = enumerate_pairs(graph, remote_marked)
-    if not pairs:
-        return []
+    (child, parent) pair of the nested loop, each scored by hand."""
+    pairs = nested_loop_pairs(graph, list(dict.fromkeys(remote_marked)))
     labels = bound.config.remote_labels
-    scores = _pair_score_matrix(pairs, enc, bound).value
+    scores = hand_scores(graph, pairs, enc, bound.params.tensors)
     proposals = [
-        (float(values[best] - values[0]), pair, labels[best])
-        for pair, values, best in zip(pairs, scores, scores.argmax(axis=1))
-        if best != 0
+        (float(values[best] - values[0]), child, parent, labels[best])
+        for (child, parent), values in zip(pairs, scores)
+        if (best := int(values.argmax())) != 0
     ]
-    proposals.sort(key=lambda item: (-item[0], item[1].child, item[1].parent))
+    proposals.sort(key=lambda item: (-item[0], item[1], item[2]))
     primary = {(e.parent, e.child) for e in graph.primary_edges}
     out_edges = {v: set() for v in graph.node_ids}
     for e in graph.primary_edges:
         out_edges[e.parent].add(e.child)
     accepted = []
-    for _, pair, label in proposals:
-        if (pair.parent, pair.child) in primary or reachable(out_edges, pair.child, pair.parent):
+    for _, child, parent, label in proposals:
+        if (parent, child) in primary or reachable(out_edges, child, parent):
             continue
-        out_edges[pair.parent].add(pair.child)
-        accepted.append((pair.parent, pair.child, label))
+        out_edges[parent].add(child)
+        accepted.append((parent, child, label))
     return accepted
 
 
@@ -348,18 +373,16 @@ class TestGridMatchesPairList:
         p = ModelParams.initialize(cfg, seed=0)
         _, bound, enc = encode_tokens(p, forms)
         marked = sorted(graph.nonterminals)[:5]
-        pairs = enumerate_pairs(graph, marked)
-        proposed = int((_pair_score_matrix(pairs, enc, bound).value.argmax(axis=1) != 0).sum())
+        scores = hand_scores(graph, nested_loop_pairs(graph, marked), enc, p.tensors)
+        proposed = sum(int(s.argmax()) != 0 for s in scores)
         accepted = len(predict_remotes(graph, marked, enc, bound))
         assert 0 < accepted < proposed
 
-    def test_prediction_builds_no_pair_objects(self, graph, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("pair objects built at prediction time")
-
-        monkeypatch.setattr(remote_recovery, "RemoteCandidatePair", forbidden)
-        monkeypatch.setattr(remote_recovery, "enumerate_pairs", forbidden)
+    def test_a_repeated_marked_node_proposes_once(self, graph):
         forms = [t.form for t in graph.tokens]
-        p = ModelParams.initialize(recovery_config(words=tuple(forms)), seed=0)
+        cfg = recovery_config(words=tuple(forms), remote_labels=(NOT_PARENT, "A", "E"))
+        p = ModelParams.initialize(cfg, seed=0)
         _, bound, enc = encode_tokens(p, forms)
-        predict_remotes(graph, sorted(graph.nonterminals)[:2], enc, bound)
+        marked = sorted(graph.nonterminals)[:5]
+        once = predict_remotes(graph, marked, enc, bound)
+        assert predict_remotes(graph, marked + marked[::-1], enc, bound) == once

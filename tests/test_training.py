@@ -94,7 +94,7 @@ class TestPrepareAndVocab:
         assert ex.lang == "de"
         assert ex.gold_remotes == [(10, 12, "A")]
         assert len(ex.pairs) == 8
-        assert all(p.child == 12 for p in ex.pairs)
+        assert ex.pairs.children == [12]
         assert set(ex.trace.values()) == {
             "ROOT+H", "U", "H-ancestor1", "A-remote", "P", "L-ancestor1",
         }
@@ -290,6 +290,13 @@ class TestPretrained:
         path = tmp_path / "vec.txt"
         path.write_text(f"a 0.1 0.2\nthe 0.1 {value}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"vec\.txt:2: vector holds NaN or infinite values"):
+            load_pretrained(str(path))
+
+    @pytest.mark.parametrize("line", [b"\xff\xfe 0.3 0.4", b"the 0.3 \xc3"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, line):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"a 0.1 0.2\n" + line + b"\nb 0.5 0.6\n")
+        with pytest.raises(ValueError, match=r"vec\.txt:2: bytes that are not UTF-8"):
             load_pretrained(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
