@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conversion import ConversionError, graph_to_tree, tree_from_sexpr, tree_to_sexpr
+from .conversion import graph_to_tree, tree_from_sexpr, tree_to_sexpr
 from .evaluation import report_json, score_corpus
 from .generator import SyntheticSpec, generate
 from .graph_model import (
@@ -132,12 +132,9 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     params = ModelParams.load(args.remotes_model)
     trees = _read_trees(args.infile, args.format, args.lang)
     restored = []
-    for r, tree in enumerate(trees, start=1):
+    for tree in trees:
         bound, enc = encode_sentence(tree.tokens, params)
-        try:
-            restored.append(restore_graph(tree, enc, bound))
-        except ConversionError as exc:
-            raise CliError(f"{args.infile}: record {r}: {exc}") from exc
+        restored.append(restore_graph(tree, enc, bound))
     dump_corpus(restored, args.out)
     print(f"restored {len(restored)} graphs to {args.out}")
     return 0

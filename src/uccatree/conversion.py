@@ -1,23 +1,25 @@
 """Lossy-bounded conversion between semantic graphs and constituent trees.
 
-The forward direction turns a graph into a tree in three passes:
+The forward direction, :func:`graph_to_tree`, turns a graph into a tree:
 
 1. ``strip_remotes`` drops reentrant edges and marks each node that had a
    remote parent by suffixing ``-remote`` onto its primary edge label.
-2. ``remove_discontinuities`` repairs non-contiguous yields by moving the
-   subtree that fills a gap down into the discontinuous node.  When the
-   moved subtree came from the discontinuous node's own parent (distance
-   one, which is also the lowest common ancestor) the move is recorded on
-   the label as ``-ancestor1`` and can be undone exactly; all other moves
-   are lossy and only counted.
-3. ``push_labels`` turns edge labels into node labels, names the root
-   "ROOT", and collapses unary chains with ``+``.
+2. The discontinuity repair (``remove_discontinuities`` on its own)
+   makes every yield contiguous by moving the subtree that fills a gap
+   down into the discontinuous node.  When the moved subtree came from the
+   discontinuous node's own parent (distance one, which is also the lowest
+   common ancestor) the move is recorded on the label as ``-ancestor1`` and
+   can be undone exactly; all other moves are lossy and only counted.  The
+   repaired children map and yields give the tree's labeled spans directly:
+   edge labels become node labels, the root is named "ROOT", and a unary
+   chain of nonterminals on one span becomes one "+"-joined label.
 
-``tree_to_graph`` inverts pass 3, re-expands ``-ancestor1`` moves and
+``tree_to_graph`` expands the chains, re-expands ``-ancestor1`` moves and
 returns the list of nodes whose incoming remote edges must be recovered
-by a classifier.  The markers, and the label grammar that keeps graph
-labels clear of them, are defined in :mod:`uccatree.graph_model`; both
-directions start from input that its ``validate`` methods accept.
+by a classifier.  The markers, the label grammar that keeps graph labels
+clear of them and the rule that keeps every marker undoable are defined
+in :mod:`uccatree.graph_model`; both directions start from input that its
+``validate`` methods accept.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class ConversionResult:
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: remote edges
+# Remote edges
 
 
 def strip_remotes(graph: UccaGraph) -> tuple[UccaGraph, tuple[tuple[int, int, str], ...]]:
@@ -103,7 +105,7 @@ def strip_remotes(graph: UccaGraph) -> tuple[UccaGraph, tuple[tuple[int, int, st
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: discontinuities
+# Discontinuities and labels onto nodes
 
 
 class _MutableTree:
@@ -148,19 +150,9 @@ def _discontinuity_pairs(yields: dict[int, tuple[int, ...]]) -> int:
     return total
 
 
-def remove_discontinuities(
-    graph: UccaGraph,
-) -> tuple[UccaGraph, tuple[MoveRecord, ...]]:
-    """Repair all non-contiguous yields by moving gap subtrees.
-
-    Repeatedly picks the discontinuous node A with the smallest leftmost
-    terminal (deepest first on ties), finds the leftmost terminal B inside
-    A's interval that is not a descendant of A, and walks up from B to the
-    node C whose parent is either lca(A, B) or another discontinuous node.
-    C is moved under A.  Only moves with the detachment point equal to the
-    lca at distance one from A gain the ``-ancestor1`` label marker; every
-    other move is lossy.
-    """
+def _repair(graph: UccaGraph) -> tuple[_MutableTree, dict, tuple[MoveRecord, ...]]:
+    """The discontinuity repair of :func:`remove_discontinuities`: the
+    repaired tree, its (now contiguous) yields and the moves made."""
     state = _MutableTree(graph)
     moves: list[MoveRecord] = []
 
@@ -180,8 +172,7 @@ def remove_discontinuities(
             v for v, y in yields.items() if (y[-1] - y[0] + 1) != len(y)
         }
         if not discontinuous:
-            projective = graph_from_children(graph.tokens, state.root, state.children, state.label)
-            return projective, tuple(moves)
+            return state, yields, tuple(moves)
 
         a = min(discontinuous, key=lambda v: (yields[v][0], -state.depth(v)))
         ya = set(yields[a])
@@ -221,40 +212,33 @@ def remove_discontinuities(
         )
 
 
-# ---------------------------------------------------------------------------
-# Pass 3: labels onto nodes
+def remove_discontinuities(graph: UccaGraph) -> tuple[UccaGraph, tuple[MoveRecord, ...]]:
+    """Repair all non-contiguous yields by moving gap subtrees.
 
-
-def push_labels(tree_graph: UccaGraph) -> ConstituentTree:
-    """Turn a projective remote-free graph into a constituent tree.
-
-    Edge labels become node labels, the root is named "ROOT", children
-    are ordered by leftmost terminal, and unary chains of nonterminals
-    (other than the root itself) collapse into a "+"-joined label.
+    Repeatedly picks the discontinuous node A with the smallest leftmost
+    terminal (deepest first on ties), finds the leftmost terminal B inside
+    A's interval that is not a descendant of A, and walks up from B to the
+    node C whose parent is either lca(A, B) or another discontinuous node.
+    C is moved under A.  Only moves with the detachment point equal to the
+    lca at distance one from A gain the ``-ancestor1`` label marker; every
+    other move is lossy.  Returns the projective graph and the moves.
     """
-    if tree_graph.remote_edges:
-        raise ConversionError("push_labels expects a remote-free graph")
-    for v in tree_graph.nonterminals:
-        if tree_graph.is_discontinuous(v):
-            raise ConversionError(f"push_labels expects a projective graph; node {v} is discontinuous")
-
-    n = tree_graph.n
-    labels = tree_graph.primary_label
-    spans = {(0, n): ROOT_LABEL}
-    # Preorder puts a parent's label before its child's on a shared span.
-    pairs = preorder_edges(tree_graph.primary_children, tree_graph.root, n, tree_graph._yields)
-    for _, v in pairs:
-        if v > n:
-            span = tree_graph.fencepost_span(v)
-            spans[span] = f"{spans[span]}+{labels[v]}" if span in spans else labels[v]
-    return ConstituentTree.from_spans(tree_graph.tokens, spans)
+    state, _, moves = _repair(graph)
+    return graph_from_children(graph.tokens, state.root, state.children, state.label), moves
 
 
 def graph_to_tree(graph: UccaGraph) -> ConversionResult:
     """Full forward conversion: graph -> constituent tree."""
     stripped, dropped = strip_remotes(checked(graph, "graph", ConversionError))
-    projective, moves = remove_discontinuities(stripped)
-    tree = push_labels(projective)
+    state, yields, moves = _repair(stripped)
+    n = graph.n
+    spans = {(0, n): ROOT_LABEL}
+    # Preorder puts a parent's label before its child's on a shared span.
+    for _, v in preorder_edges(state.children, state.root, n, yields):
+        if v > n:
+            span = (yields[v][0] - 1, yields[v][-1])
+            spans[span] = f"{spans[span]}+{state.label[v]}" if span in spans else state.label[v]
+    tree = ConstituentTree.from_spans(graph.tokens, spans)
     lossy = sum(not m.marked for m in moves)
     return ConversionResult(tree=tree, dropped_remote_edges=dropped, lossy_moves=lossy)
 
@@ -300,52 +284,39 @@ def tree_to_graph(tree: ConstituentTree) -> tuple[UccaGraph, tuple[int, ...]]:
                     children[above].append(ident)
                 above = ident
             stack.append(above)
-    root_id = n + 1
 
     # Undo recorded moves top-down, left-to-right (ids were assigned in
-    # preorder, so sorting gives exactly that order).
+    # preorder, so sorting gives exactly that order); in a valid tree each
+    # has a grandparent and leaves its parent a child.
     for ident in sorted(ancestor_marked):
-        origin = parent.get(ident)
-        if origin is None or origin == root_id:
-            raise ConversionError(
-                f"-ancestor1 marker on a child of the root (node {ident}): no grandparent to return to"
-            )
-        if len(children[origin]) == 1:
-            raise ConversionError(
-                f"-ancestor1 marker on node {ident} cannot be undone: "
-                f"its parent (node {origin}) would be left without children"
-            )
+        origin = parent[ident]
         target = parent[origin]
         children[origin].remove(ident)
         children[target].append(ident)
         parent[ident] = target
 
-    graph = graph_from_children(tree.tokens, root_id, children, labels)
+    graph = graph_from_children(tree.tokens, n + 1, children, labels)
     return graph, tuple(remote_marked)
 
 
 # ---------------------------------------------------------------------------
 # Bracketed serialization
 
-_TOKEN_ESCAPES = {
-    "(": "-LRB-",
-    ")": "-RRB-",
-    " ": "-SP-",
-    "\t": "-TAB-",
-}
+# Token forms travel with "(", ")", space and tab escaped, and a "-" where the
+# text after it would read back as an escape: a code name, then "-" or an
+# escaped character.
+_TOKEN_ESCAPES = {"(": "-LRB-", ")": "-RRB-", " ": "-SP-", "\t": "-TAB-", "-": "-HY-"}
 _TOKEN_UNESCAPES = {v: k for k, v in _TOKEN_ESCAPES.items()}
+_ESCAPED_RE = re.compile(r"[() \t]|-(?=(?:LRB|RRB|SP|TAB|HY)[-() \t])")
+_ESCAPE_RE = re.compile(r"-(?:LRB|RRB|SP|TAB|HY)-")
 
 
 def escape_token(form: str) -> str:
-    for raw, esc in _TOKEN_ESCAPES.items():
-        form = form.replace(raw, esc)
-    return form
+    return _ESCAPED_RE.sub(lambda m: _TOKEN_ESCAPES[m.group()], form)
 
 
 def unescape_token(form: str) -> str:
-    for esc, raw in _TOKEN_UNESCAPES.items():
-        form = form.replace(esc, raw)
-    return form
+    return _ESCAPE_RE.sub(lambda m: _TOKEN_UNESCAPES[m.group()], form)
 
 
 def tree_to_sexpr(tree: ConstituentTree) -> str:

@@ -123,15 +123,24 @@ def label_problem(label: object) -> str | None:
 
 def tree_label_problem(label: object) -> str | None:
     """Why ``label`` cannot label a tree node below the root, or None: each
-    "+"-joined part must be a graph label with optional markers."""
+    "+"-joined part must be a graph label with optional markers, and only
+    the head part may carry the move marker."""
     if not isinstance(label, str):
         return f"label {label!r} is not a string"
-    for part in label.split("+"):
+    parts = label.split("+")
+    for part in parts:
         base = split_label(part)[0]
         problem = label_problem(base)
         if problem:
             return problem if base == label else f"in {label!r}, {problem}"
+    if any(split_label(part)[2] for part in parts[1:]):
+        return f"in {label!r}, a marked part after the head leaves the one before it without children"
     return None
+
+
+def _head_moved(label: object) -> bool:
+    """Whether ``label`` is a tree label whose head part carries the move marker."""
+    return isinstance(label, str) and split_label(label.partition("+")[0])[2]
 
 
 def token_problems(tokens: Sequence[Token]) -> list[str]:
@@ -705,7 +714,11 @@ class ConstituentTree:
         return cls(tokens=tuple(tokens), root=root)
 
     def validate(self) -> list[str]:
-        """Violations of the tree invariants, the label grammar and the token rules."""
+        """Violations of the tree invariants, the label grammar and the token
+        rules.  Every valid tree decodes: no move-marked node is a child of
+        the root or follows the head of a chain, and none has only marked
+        siblings, so :func:`~uccatree.conversion.tree_to_graph` can return
+        each to its grandparent, top-down, and leave its parent a child."""
         problems = token_problems(self.tokens)
         if self.root.is_leaf or self.root.label != ROOT_LABEL:
             problems.append(f"root label is {self.root.label!r}, expected {ROOT_LABEL!r}")
@@ -727,6 +740,11 @@ class ConstituentTree:
                 problems.append(f"internal node {node.label!r} covers no token")
             elif pos[-1] - pos[0] + 1 != len(pos):
                 problems.append(f"node {node.label!r} spans a non-contiguous interval {pos}")
+            moved = [c.label for c in node.children if _head_moved(c.label)]
+            if moved and node is self.root:
+                problems.append(f"move marker on {moved[0]!r}, a child of the root: no grandparent")
+            elif len(moved) == len(node.children):
+                problems.append(f"every child of {node.label!r} is move-marked: none would stay")
         return problems
 
     # The JSONL tree form mirrors the graph corpus format: one object per

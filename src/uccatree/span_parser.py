@@ -8,8 +8,9 @@ label.  The decoder's spans become its tree through ``from_spans``.  The
 root chain always starts with "ROOT", which is forbidden everywhere
 else, so the empty label is never an option for the whole sentence.
 Move markers are further restricted at decode time (no marker under a
-bare "ROOT" node or at a node's left edge, none on non-head chain parts)
-so that every produced tree stays restorable to a graph; see
+bare "ROOT" node or at a node's left edge, none on non-head chain parts):
+a stricter form of the rule in ``ConstituentTree.validate`` that keeps
+every marker undoable, so every produced tree restores to a graph; see
 ``_label_masks``.
 
 Training walks the gold tree (teacher forcing) and accumulates hinge
@@ -48,9 +49,10 @@ def _label_masks(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.nd
     below a labeled node that is the node's left edge, so the node keeps a
     child that stays put when markers are undone, and below a bare "ROOT"
     it is n, since the moved node would have no grandparent to return to.
-    Graph-derived gold trees satisfy all of this already: a moved subtree
-    starts strictly inside its new parent's span, has siblings and is never
-    part of a chain.
+    This is stricter than ``ConstituentTree.validate``, which asks only for
+    some unmarked child.  Graph-derived gold trees satisfy all of this
+    already: a moved subtree starts strictly inside its new parent's span,
+    has siblings and is never part of a chain.
     """
     chains = [label.split("+") for label in labels]
     marked = [[split_label(part)[2] for part in chain] for chain in chains]

@@ -64,11 +64,14 @@ class Example:
     """A training sentence with its precomputed supervision."""
 
     tokens: tuple[Token, ...]
-    lang: str
     trace: dict[Span, str]  # the gold labeled spans, see gold_trace
     pairs: RemoteGrid  # the remote candidate cells, see enumerate_pairs
     gold_remotes: list[tuple[int, int, str]]
     external: np.ndarray | None = None
+
+    @property
+    def lang(self) -> str:
+        return self.tokens[0].lang
 
 
 @dataclass
@@ -94,10 +97,8 @@ def prepare_example(graph: UccaGraph, external: np.ndarray | None = None) -> Exa
     gold_remotes = list(result.dropped_remote_edges)
     marked = sorted({child for _, child, _ in gold_remotes})
     pairs = enumerate_pairs(graph, marked)
-    lang = graph.tokens[0].lang
     return Example(
         tokens=graph.tokens,
-        lang=lang,
         trace=trace,
         pairs=pairs,
         gold_remotes=gold_remotes,

@@ -300,29 +300,44 @@ class TestConvertAndRestore:
         message = json.loads(stderr)["error"]["message"]
         assert message == f"{trees}:1: malformed tree record: invalid tree: token 2 has an empty form"
 
+    # An s-expression or a JSONL tree whose move markers cannot be undone
+    # is refused as it is read.  The JSONL chain keeps "A" and its only
+    # child "B-ancestor1" as two nodes.
     @pytest.mark.parametrize(
-        "bad_tree, problem",
+        "bad_tree, fmt, problem",
         [
-            ("(ROOT (A-ancestor1 w1) (B w2))", "-ancestor1 marker on a child of the root"),
-            ("(ROOT (H (A-ancestor1 w1)) (B w2))", "-ancestor1 marker on node 5 cannot be undone"),
+            ("(ROOT (A-ancestor1 w1) (B w2))", "sexpr", "move marker on 'A-ancestor1', a child of the root"),
+            ("(ROOT (H (A-ancestor1 w1)) (B w2))", "sexpr", "in 'H+A-ancestor1', a marked part after the head"),
+            (
+                '{"tokens": [{"form": "w1"}, {"form": "w2"}], "tree": {"label": "ROOT", "children": ['
+                '{"label": "A", "children": [{"label": "B-ancestor1", "children": [{"leaf": 1}]}]},'
+                ' {"leaf": 2}]}}',
+                "jsonl",
+                "every child of 'A' is move-marked",
+            ),
         ],
     )
     def test_restore_names_the_record_a_tree_fails_to_decode_in(
-        self, tmp_path, capsys, bad_tree, problem
+        self, tmp_path, capsys, bad_tree, fmt, problem
     ):
+        good = {
+            "sexpr": "(ROOT (A a b))",
+            "jsonl": '{"tokens": [{"form": "a"}], "tree": {"label": "ROOT", "children": [{"leaf": 1}]}}',
+        }[fmt]
         trees = tmp_path / "trees.txt"
-        trees.write_text("(ROOT (A a b))\n" + bad_tree + "\n", encoding="utf-8")
+        trees.write_text(good + "\n" + bad_tree + "\n", encoding="utf-8")
         ckpt = tmp_path / "model.json"
         cfg = build_model_config([german_example()], TrainConfig.from_json(TINY_TRAIN))
         ModelParams.initialize(cfg, seed=0).save(str(ckpt))
         out = tmp_path / "restored.jsonl"
         code, stdout, stderr = run_cli(
-            capsys, "restore", "--in", str(trees), "--remotes-model", str(ckpt), "--out", str(out)
+            capsys, "restore", "--in", str(trees), "--remotes-model", str(ckpt),
+            "--out", str(out), "--format", fmt,
         )
         assert code == 1 and stdout == "" and not out.exists()
         payload = json.loads(stderr)["error"]
         assert payload["type"] == "CliError"
-        assert payload["message"].startswith(f"{trees}: record 2: {problem}")
+        assert payload["message"].startswith(f"{trees}:2: malformed tree record: invalid tree: {problem}")
 
     @pytest.mark.parametrize(
         "bad_tree, problem",

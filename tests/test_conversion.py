@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -10,7 +11,6 @@ from uccatree.conversion import (
     ConversionError,
     MoveRecord,
     graph_to_tree,
-    push_labels,
     remove_discontinuities,
     split_label,
     strip_remotes,
@@ -19,7 +19,7 @@ from uccatree.conversion import (
     tree_to_sexpr,
 )
 from uccatree.generator import SyntheticSpec, generate
-from uccatree.graph_model import ConstituentTree, Edge, Token, TreeNode, UccaGraph
+from uccatree.graph_model import ConstituentTree, Edge, Token, TreeNode, UccaGraph, span_preorder
 
 from conftest import GERMAN_TREE_SEXPR, primary_only, right_branching_chain, simple_graph
 
@@ -116,8 +116,9 @@ class TestRemoveDiscontinuities:
             MoveRecord(moved=7, from_parent=4, to_parent=6, category="ancestor", ancestor_distance=2),
         )
         assert not moves[0].marked
-        assert tree_to_sexpr(push_labels(projective)) == "(ROOT (H+F t1 (E t2) t3))"
-        assert graph_to_tree(g).lossy_moves == 1
+        result = graph_to_tree(g)
+        assert tree_to_sexpr(result.tree) == "(ROOT (H+F t1 (E t2) t3))"
+        assert result.lossy_moves == 1
 
     def test_walk_stops_at_discontinuous_node(self):
         # The gap filler's walk upward hits another discontinuous node
@@ -144,11 +145,9 @@ class TestRemoveDiscontinuities:
             MoveRecord(moved=10, from_parent=9, to_parent=8, category="discontinuous", ancestor_distance=None),
         )
         assert not moves[0].marked
-        assert (
-            tree_to_sexpr(push_labels(projective))
-            == "(ROOT (H w1 (F w2 w3) w4) w5 (H w6))"
-        )
-        assert graph_to_tree(g).lossy_moves == 1
+        result = graph_to_tree(g)
+        assert tree_to_sexpr(result.tree) == "(ROOT (H w1 (F w2 w3) w4) w5 (H w6))"
+        assert result.lossy_moves == 1
 
     def test_moved_terminal_is_lossy(self):
         # The gap filler is a terminal under the lca one level up: a
@@ -169,6 +168,8 @@ class TestRemoveDiscontinuities:
 
 
 class TestPushLabels:
+    """graph_to_tree pushes edge labels onto the nodes below them."""
+
     def test_unary_chain_collapses(self):
         g = build_graph(
             ["a", "b"],
@@ -176,7 +177,7 @@ class TestPushLabels:
             nonterminals={3, 4, 5},
             edges=[(3, 4, "H"), (4, 5, "A"), (5, 1, ""), (5, 2, "")],
         )
-        assert tree_to_sexpr(push_labels(g)) == "(ROOT (H+A a b))"
+        assert tree_to_sexpr(graph_to_tree(g).tree) == "(ROOT (H+A a b))"
 
     def test_root_never_collapses(self):
         # Even a root with one same-span child keeps its own node.
@@ -186,7 +187,7 @@ class TestPushLabels:
             nonterminals={2, 3},
             edges=[(2, 3, "H"), (3, 1, "")],
         )
-        assert tree_to_sexpr(push_labels(g)) == "(ROOT (H a))"
+        assert tree_to_sexpr(graph_to_tree(g).tree) == "(ROOT (H a))"
 
     def test_children_ordered_by_leftmost_terminal(self):
         g = build_graph(
@@ -196,16 +197,7 @@ class TestPushLabels:
             # Edge tuple order lists the right-hand child first.
             edges=[(4, 6, "P"), (4, 5, "A"), (5, 1, ""), (6, 2, ""), (6, 3, "")],
         )
-        assert tree_to_sexpr(push_labels(g)) == "(ROOT (A a) (P b c))"
-
-    def test_rejects_remote_edges(self, german_graph):
-        with pytest.raises(ConversionError, match="remote-free"):
-            push_labels(german_graph)
-
-    def test_rejects_discontinuous_input(self, german_graph):
-        stripped, _ = strip_remotes(german_graph)
-        with pytest.raises(ConversionError, match="projective"):
-            push_labels(stripped)
+        assert tree_to_sexpr(graph_to_tree(g).tree) == "(ROOT (A a) (P b c))"
 
 
 class TestWorkedExampleEndToEnd:
@@ -305,24 +297,92 @@ class TestTreeToGraph:
             tree_to_graph(tree)
 
 
+def undo_succeeds(tree: ConstituentTree) -> bool:
+    """Reference for the move-marker rule: expand the tree's chains, then
+    return each marked node to its grandparent one at a time, top-down, and
+    say whether every one had a grandparent and left its parent a child."""
+    parent: dict[int, int] = {}
+    children: dict[int, list[int]] = {}  # node 0 is the root; leaves are -position
+    marked: list[int] = []
+    stack: list[int] = []
+    for kind, value in span_preorder(tree.n, tree.spans()):
+        if kind == "leaf":
+            children[stack[-1]].append(-value)
+        elif kind == "close":
+            stack.pop()
+        else:
+            above = stack[-1] if stack else None
+            for part in value.split("+"):
+                ident = len(children)
+                children[ident] = []
+                if split_label(part)[2]:
+                    marked.append(ident)
+                if above is not None:
+                    parent[ident] = above
+                    children[above].append(ident)
+                above = ident
+            stack.append(above)
+    for ident in marked:  # ids are in preorder
+        origin = parent[ident]
+        if origin == 0 or len(children[origin]) == 1:
+            return False
+        children[origin].remove(ident)
+        parent[ident] = parent[origin]
+        children[parent[ident]].append(ident)
+    return True
+
+
+# Labels that the grammar accepts, with move markers on heads and on tails.
+MARKED_LABELS = [
+    "A", "P", "H+P", "B-remote",
+    "A-ancestor1", "B-remote-ancestor1", "A+B", "A-ancestor1+B", "A+B-ancestor1",
+]
+
+
+def random_children(rnd: random.Random, start: int, end: int, depth: int) -> tuple[TreeNode, ...]:
+    """Children covering tokens start+1..end: leaves and labeled nodes,
+    a single labeled child (a chain of two nodes) among them."""
+    if depth == 0:
+        return tuple(TreeNode(leaf=p) for p in range(start + 1, end + 1))
+    cuts = sorted(rnd.sample(range(start + 1, end), rnd.randint(0, min(2, end - start - 1))))
+    bounds = [start, *cuts, end]
+    return tuple(
+        TreeNode(leaf=j)
+        if j - i == 1 and rnd.random() < 0.4
+        else TreeNode(label=rnd.choice(MARKED_LABELS), children=random_children(rnd, i, j, depth - 1))
+        for i, j in zip(bounds, bounds[1:])
+    )
+
+
+class TestDecodability:
+    def test_validate_agrees_with_sequential_undo(self):
+        rnd = random.Random(5)
+        valid_trees = marked_valid_trees = 0
+        for _ in range(3000):
+            n = rnd.randint(1, 7)
+            tree = ConstituentTree(
+                tokens=tuple(Token(form=f"w{p}") for p in range(1, n + 1)),
+                root=TreeNode(label="ROOT", children=random_children(rnd, 0, n, rnd.randint(1, 4))),
+            )
+            valid = tree.validate() == []
+            assert valid == undo_succeeds(tree), tree_to_sexpr(tree)
+            if valid:
+                restored, _ = tree_to_graph(tree)
+                assert restored.validate() == []
+                valid_trees += 1
+                marked_valid_trees += "-ancestor1" in tree_to_sexpr(tree)
+        assert 100 < marked_valid_trees and valid_trees < 2000
+
+
 class TestSexpr:
     def test_escaping_round_trip(self):
-        forms = ["(", ")", "a b", "tab\tsep", "-LRB-ish"]
-        tree = tree_from_sexpr(
-            tree_to_sexpr(
-                ConstituentTree(
-                    tokens=tuple(Token(form=f) for f in forms),
-                    root=_flat_root(len(forms)),
-                )
-            )
+        # Forms that hold an escape's own text come back as written too.
+        forms = ["(", ")", "a b", "tab\tsep", "-LRB-ish", "-LRB-", "-SP-SP-", "-LRB ", "a-b"]
+        text = tree_to_sexpr(
+            ConstituentTree(tokens=tuple(Token(form=f) for f in forms), root=_flat_root(len(forms)))
         )
-        assert [t.form for t in tree.tokens] == [
-            "(",
-            ")",
-            "a b",
-            "tab\tsep",
-            "(ish",  # escape sequences in raw text are not round-trippable
-        ]
+        assert "(H a-b)" in text  # a hyphen is escaped only before an escape's text
+        assert [t.form for t in tree_from_sexpr(text).tokens] == forms
 
     def test_plain_round_trip(self, german_graph):
         tree = graph_to_tree(german_graph).tree

@@ -401,9 +401,12 @@ class TestConstituentTree:
         ],
     )
     def test_label_grammar_per_part(self, label, problem):
+        # The labeled node sits below "H" next to a token, where a move
+        # marker on its head can be undone.
+        node = TreeNode(label=label, children=(TreeNode(leaf=1),))
         tree = ConstituentTree(
-            (Token(form="a"),),
-            TreeNode(label="ROOT", children=(TreeNode(label=label, children=(TreeNode(leaf=1),)),)),
+            (Token(form="a"), Token(form="b")),
+            TreeNode(label="ROOT", children=(TreeNode(label="H", children=(node, TreeNode(leaf=2))),)),
         )
         assert tree.validate() == ([problem] if problem else [])
 

@@ -30,11 +30,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from uccatree.cli import main  # noqa: E402
 from uccatree.conversion import (  # noqa: E402
-    escape_token,
     graph_to_tree,
     tree_from_sexpr,
     tree_to_graph,
-    unescape_token,
 )
 from uccatree.generator import SyntheticSpec, generate  # noqa: E402
 from uccatree.graph_model import (  # noqa: E402
@@ -332,12 +330,13 @@ LABELS = st.one_of(
     and not s.endswith(("-remote", "-ancestor1"))
     and s not in ("ROOT", "NOT-PARENT")
 )
-# Forms may hold anything but line breaks and unpaired surrogates, but the
-# escape sequences of the bracketed format ("-LRB-", ...) do not survive it.
+# Forms may hold anything but line breaks and unpaired surrogates, the
+# bracketed format's own escapes ("-LRB-", ...) included.
 FORMS = st.one_of(
     st.sampled_from(["(", ")", "a b", "\t", "(x y)", "A+B", "ROOT", "-remote", "\x0b", "\x85", "\u2028"]),
-    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"), max_size=5),
-).filter(lambda f: f and unescape_token(escape_token(f)) == f)
+    st.sampled_from(["-LRB-", "-SP-SP-", "-LRB ", "-HY-", "x-TAB-(", "--RRB--"]),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"), min_size=1, max_size=5),
+)
 
 
 def spine_graph(rnd: random.Random, depth: int) -> UccaGraph:
@@ -411,6 +410,11 @@ def valid_graphs(draw) -> UccaGraph:
 @example(
     graph=dressed(
         spine_graph(random.Random(3), 199), ["-", "ROOTS", "H"], ["\t", ")", "\u2028"], "", random.Random(4)
+    )
+)
+@example(
+    graph=dressed(
+        spine_graph(random.Random(5), 12), ["A"], ["-LRB-", "-SP-SP-", "-LRB ", "-HY-"], "", random.Random(6)
     )
 )
 @settings(max_examples=25)
