@@ -5,8 +5,10 @@ calling :meth:`Var.backward` on a scalar result accumulates gradients
 into every reachable input.  The op set is exactly what the encoder,
 span scorer and biaffine classifier need — nothing more: ``add``, ``sub``,
 ``matmul``, ``linear``, ``concat``, ``index``, ``reshape``, ``relu``,
-``vsum``, ``lstm`` and ``cross_entropy_rows``.  An op's freshly allocated
-gradient product becomes a node's first gradient uncopied.
+``vsum``, ``lstm``, ``bilstm`` and ``cross_entropy_rows``.  An op's freshly
+allocated gradient product becomes a node's first gradient uncopied.
+``bilstm`` runs a layer's reverse direction on one worker thread, started
+on its first call, while the caller runs the forward direction.
 
 Gradients are checked against central finite differences by
 :func:`gradcheck`; that numeric route is kept strictly independent of
@@ -16,6 +18,8 @@ the analytic rules here.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -318,6 +322,76 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
             np.dot(wh.T, d_gates[k], out=dh)
         projected._accumulate(d_projected, fresh=True)
         w_h._accumulate(d_gates.T @ states[:-1], fresh=True)
+
+    out._bw = bw
+    return out
+
+
+def _new_worker() -> None:
+    """Make the executor of the one thread that runs reverse directions.  Its
+    thread starts on the first submit; a forked child, which has no such
+    thread, gets an executor of its own."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="uccatree-bilstm")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _paired(here: Callable[[], object], there: Callable[[], object]) -> tuple:
+    """Run ``there`` on the worker while the caller runs ``here``; both results."""
+    pending = _worker.submit(there)
+    try:
+        mine = here()
+    finally:
+        theirs = pending.result()  # raises the worker's error, and waits for it
+    return mine, theirs
+
+
+def _direction(x: np.ndarray, weights: tuple[Var, Var, Var], reverse: bool) -> Var:
+    """(n, h) states of one LSTM direction ``(wx, b, wh)`` over rows ``x``,
+    read through a leaf of its own."""
+    wx, b, wh = weights
+    return lstm(linear(Var(x), wx, b), wh, reverse=reverse)
+
+
+def _direction_backward(states: Var, grad: np.ndarray) -> np.ndarray:
+    """Backpropagate ``grad`` through a :func:`_direction` subgraph into its
+    weights; return its input leaf's gradient."""
+    projected = states._parents[0]
+    states._bw(grad)
+    projected._bw(projected.grad)
+    return projected._parents[0].grad
+
+
+def bilstm(x: Var, forward: tuple[Var, Var, Var], reverse: tuple[Var, Var, Var]) -> Var:
+    """(n, 2h) outputs of one BiLSTM layer over (n, d) rows ``x``: the
+    forward direction's states, then the reverse one's.  Each direction is a
+    ``(wx, b, wh)`` triple run as ``lstm(linear(x, wx, b), wh)``.
+
+    The directions are independent recurrences, so in both passes the
+    reverse one runs on the worker thread while the caller runs the forward
+    one (arXiv 1604.01946).  Each writes only its own tensors' gradients;
+    ``x`` gets their two input gradients after the join.  A sum of two terms
+    is the same in either order, so results equal one thread's bit for bit.
+    """
+    if {id(v) for v in forward} & {id(v) for v in reverse}:
+        raise ValueError("the two directions of a bilstm share a tensor")
+    ahead, behind = _paired(
+        lambda: _direction(x.value, forward, False), lambda: _direction(x.value, reverse, True)
+    )
+    h = ahead.shape[1]
+    out = Var(np.concatenate([ahead.value, behind.value], axis=1), (x, *forward, *reverse))
+
+    def bw(g: np.ndarray) -> None:
+        grads = _paired(
+            lambda: _direction_backward(ahead, g[:, :h]),
+            lambda: _direction_backward(behind, g[:, h:]),
+        )
+        for grad in grads:
+            x._accumulate(grad, fresh=True)
 
     out._bw = bw
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import Edge, Token, UccaGraph, checked, graph_from_children, node_yields, reachable
+from .graph_model import Edge, Token, UccaGraph, checked, descendants, graph_from_children, node_yields
 
 _POS_TAGS = ("NOUN", "VERB", "ADJ", "DET")
 _NER_TAGS = ("O", "PER", "LOC")
@@ -141,11 +141,8 @@ class _Builder:
                 continue
             if self.rng.random() >= self.spec.p_remote:
                 continue
-            options = [
-                p
-                for p in nonterminals
-                if p != child and p != self.parent[child] and not reachable(out_edges, child, p)
-            ]
+            below = descendants(out_edges, child)  # child included
+            options = [p for p in nonterminals if p != self.parent[child] and p not in below]
             if not options:
                 continue
             parent = options[int(self.rng.integers(0, len(options)))]

@@ -465,18 +465,15 @@ def preorder_edges(
             stack.extend((child, c) for c in reversed_children(child))
 
 
-def reachable(out_edges: Mapping[NodeId, Iterable[NodeId]], start: NodeId, goal: NodeId) -> bool:
-    """Whether ``goal`` can be reached from ``start`` along ``out_edges``."""
+def descendants(out_edges: Mapping[NodeId, Iterable[NodeId]], start: NodeId) -> set[NodeId]:
+    """The nodes reachable from ``start`` along ``out_edges``, ``start`` included."""
     stack, seen = [start], {start}
     while stack:
-        v = stack.pop()
-        if v == goal:
-            return True
-        for w in out_edges[v]:
+        for w in out_edges[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return False
+    return seen
 
 
 def graph_from_children(

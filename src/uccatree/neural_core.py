@@ -353,11 +353,11 @@ class Encoding:
     projections: dict[Var, Var] = field(default_factory=dict, repr=False, compare=False)
 
 
-def _lstm_direction(inputs: Var, bound: BoundParams, prefix: str, reverse: bool) -> Var:
-    """(n, hidden) outputs of one LSTM direction over an (n, d) input
-    matrix: one ``linear`` projects every token, one op runs the recurrence."""
-    projected = ad.linear(inputs, bound[prefix + "_wx"], bound[prefix + "_b"])
-    return ad.lstm(projected, bound[prefix + "_wh"], reverse=reverse)
+def _directions(bound: BoundParams, layer: int) -> tuple[tuple[Var, Var, Var], ...]:
+    """The forward and reverse ``(wx, b, wh)`` tensors of one BiLSTM layer."""
+    return tuple(
+        tuple(bound[f"lstm{layer}{d}_{part}"] for part in ("wx", "b", "wh")) for d in "fb"
+    )
 
 
 def encode(inputs: Var, bound: BoundParams) -> Encoding:
@@ -365,14 +365,11 @@ def encode(inputs: Var, bound: BoundParams) -> Encoding:
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("cannot encode an empty sentence")
-    f1 = _lstm_direction(inputs, bound, "lstm1f", reverse=False)
-    b1 = _lstm_direction(inputs, bound, "lstm1b", reverse=True)
-    layer2 = ad.concat([f1, b1], axis=1)
-    f2 = _lstm_direction(layer2, bound, "lstm2f", reverse=False)
-    b2 = _lstm_direction(layer2, bound, "lstm2b", reverse=True)
-    zeros = Var(np.zeros((1, bound.config.lstm_hidden)))
-    forward = ad.concat([zeros, f2], axis=0)
-    backward = ad.concat([b2, zeros], axis=0)
+    top = ad.bilstm(ad.bilstm(inputs, *_directions(bound, 1)), *_directions(bound, 2))
+    h = bound.config.lstm_hidden
+    zeros = Var(np.zeros((1, h)))
+    forward = ad.concat([zeros, ad.index(top, (slice(None), slice(None, h)))], axis=0)
+    backward = ad.concat([ad.index(top, (slice(None), slice(h, None))), zeros], axis=0)
     return Encoding(fenceposts=ad.concat([forward, 0.0 - backward], axis=1), n=n)
 
 

@@ -8,13 +8,19 @@ points kept away from the relu kink.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from uccatree import autodiff as ad
 from uccatree.autodiff import Var, _unbroadcast
+from uccatree.generator import SyntheticSpec, generate
+from uccatree.neural_core import ModelParams
+from uccatree.training import TrainConfig, build_model_config, parse_pipeline
 
 
 def weighted(out: Var, weights: np.ndarray) -> Var:
@@ -249,6 +255,145 @@ class TestLstmSteps:
         assert w.grad.tobytes() == d_wh.tobytes()
 
 
+def bilstm_case(n: int, d: int = 6, h: int = 5, seed: int = 0) -> dict[str, np.ndarray]:
+    """Rows ``x``, the two directions' ``(wx, b, wh)`` and an output gradient ``g``."""
+    r = rng(seed + n)
+    case = {"x": r.standard_normal((n, d)), "g": r.standard_normal((n, 2 * h))}
+    for side in "fr":
+        case["wx" + side] = r.standard_normal((4 * h, d)) * 0.5
+        case["b" + side] = r.standard_normal(4 * h) * 0.5
+        case["wh" + side] = r.standard_normal((4 * h, h)) * 0.6
+    return case
+
+
+def run_bilstm(case: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The paired op's output and the gradients of ``case['g']``."""
+    leaves = {name: Var(arr.copy()) for name, arr in case.items() if name != "g"}
+    directions = [tuple(leaves[part + side] for part in ("wx", "b", "wh")) for side in "fr"]
+    out = ad.bilstm(leaves["x"], *directions)
+    out._bw(case["g"])
+    return out.value, {name: leaf.grad for name, leaf in leaves.items()}
+
+
+class TestBilstm:
+    """The paired op equals its two directions run one after the other."""
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_matches_two_one_direction_lstms_bitwise(self, n):
+        case = bilstm_case(n)
+        value, grads = run_bilstm(case)
+        h = case["whf"].shape[1]
+        x = Var(case["x"].copy())
+        states, want = [], {}
+        for side, g in zip("fr", (case["g"][:, :h], case["g"][:, h:])):
+            wx, b, wh = (Var(case[part + side].copy()) for part in ("wx", "b", "wh"))
+            projected = ad.linear(x, wx, b)
+            out = ad.lstm(projected, wh, reverse=side == "r")
+            out._bw(g)
+            projected._bw(projected.grad)
+            states.append(out.value)
+            want.update({"wx" + side: wx.grad, "b" + side: b.grad, "wh" + side: wh.grad})
+        want["x"] = x.grad
+        assert np.array_equal(value, np.concatenate(states, axis=1))
+        for name, grad in want.items():
+            assert np.array_equal(grads[name], grad), name
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_matches_the_step_by_step_reference_bitwise(self, n):
+        case = bilstm_case(n)
+        value, grads = run_bilstm(case)
+        x, h = case["x"], case["whf"].shape[1]
+        states, d_x = [], 0.0
+        for side, g in zip("fr", (case["g"][:, :h], case["g"][:, h:])):
+            wx, b, wh = case["wx" + side], case["b" + side], case["wh" + side]
+            projected = x @ wx.T
+            projected += b
+            s, d_projected, d_wh = reference_lstm(projected, wh, g, side == "r")
+            d_projected = np.ascontiguousarray(d_projected)
+            states.append(s)
+            d_x = d_x + d_projected @ wx
+            assert np.array_equal(grads["wx" + side], d_projected.T @ x)
+            assert np.array_equal(grads["b" + side], d_projected.sum(axis=0))
+            assert np.array_equal(grads["wh" + side], d_wh)
+        assert np.array_equal(value, np.concatenate(states, axis=1))
+        assert np.array_equal(grads["x"], d_x)
+
+    def test_repeated_runs_give_identical_bytes(self):
+        case = bilstm_case(30, d=40, h=50)
+        first_value, first_grads = run_bilstm(case)
+        for _ in range(50):
+            value, grads = run_bilstm(case)
+            assert value.tobytes() == first_value.tobytes()
+            for name, grad in grads.items():
+                assert grad.tobytes() == first_grads[name].tobytes(), name
+
+    def test_each_gradient_is_written_by_one_thread(self, monkeypatch):
+        writers: dict[int, set[str]] = {}
+        accumulate = Var._accumulate
+
+        def recording(var, grad, fresh=False):
+            writers.setdefault(id(var), set()).add(threading.current_thread().name)
+            accumulate(var, grad, fresh)
+
+        monkeypatch.setattr(Var, "_accumulate", recording)
+        case = bilstm_case(4)
+        x = Var(case["x"])
+        directions = [tuple(Var(case[part + side]) for part in ("wx", "b", "wh")) for side in "fr"]
+        ad.bilstm(x, *directions)._bw(case["g"])
+        assert writers[id(x)] == {threading.current_thread().name}
+        assert all(len(names) == 1 for names in writers.values())
+        assert all(writers[id(v)] != writers[id(x)] for v in directions[1])  # on the worker
+
+    def test_directions_may_not_share_a_tensor(self):
+        case = bilstm_case(2)
+        x, wx, b, wh = (Var(case[name]) for name in ("x", "wxf", "bf", "whf"))
+        with pytest.raises(ValueError, match="share"):
+            ad.bilstm(x, (wx, b, wh), (Var(case["wxr"]), Var(case["br"]), wh))
+
+
+class TestBilstmCallers:
+    """Caller threads share the one worker without changing any result."""
+
+    @pytest.fixture(scope="class")
+    def model_and_sentences(self):
+        graphs = generate(SyntheticSpec(sentences=12, min_tokens=4, max_tokens=25), seed=4)
+        config = TrainConfig(seed=2, lstm_hidden=32, mlp_hidden=24, remote_mlp_dim=8,
+                             word_dim=16, tag_dim=4)
+        params = ModelParams.initialize(build_model_config(graphs, config), seed=2)
+        return params, [g.tokens for g in graphs]
+
+    @staticmethod
+    def parse_all(params, sentences) -> list[str]:
+        return [json.dumps(parse_pipeline(t, params).to_json(), sort_keys=True) for t in sentences]
+
+    def test_three_callers_at_once_match_sequential_runs(self, model_and_sentences):
+        # Three callers and the worker: more threads than this host's two
+        # cores, switching often, so that a shared write would show.
+        params, sentences = model_and_sentences
+        want = self.parse_all(params, sentences)
+        start = threading.Barrier(3)
+        results: dict[int, list[str]] = {}
+
+        def caller(k: int) -> None:
+            start.wait()
+            order = sentences[k:] + sentences[:k]
+            got = self.parse_all(params, order)
+            results[k] = got[len(got) - k :] + got[: len(got) - k]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {k: want for k in range(3)}
+
+
 class TestUnbroadcast:
     def test_extra_leading_axis_summed(self):
         g = np.ones((3, 2))
@@ -364,6 +509,17 @@ class TestFiniteDifferences:
             return weighted(ad.lstm(v["p"], v["wh"]), c1) + weighted(
                 ad.lstm(v["p"], v["wh"], reverse=True), c2
             )
+
+        fd_check(build, tensors)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bilstm(self, n):
+        case = bilstm_case(n, d=3, h=2, seed=20)
+        tensors = {name: arr for name, arr in case.items() if name != "g"}
+
+        def build(v):
+            directions = [tuple(v[part + side] for part in ("wx", "b", "wh")) for side in "fr"]
+            return weighted(ad.bilstm(v["x"], *directions), case["g"])
 
         fd_check(build, tensors)
 

@@ -26,7 +26,6 @@ from uccatree.neural_core import (
     Vocab,
     adam_step,
     _check_finite,
-    _lstm_direction,
     biaffine,
     embed,
     encode,
@@ -307,10 +306,15 @@ class TestSpanReprs:
         bound = BoundParams(p)
         inputs = embed(tokens_of("a", "b", "a", "b", "a"), "en", bound)
         enc = encode(inputs, bound)
-        # The two top LSTM outputs, run directly rather than read from enc.
-        layer1 = [_lstm_direction(inputs, bound, f"lstm1{d}", reverse=d == "b") for d in "fb"]
-        layer2 = ad.concat(layer1, axis=1)
-        f2, b2 = (_lstm_direction(layer2, bound, f"lstm2{d}", reverse=d == "b").value for d in "fb")
+        # The two top LSTM outputs, one direction at a time from the
+        # one-direction ops rather than read from enc.
+
+        def direction(x, prefix):
+            projected = ad.linear(x, bound[prefix + "_wx"], bound[prefix + "_b"])
+            return ad.lstm(projected, bound[prefix + "_wh"], reverse=prefix.endswith("b"))
+
+        layer2 = ad.concat([direction(inputs, "lstm1f"), direction(inputs, "lstm1b")], axis=1)
+        f2, b2 = direction(layer2, "lstm2f").value, direction(layer2, "lstm2b").value
         zero = np.zeros((1, 5))
         f, b = np.vstack([zero, f2]), np.vstack([b2, zero])  # f_0 = b_n = 0
         spans = [(i, j) for i in range(5) for j in range(i + 1, 6)] + [(0, 5), (2, 3)]

@@ -10,7 +10,7 @@ import pytest
 from uccatree.autodiff import Var
 from uccatree.conversion import tree_from_sexpr, tree_to_graph
 from uccatree.generator import SyntheticSpec, generate
-from uccatree.graph_model import Edge, Token, UccaGraph, reachable
+from uccatree.graph_model import Edge, Token, UccaGraph, descendants
 from uccatree.neural_core import (
     NOT_PARENT,
     UNK,
@@ -340,7 +340,7 @@ def pair_list_predict(graph, remote_marked, enc, bound):
         out_edges[e.parent].add(e.child)
     accepted = []
     for _, child, parent, label in proposals:
-        if (parent, child) in primary or reachable(out_edges, child, parent):
+        if (parent, child) in primary or parent in descendants(out_edges, child):
             continue
         out_edges[parent].add(child)
         accepted.append((parent, child, label))
