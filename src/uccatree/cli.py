@@ -144,7 +144,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig()
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config = TrainConfig.from_json(json.load(fh))
+            try:
+                config = TrainConfig.from_json(json.load(fh))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{args.config}: {exc}") from None
     if args.seed is not None:
         config.seed = args.seed
     train_graphs: list[UccaGraph] = []

@@ -26,7 +26,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 NodeId = int
 Checked = TypeVar("Checked", "UccaGraph", "ConstituentTree")
@@ -542,18 +542,19 @@ def load_corpus(path: str) -> list[UccaGraph]:
 
 
 @contextmanager
-def atomic_output(path: str) -> Iterator[TextIO]:
-    """A text file that replaces ``path`` only if the block ends without an
-    error, so an interrupted write never leaves ``path`` truncated.
+def atomic_output(path: str, binary: bool = False) -> Iterator[IO]:
+    """A text file, or a byte file with ``binary``, that replaces ``path`` only
+    if the block ends without an error: an interrupted write never truncates it.
 
-    The text goes to a hidden temporary file in the same directory, which
+    The output goes to a hidden temporary file in the same directory, which
     is removed on error and otherwise renamed over ``path``.  The result has
     the mode ``open(path, "w")`` would give it: the old file's, else 0o666
     less the umask.  A path that exists but is not a regular file, such as
     a pipe, is written directly.
     """
+    mode, encoding = ("wb", None) if binary else ("w", "utf-8")
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding=encoding) as fh:
             yield fh
         return
     target = os.path.realpath(path)
@@ -564,7 +565,7 @@ def atomic_output(path: str) -> Iterator[TextIO]:
     except OSError as exc:  # name the path asked for, not the temporary one
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
+        with open(fd, mode, encoding=encoding) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())  # the data is on disk before the rename

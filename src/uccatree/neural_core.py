@@ -4,13 +4,15 @@ scorer.
 
 Everything runs on numpy through the :mod:`uccatree.autodiff` tape, in
 64-bit floats, with fully seeded initialization so that two runs from the
-same seed produce bit-identical parameters.
+same seed produce bit-identical parameters.  :func:`tensor_shapes` is the
+one inventory of a model's tensors: initialization draws them in its order,
+and a checkpoint's header names them and its payload holds them by it.
 """
 
 from __future__ import annotations
 
-import base64
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .graph_model import NOT_PARENT, Token, atomic_output
+from .graph_model import NOT_PARENT, Token, atomic_output, json_typed
 
 UNK = "<unk>"
 
@@ -48,6 +50,31 @@ class ModelHyperparams:
     def hyperparams(self) -> dict:
         """The :class:`ModelHyperparams` fields of this object."""
         return {f.name: getattr(self, f.name) for f in fields(ModelHyperparams)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        """An instance from a JSON object of field values, each optional and of its
+        default's JSON type (a float takes any finite number, a path null).  The
+        widths and ``max_epochs`` are at least 1, other integers at least 0."""
+        widths = {"word_dim", "tag_dim", "lang_dim", "lstm_hidden", "mlp_hidden", "remote_mlp_dim"}
+        defaults = vars(cls())
+        unknown = set(json_typed(data, dict, f"the {cls.__name__}")) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        for key, value in data.items():
+            what, default = f"config key {key!r}", defaults[key]
+            least = int(key in widths or key == "max_epochs")
+            if isinstance(default, float):
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ValueError(f"{what} must be a finite number, got {value!r}")
+            elif value is not None or default is not None:  # a path may be null
+                json_typed(value, str if default is None else type(default), what)
+            if isinstance(default, list):
+                for item in value:
+                    json_typed(item, str, f"each item of {what}")
+            elif type(default) is int and value < least:
+                raise ValueError(f"{what} must be at least {least}, got {value}")
+        return cls(**data)
 
 
 @dataclass
@@ -89,25 +116,36 @@ class ModelConfig(ModelHyperparams):
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, data: dict) -> ModelConfig:
-        # Checkpoints written while the tensor type was an option name it;
-        # their tensors are float64 like every checkpoint's.
-        data = dict(data)
-        dtype = data.pop("dtype", "float64")
-        if dtype != "float64":
-            raise ValueError(f"unsupported checkpoint dtype {dtype!r}: tensors are float64")
-        return cls(**data)
 
-
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in, fan_out = shape[-1], shape[0]
-    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def _embedding(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
-    return rng.uniform(-0.01, 0.01, size=(rows, dim))
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every tensor of a model with ``config``, in the
+    order :meth:`ModelParams.initialize` draws them."""
+    c, h = config, config.lstm_hidden
+    shapes = {"emb_word": (len(c.words), c.word_dim)}
+    for used, name, shape in (
+        (c.use_pos, "emb_pos", (len(c.pos_tags), c.tag_dim)),
+        (c.use_ner, "emb_ner", (len(c.ner_tags), c.tag_dim)),
+        (c.use_dep, "emb_dep", (len(c.dep_labels), c.tag_dim)),
+        (c.multilingual, "emb_lang", (len(c.languages), c.lang_dim)),
+        (c.pretrained_dim, "emb_pre", (len(c.pretrained_words) + 1, c.pretrained_dim)),
+    ):
+        if used:
+            shapes[name] = shape
+    for layer, d_in in ((1, c.input_dim), (2, 2 * h)):
+        for direction in "fb":
+            prefix = f"lstm{layer}{direction}"
+            shapes.update({prefix + "_wx": (4 * h, d_in), prefix + "_wh": (4 * h, h), prefix + "_b": (4 * h,)})
+    hidden = ["head_hidden"] if c.share_span_hidden else ["label_hidden", "span_hidden"]
+    layers = [(name, c.mlp_hidden, c.span_dim) for name in hidden] + [
+        ("label_out", len(c.labels), c.mlp_hidden),
+        ("span_out", 1, c.mlp_hidden),
+        ("remote_child", c.remote_mlp_dim, c.span_dim),
+        ("remote_parent", c.remote_mlp_dim, c.span_dim),
+    ]
+    for name, d_out, d_in in layers:
+        shapes.update({name + "_w": (d_out, d_in), name + "_b": (d_out,)})
+    shapes["biaffine_w"] = (c.remote_mlp_dim + 1, len(c.remote_labels), c.remote_mlp_dim)
+    return shapes
 
 
 class Vocab:
@@ -151,100 +189,64 @@ class ModelParams:
         seed: int = 0,
         pretrained: np.ndarray | None = None,
     ) -> ModelParams:
+        """Seeded tensors of :func:`tensor_shapes`: embeddings uniform in
+        ±0.01 (or the given pretrained matrix), biases zero but for the LSTM
+        forget gates' 1, and every weight Glorot-uniform."""
         rng = np.random.default_rng(seed)
-        h = config.lstm_hidden
         tensors: dict[str, np.ndarray] = {}
-
-        tensors["emb_word"] = _embedding(rng, len(config.words), config.word_dim)
-        if config.use_pos:
-            tensors["emb_pos"] = _embedding(rng, len(config.pos_tags), config.tag_dim)
-        if config.use_ner:
-            tensors["emb_ner"] = _embedding(rng, len(config.ner_tags), config.tag_dim)
-        if config.use_dep:
-            tensors["emb_dep"] = _embedding(rng, len(config.dep_labels), config.tag_dim)
-        if config.multilingual:
-            tensors["emb_lang"] = _embedding(rng, len(config.languages), config.lang_dim)
-        if config.pretrained_dim:
-            if pretrained is not None:
-                if pretrained.shape != (len(config.pretrained_words) + 1, config.pretrained_dim):
-                    raise ValueError(
-                        f"pretrained matrix shape {pretrained.shape} does not match "
-                        f"{len(config.pretrained_words) + 1} words x {config.pretrained_dim}"
-                    )
+        for name, shape in tensor_shapes(config).items():
+            if name == "emb_pre" and pretrained is not None:
+                if pretrained.shape != shape:
+                    raise ValueError(f"pretrained matrix shape {pretrained.shape} does not match {shape}")
                 # A C-ordered copy: Adam updates tensors in place.
-                tensors["emb_pre"] = np.array(pretrained, dtype=np.float64, order="C")
+                tensors[name] = np.array(pretrained, dtype=np.float64, order="C")
+            elif name.startswith("emb_"):
+                tensors[name] = rng.uniform(-0.01, 0.01, size=shape)
+            elif name.endswith("_b"):
+                tensors[name] = np.zeros(shape)
+                if name.startswith("lstm"):
+                    tensors[name][shape[0] // 4 : shape[0] // 2] = 1.0  # forget gate: remember at first
             else:
-                tensors["emb_pre"] = _embedding(
-                    rng, len(config.pretrained_words) + 1, config.pretrained_dim
-                )
-
-        in_dims = [config.input_dim, 2 * h]
-        for layer, d_in in enumerate(in_dims, start=1):
-            for direction in ("f", "b"):
-                prefix = f"lstm{layer}{direction}"
-                tensors[prefix + "_wx"] = _glorot(rng, (4 * h, d_in))
-                tensors[prefix + "_wh"] = _glorot(rng, (4 * h, h))
-                bias = np.zeros(4 * h)
-                bias[h : 2 * h] = 1.0  # encourage remembering at the start
-                tensors[prefix + "_b"] = bias
-
-        span_dim = config.span_dim
-        if config.share_span_hidden:
-            tensors["head_hidden_w"] = _glorot(rng, (config.mlp_hidden, span_dim))
-            tensors["head_hidden_b"] = np.zeros(config.mlp_hidden)
-        else:
-            tensors["label_hidden_w"] = _glorot(rng, (config.mlp_hidden, span_dim))
-            tensors["label_hidden_b"] = np.zeros(config.mlp_hidden)
-            tensors["span_hidden_w"] = _glorot(rng, (config.mlp_hidden, span_dim))
-            tensors["span_hidden_b"] = np.zeros(config.mlp_hidden)
-        tensors["label_out_w"] = _glorot(rng, (len(config.labels), config.mlp_hidden))
-        tensors["label_out_b"] = np.zeros(len(config.labels))
-        tensors["span_out_w"] = _glorot(rng, (1, config.mlp_hidden))
-        tensors["span_out_b"] = np.zeros(1)
-
-        dc = dp = config.remote_mlp_dim
-        tensors["remote_child_w"] = _glorot(rng, (dc, span_dim))
-        tensors["remote_child_b"] = np.zeros(dc)
-        tensors["remote_parent_w"] = _glorot(rng, (dp, span_dim))
-        tensors["remote_parent_b"] = np.zeros(dp)
-        tensors["biaffine_w"] = _glorot(rng, (dc + 1, len(config.remote_labels), dp))
+                limit = float(np.sqrt(6.0 / (shape[-1] + shape[0])))
+                tensors[name] = rng.uniform(-limit, limit, size=shape)
         return cls(config, tensors)
 
     # -- checkpointing --------------------------------------------------
 
-    CHECKPOINT_VERSION = 1
+    CHECKPOINT_VERSION = 2
 
     def save(self, path: str) -> None:
-        payload = {
-            "version": self.CHECKPOINT_VERSION,
-            "config": self.config.to_json(),
-            "tensors": {
-                name: {
-                    "shape": list(arr.shape),
-                    "data": base64.b64encode(
-                        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                    ).decode("ascii"),
-                }
-                for name, arr in sorted(self.tensors.items())
-            },
-        }
-        with atomic_output(path) as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        """A JSON header line naming the config and the sorted tensor names,
+        then each tensor's little-endian float64 values in that order."""
+        names = sorted(self.tensors)
+        header = {"config": self.config.to_json(), "tensors": names, "version": self.CHECKPOINT_VERSION}
+        with atomic_output(path, binary=True) as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for name in names:
+                fh.write(np.ascontiguousarray(self.tensors[name], dtype="<f8"))
 
     @classmethod
     def load(cls, path: str) -> ModelParams:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        version = payload.get("version")
-        if version != cls.CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version!r}")
-        config = ModelConfig.from_json(payload["config"])
-        tensors = {}
-        for name, spec in payload["tensors"].items():
-            raw = np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8")
-            tensors[name] = raw.reshape(spec["shape"]).astype(np.float64)
-        return cls(config, tensors)
+        """The model :meth:`save` wrote to ``path``.  A header or payload of
+        any other form raises ``ValueError`` naming ``path``."""
+        with open(path, "rb") as fh:
+            try:
+                header = json_typed(json.loads(fh.readline()), dict, "the header line")
+                if header.get("version") != cls.CHECKPOINT_VERSION:
+                    raise ValueError(f"version {header.get('version')!r}, not {cls.CHECKPOINT_VERSION}")
+                config = ModelConfig.from_json(header.get("config"))
+                shapes = tensor_shapes(config)
+                names = sorted(shapes)
+                if header.get("tensors") != names:
+                    raise ValueError(f"tensors {header.get('tensors')!r} are not the config's {names}")
+                sizes = [math.prod(shapes[name]) for name in names]
+                flat = np.empty(sum(sizes), dtype="<f8")  # a huge config fails here
+            except (TypeError, ValueError, MemoryError) as exc:
+                raise ValueError(f"{path}: checkpoint header: {exc}") from None
+            if fh.readinto(flat) != flat.nbytes or fh.read(1):
+                raise ValueError(f"{path}: checkpoint payload is not the {flat.nbytes} bytes its header implies")
+        parts = np.split(flat.astype(np.float64, copy=False), np.cumsum(sizes)[:-1])
+        return cls(config, {name: part.reshape(shapes[name]) for name, part in zip(names, parts)})
 
     def copy_tensors(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.tensors.items()}

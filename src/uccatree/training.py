@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,14 +49,6 @@ class TrainConfig(ModelHyperparams):
     patience: int = 10
     learning_rate: float = 1e-3
     pretrained_path: str | None = None
-
-    @classmethod
-    def from_json(cls, data: dict) -> TrainConfig:
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass

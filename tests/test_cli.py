@@ -486,7 +486,26 @@ class TestTrainParseEval:
         assert code == 1
         payload = json.loads(stderr)
         assert payload["error"]["type"] == "ValueError"
-        assert "unknown training config keys" in payload["error"]["message"]
+        assert "unknown TrainConfig keys" in payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lstm_hidden", "4"), ("lstm_hidden", 4.0), ("lstm_hidden", 0), ("max_epochs", "1"),
+         ("use_pos", "no"), ("learning_rate", True), ("pretrained_path", 3)],
+    )
+    def test_train_names_the_config_file_and_key_of_a_bad_value(
+        self, tmp_path, capsys, tiny_corpus_file, key, value
+    ):
+        config = write_json(tmp_path / "bad.json", {**TINY_TRAIN, key: value})
+        out = tmp_path / "m.json"
+        code, _, stderr = run_cli(
+            capsys, "train", "--train", tiny_corpus_file, "--dev", tiny_corpus_file,
+            "--config", config, "--out", str(out),
+        )
+        assert code == 1 and not out.exists()
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{config}: config key {key!r} must be ")
 
     def test_train_rejects_misaligned_external_features(
         self, tmp_path, capsys, tiny_corpus_file

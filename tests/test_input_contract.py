@@ -8,15 +8,19 @@ contract fixes the outcome of a record, the tests also check what a
 successful run wrote: a converted graph decodes back to itself, and
 sentences and feature matrices are accepted exactly when the formats
 allow them.  Valid graphs with labels and forms drawn from the whole
-allowed alphabet round-trip losslessly through the bracketed format.
+allowed alphabet round-trip losslessly through the bracketed format.  A
+mutated checkpoint fails ``parse`` and ``restore`` with the JSON error
+naming the checkpoint, and no output is written.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import io
 import json
+import os
 import random
 import re
 import tempfile
@@ -44,7 +48,7 @@ from uccatree.graph_model import (  # noqa: E402
     load_corpus,
     load_lines,
 )
-from uccatree.neural_core import ModelParams  # noqa: E402
+from uccatree.neural_core import ModelConfig, ModelParams  # noqa: E402
 from uccatree.training import TrainConfig, build_model_config  # noqa: E402
 
 from conftest import german_example, primary_only, simple_graph  # noqa: E402
@@ -315,6 +319,103 @@ def test_feature_records_through_parse_and_train(workdir, mutation):
     argv = ["--train", corpus, "--dev", corpus, "--config", f"{workdir}/train.json"]
     argv += ["--external-features", features, "--dev-external-features", features]
     assert assert_contract(run("train", *argv, "--out", f"{workdir}/trained.json"), features) == expected
+
+
+# --- checkpoints -------------------------------------------------------------
+
+# A checkpoint is one JSON header line and then the raw float64 payload.  A
+# mutation edits the file's bytes, its header or one value in its config.
+CHECKPOINT_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(1, 10**6)),
+    st.tuples(st.just("pad"), st.binary(min_size=1, max_size=24)),
+    st.tuples(st.just("header"), st.sampled_from([b"", b"{", b"not json", b"[2]", b"2", b"null", b"\xff"])),
+    st.tuples(st.just("version"), st.sampled_from([1, 99, DELETE, 0, "2", None, [2]])),
+    st.tuples(st.just("drop tensor"), st.integers(0, 10**3)),
+    st.tuples(st.just("extra tensor"), st.text(max_size=8)),
+    st.tuples(
+        st.just("config key"),
+        st.text(min_size=1, max_size=8).filter(lambda k: k not in {f.name for f in dataclasses.fields(ModelConfig)}),
+    ),
+    st.tuples(
+        st.sampled_from(["lstm_hidden", "word_dim", "mlp_hidden", "remote_mlp_dim"]),
+        st.sampled_from(["4", 4.0, 0, -3, True, None, [4], float("nan"), 10**5, 10**9]),
+    ),
+    st.tuples(st.just("v1"), st.none()),
+)
+
+
+def v1_checkpoint(params: ModelParams) -> bytes:
+    """The single JSON line that version 1 wrote: each tensor as base64 of
+    its little-endian float64 bytes next to its shape."""
+    tensors = {
+        name: {"shape": list(arr.shape), "data": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
+        for name, arr in sorted(params.tensors.items())
+    }
+    payload = {"version": 1, "config": params.config.to_json(), "tensors": tensors}
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+def mutated_checkpoint(path: str, kind: str, value) -> bytes:
+    """The bytes of the checkpoint at ``path`` with one mutation."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    line, payload = data.split(b"\n", 1)
+    header = json.loads(line)
+    if kind == "truncate":
+        return data[: max(0, len(data) - value)]
+    if kind == "pad":
+        return data + value
+    if kind == "header":
+        return value + b"\n" + payload
+    if kind == "v1":
+        return v1_checkpoint(ModelParams.load(path))
+    if kind == "version":
+        header = mutated(header, ("version",), value)
+    elif kind == "drop tensor":
+        del header["tensors"][value % len(header["tensors"])]
+    elif kind == "extra tensor":
+        header["tensors"] = sorted(header["tensors"] + [value])
+    elif kind == "config key":
+        header["config"][value] = 1
+    else:  # a config width
+        header["config"][kind] = value
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+
+
+@example(mutation=("v1", None))
+@example(mutation=("truncate", 1))
+@example(mutation=("pad", b"\0"))
+@example(mutation=("header", b"not json"))
+@example(mutation=("header", b"[2]"))
+@example(mutation=("version", 1))
+@example(mutation=("version", 99))
+@example(mutation=("version", DELETE))
+@example(mutation=("drop tensor", 0))
+@example(mutation=("extra tensor", "emb_zzz"))
+@example(mutation=("config key", "dtype"))
+@example(mutation=("lstm_hidden", "4"))
+@example(mutation=("lstm_hidden", 10**5))
+@settings(max_examples=40)
+@given(mutation=CHECKPOINT_MUTATIONS)
+def test_checkpoints_through_parse_and_restore(workdir, mutation):
+    model = f"{workdir}/mutated.json"
+    with open(model, "wb") as fh:
+        fh.write(mutated_checkpoint(f"{workdir}/model.json", *mutation))
+    sentences = write_lines(f"{workdir}/sentences.jsonl", json.dumps(GRAPH))
+    trees = write_lines(f"{workdir}/trees.txt", SEXPR)
+    for argv in (
+        ["parse", "--model", model, "--in", sentences],
+        ["restore", "--remotes-model", model, "--in", trees],
+    ):
+        out = f"{workdir}/out.jsonl"
+        code, err = run(*argv, "--out", out)
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError", error
+        assert error["message"].startswith(f"{model}: "), error
+        if mutation[0] == "v1":
+            assert error["message"].startswith(f"{model}: checkpoint header: version 1, ")
+        assert not os.path.exists(out)
 
 
 # --- valid graphs over the whole allowed alphabet --------------------------

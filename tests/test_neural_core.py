@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -32,6 +34,7 @@ from uccatree.neural_core import (
     label_scores,
     span_affine,
     split_scores,
+    tensor_shapes,
 )
 
 
@@ -83,12 +86,14 @@ class TestConfig:
         cfg = tiny_config(multilingual=True, languages=[UNK, "de", "en"])
         assert ModelConfig.from_json(cfg.to_json()) == cfg
 
-    def test_dtype_key_of_older_checkpoints(self):
-        cfg = tiny_config()
-        assert "dtype" not in cfg.to_json()
-        assert ModelConfig.from_json({**cfg.to_json(), "dtype": "float64"}) == cfg
-        with pytest.raises(ValueError, match="'float32'"):
-            ModelConfig.from_json({**cfg.to_json(), "dtype": "float32"})
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dtype", "float64"), ("lstm_hidden", "5"), ("lstm_hidden", 0), ("external_dim", -1),
+         ("use_pos", 1), ("words", ["a", 1]), ("labels", "A")],
+    )
+    def test_from_json_refuses_what_a_checkpoint_cannot_hold(self, key, value):
+        with pytest.raises((TypeError, ValueError), match=key):
+            ModelConfig.from_json({**tiny_config().to_json(), key: value})
 
 
 class TestVocab:
@@ -167,6 +172,41 @@ class TestInitialize:
         adam_step(p.tensors, {"emb_pre": np.ones((3, 2))}, AdamState())
         assert np.array_equal(pre, np.arange(6.0).reshape(3, 2))
         assert np.all(p.tensors["emb_pre"] < pre)
+
+    def test_tensor_shapes_is_the_inventory_initialize_draws(self):
+        cfg = tiny_config(multilingual=True, languages=[UNK, "de"], pretrained_dim=2,
+                          pretrained_words=["a"], share_span_hidden=True)
+        p = ModelParams.initialize(cfg, seed=0)
+        assert [(k, a.shape) for k, a in p.tensors.items()] == list(tensor_shapes(cfg).items())
+
+    # sha256 of the tensors that initialize drew before the tensor inventory
+    # replaced the hand-written initializers: a change of draw order or of an
+    # initializer shows here.
+    @pytest.mark.parametrize(
+        "overrides, pretrained, digest",
+        [
+            (dict(use_pos=False), None,
+             "fa33d53bb8d9c4d50fa348f4d6a206fd2a2a9428bf5f16a28e70076a47c82c44"),
+            (dict(use_ner=True, use_dep=True, multilingual=True, ner_tags=[UNK, "P"],
+                  dep_labels=[UNK, "d"], languages=[UNK, "de"]), None,
+             "14c6babfa5bbb00265f0513174ff7a285215025c616519101b89356310a3f9ef"),
+            (dict(pretrained_dim=3, pretrained_words=["a", "c"]), None,
+             "21378d6bb56f75ade508f898a480aa31265e99be33dcacf6b74f18c274c6e259"),
+            (dict(pretrained_dim=3, pretrained_words=["a", "c"]), np.arange(9.0).reshape(3, 3) / 7,
+             "e90ddb73c185e49c65fdbbc05f1ddc5d7282d50ecddc441e0b28ac334908897d"),
+            (dict(share_span_hidden=True), None,
+             "9efb3beb8c149ee05e2908ee99658a0f8692b5207b0c33a59937ff807119a950"),
+            (dict(multilingual=True, languages=[UNK, "de"]), None,
+             "0621e8a21cad9ad03f30a6dae9aef869797ead36eb9d1bbccf8a440cd6a1d281"),
+        ],
+    )
+    def test_golden_digest(self, overrides, pretrained, digest):
+        tensors = ModelParams.initialize(tiny_config(**overrides), seed=3, pretrained=pretrained).tensors
+        h = hashlib.sha256()
+        for name in sorted(tensors):
+            h.update(f"{name} {tensors[name].shape}\n".encode())
+            h.update(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_pretrained_shape_mismatch(self):
         cfg = tiny_config(pretrained_dim=2, pretrained_words=["a"])
@@ -567,27 +607,37 @@ class TestOptimizers:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         p = ModelParams.initialize(tiny_config(multilingual=True, languages=[UNK, "de"]), seed=9)
-        path = str(tmp_path / "model.json")
-        p.save(path)
-        q = ModelParams.load(path)
+        path = tmp_path / "model.json"
+        p.save(str(path))
+        q = ModelParams.load(str(path))
         assert q.config == p.config
         assert set(q.tensors) == set(p.tensors)
-        for name in p.tensors:
-            assert np.array_equal(q.tensors[name], p.tensors[name])
+        for name, arr in q.tensors.items():
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable
+            assert arr.tobytes() == p.tensors[name].tobytes()
         # Saving the loaded model reproduces the identical file.
-        path2 = str(tmp_path / "model2.json")
-        q.save(path2)
-        assert open(path).read() == open(path2).read()
+        q.save(str(tmp_path / "model2.json"))
+        assert (tmp_path / "model2.json").read_bytes() == path.read_bytes()
+
+    def test_layout_is_a_json_header_and_raw_float64(self, tmp_path):
+        p = ModelParams.initialize(tiny_config(), seed=0)
+        path = tmp_path / "model.json"
+        p.save(str(path))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        names = sorted(tensor_shapes(p.config))
+        assert json.loads(header) == {"config": p.config.to_json(), "tensors": names, "version": 2}
+        assert header == json.dumps(json.loads(header), sort_keys=True).encode()
+        assert payload == b"".join(p.tensors[name].astype("<f8").tobytes() for name in names)
 
     def test_version_check(self, tmp_path):
         p = ModelParams.initialize(tiny_config(), seed=0)
-        path = str(tmp_path / "model.json")
-        p.save(path)
-        payload = json.load(open(path))
-        payload["version"] = 99
-        json.dump(payload, open(path, "w"))
-        with pytest.raises(ValueError, match="version"):
-            ModelParams.load(path)
+        path = tmp_path / "model.json"
+        p.save(str(path))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        header = json.dumps({**json.loads(header), "version": 99}).encode()
+        path.write_bytes(header + b"\n" + payload)
+        with pytest.raises(ValueError, match=f"^{path}: checkpoint header: version 99, not 2$"):
+            ModelParams.load(str(path))
 
     def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
@@ -598,15 +648,35 @@ class TestCheckpoint:
         assert os.stat(path).st_mode == os.stat(plain).st_mode
         plain.unlink()
 
-        def interrupted(payload, fh, **kwargs):
-            fh.write('{"config": {')
-            raise KeyboardInterrupt
+        # The interrupt comes after the header and the first tensors are written.
+        contiguous, written = np.ascontiguousarray, []
 
-        monkeypatch.setattr(json, "dump", interrupted)
+        def interrupted(arr, dtype=None):
+            if len(written) == 3:
+                raise KeyboardInterrupt
+            written.append(arr)
+            return contiguous(arr, dtype=dtype)
+
+        monkeypatch.setattr(np, "ascontiguousarray", interrupted)
         with pytest.raises(KeyboardInterrupt):
             ModelParams.initialize(tiny_config(), seed=1).save(str(path))
+        assert len(written) == 3
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.json"]
+
+    def test_save_to_a_pipe_writes_through_it(self, tmp_path):
+        p = ModelParams.initialize(tiny_config(), seed=0)
+        p.save(str(tmp_path / "model.json"))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        p.save(str(fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [(tmp_path / "model.json").read_bytes()]
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "model.json"]
 
     def test_copy_tensors_detached(self):
         p = ModelParams.initialize(tiny_config(), seed=0)

@@ -71,14 +71,33 @@ class TestConfig:
         assert cfg.seed == 7 and cfg.learning_rate == 0.5
 
     def test_from_json_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown training config keys"):
+        with pytest.raises(ValueError, match="unknown TrainConfig keys"):
             TrainConfig.from_json({"seed": 7, "momentum": 0.9})
 
     @pytest.mark.parametrize("key, value", [("optimizer", "sgd"), ("external_dim", 2)])
     def test_from_json_rejects_settings_that_are_not_choices(self, key, value):
         # Adam is the only update rule; the external width comes with the data.
-        with pytest.raises(ValueError, match="unknown training config keys"):
+        with pytest.raises(ValueError, match="unknown TrainConfig keys"):
             TrainConfig.from_json({"seed": 7, key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lstm_hidden", "4"), ("lstm_hidden", 4.0), ("lstm_hidden", True), ("lstm_hidden", 0),
+         ("word_dim", 0), ("max_epochs", 0), ("max_epochs", "1"), ("patience", -1),
+         ("use_pos", "no"), ("use_pos", 0), ("learning_rate", "0.1"), ("learning_rate", False),
+         ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("pretrained_path", 3)],
+    )
+    def test_from_json_refuses_a_value_of_another_type_or_range(self, key, value):
+        with pytest.raises((TypeError, ValueError), match=f"^config key '{key}' must be "):
+            TrainConfig.from_json({"seed": 7, key: value})
+
+    def test_from_json_takes_each_json_type_it_documents(self):
+        cfg = TrainConfig.from_json(
+            {"patience": 0, "learning_rate": 1, "use_pos": False, "pretrained_path": None}
+        )
+        assert (cfg.patience, cfg.learning_rate, cfg.use_pos, cfg.pretrained_path) == (0, 1, False, None)
+        with pytest.raises(TypeError, match="the TrainConfig must be of type dict"):
+            TrainConfig.from_json([["seed", 7]])
 
     def test_readme_lists_every_train_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
