@@ -7,8 +7,11 @@ span scorer and biaffine classifier need — nothing more: ``add``, ``sub``,
 ``matmul``, ``linear``, ``concat``, ``index``, ``reshape``, ``relu``,
 ``vsum``, ``lstm``, ``bilstm`` and ``cross_entropy_rows``.  An op's freshly
 allocated gradient product becomes a node's first gradient uncopied.
-``bilstm`` runs a layer's reverse direction on one worker thread, started
-on its first call, while the caller runs the forward direction.
+
+The module owns one worker thread, started by the first call of
+:func:`paired`, which runs one job there while the caller runs another.
+``bilstm`` runs a layer's reverse direction on it while the caller runs
+the forward one, and ``neural_core.adam_step`` half of the tensors' update.
 
 Gradients are checked against central finite differences by
 :func:`gradcheck`; that numeric route is kept strictly independent of
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -327,12 +331,18 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
     return out
 
 
+_on_worker = threading.local()  # its ``flag`` is set on the worker thread only
+
+
 def _new_worker() -> None:
-    """Make the executor of the one thread that runs reverse directions.  Its
-    thread starts on the first submit; a forked child, which has no such
-    thread, gets an executor of its own."""
+    """Make the executor of the one worker thread.  Its thread starts on the
+    first submit; a forked child, which has no such thread, gets an executor
+    of its own."""
     global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="uccatree-bilstm")
+    _worker = ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="uccatree-bilstm",
+        initializer=setattr, initargs=(_on_worker, "flag", True),
+    )
 
 
 _new_worker()
@@ -340,8 +350,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_worker)
 
 
-def _paired(here: Callable[[], object], there: Callable[[], object]) -> tuple:
-    """Run ``there`` on the worker while the caller runs ``here``; both results."""
+def paired(here: Callable[[], object], there: Callable[[], object]) -> tuple:
+    """Run ``there`` on the worker thread while the caller runs ``here``;
+    return both results, once both are done.  An error of either is raised.
+
+    Called on the worker itself, it would wait forever for its own job, so
+    it raises ``RuntimeError`` there instead.
+    """
+    if getattr(_on_worker, "flag", False):
+        raise RuntimeError("paired() called on the worker thread, which would wait for itself")
     pending = _worker.submit(there)
     try:
         mine = here()
@@ -379,14 +396,14 @@ def bilstm(x: Var, forward: tuple[Var, Var, Var], reverse: tuple[Var, Var, Var])
     """
     if {id(v) for v in forward} & {id(v) for v in reverse}:
         raise ValueError("the two directions of a bilstm share a tensor")
-    ahead, behind = _paired(
+    ahead, behind = paired(
         lambda: _direction(x.value, forward, False), lambda: _direction(x.value, reverse, True)
     )
     h = ahead.shape[1]
     out = Var(np.concatenate([ahead.value, behind.value], axis=1), (x, *forward, *reverse))
 
     def bw(g: np.ndarray) -> None:
-        grads = _paired(
+        grads = paired(
             lambda: _direction_backward(ahead, g[:, :h]),
             lambda: _direction_backward(behind, g[:, h:]),
         )

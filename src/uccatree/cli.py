@@ -10,7 +10,6 @@ remotes) and ``eval``.  Errors exit nonzero and print a JSON object
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -69,14 +68,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     spec = SyntheticSpec()
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-        known = {f.name for f in dataclasses.fields(SyntheticSpec)}
-        unknown = set(data) - known
-        if unknown:
-            raise CliError(f"unknown generator spec keys: {sorted(unknown)}")
-        if "labels" in data:
-            data["labels"] = tuple(data["labels"])
-        spec = SyntheticSpec(**data)
+            try:
+                spec = SyntheticSpec.from_json(json.load(fh))
+            except (TypeError, ValueError) as exc:
+                raise CliError(f"{args.spec}: {exc}") from None
     graphs = generate(spec, seed=args.seed, lang=args.lang)
     dump_corpus(graphs, args.out)
     print(f"wrote {len(graphs)} graphs to {args.out}")

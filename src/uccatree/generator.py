@@ -11,11 +11,13 @@ tree conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .graph_model import Edge, Token, UccaGraph, checked, descendants, graph_from_children, node_yields
+from .graph_model import (
+    Edge, Token, UccaGraph, checked, descendants, graph_from_children, json_typed, label_problem, node_yields,
+)
 
 _POS_TAGS = ("NOUN", "VERB", "ADJ", "DET")
 _NER_TAGS = ("O", "PER", "LOC")
@@ -39,6 +41,41 @@ class SyntheticSpec:
     p_remote: float = 0.3
     p_discontinuity: float = 0.5
     labels: tuple[str, ...] = ("A", "P", "H", "L", "U", "E", "C")
+
+    @classmethod
+    def from_json(cls, data: dict) -> SyntheticSpec:
+        """A spec from a JSON object of field values, each optional.  Counts
+        are integers of at least 1, each ``min_*`` at most its ``max_*``; the
+        ``p_*`` are numbers in [0, 1]; ``labels`` is a non-empty list of
+        graph labels."""
+        unknown = set(json_typed(data, dict, "the generator spec")) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown generator spec keys: {sorted(unknown)}")
+        values = {}
+        for key, value in data.items():
+            what = f"spec key {key!r}"
+            if key == "labels":
+                for label in json_typed(value, list, what):
+                    problem = label_problem(json_typed(label, str, f"each item of {what}"))
+                    if problem:
+                        raise ValueError(f"{what}: {problem}")
+                if not value:
+                    raise ValueError(f"{what} must hold at least one label")
+                value = tuple(value)
+            elif key.startswith("p_"):  # NaN fails the comparison too
+                if type(value) not in (int, float) or not 0 <= value <= 1:
+                    raise ValueError(f"{what} must be a number in [0, 1], got {value!r}")
+            elif json_typed(value, int, what) < 1:
+                raise ValueError(f"{what} must be at least 1, got {value}")
+            values[key] = value
+        spec = cls(**values)
+        for low, high in (("min_tokens", "max_tokens"), ("min_branch", "max_branch")):
+            if getattr(spec, low) > getattr(spec, high):
+                raise ValueError(
+                    f"spec key {low!r} ({getattr(spec, low)}) must be at most "
+                    f"{high!r} ({getattr(spec, high)})"
+                )
+        return spec
 
 
 class _Builder:

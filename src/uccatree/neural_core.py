@@ -458,6 +458,19 @@ class AdamState:
 ADAM_BLOCK = 16384
 
 
+def _balanced_halves(sizes: dict[str, int]) -> tuple[list[str], list[str]]:
+    """The names in two groups of about equal total size: greedy by
+    descending size, ties by name, each to the lighter group (the first on
+    a tie)."""
+    halves: tuple[list[str], list[str]] = ([], [])
+    loads = [0, 0]
+    for name in sorted(sizes, key=lambda name: (-sizes[name], name)):
+        k = int(loads[1] < loads[0])
+        halves[k].append(name)
+        loads[k] += sizes[name]
+    return halves
+
+
 def adam_step(
     tensors: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -472,39 +485,50 @@ def adam_step(
     The bias correction is folded into the step size and epsilon (Kingma
     & Ba, arXiv 1412.6980, end of section 2), so no corrected moment is
     ever stored.  The flattened arrays are updated block by block through
-    one scratch block.  Only the tensors named in ``grads`` change.  A
+    a scratch block.  Only the tensors named in ``grads`` change.  A
     non-finite gradient raises before any tensor or any optimizer state
     changes.
+
+    The tensors are split into two groups of about equal size: the caller
+    updates one while ``autodiff``'s worker thread updates the other, each
+    through a scratch block of its own.  Each element's update reads only
+    its own cells, so the result is one thread's, bit for bit.
     """
     for name, grad in grads.items():  # before anything changes
         _check_finite(name, grad)
         if not tensors[name].flags.c_contiguous:
             raise ValueError(f"tensor {name!r} is not C-contiguous; Adam updates it in place")
-    # Flat views of the tensors, and of the gradients (copied if not contiguous).
-    flat = [(name, tensors[name].reshape(-1), grad.reshape(-1)) for name, grad in grads.items()]
+    for name in grads:  # here, so that the worker never inserts into a dict
+        if name not in state.m:
+            state.m[name] = np.zeros(tensors[name].shape)
+            state.v[name] = np.zeros(tensors[name].shape)
     state.t += 1
     t = state.t
     correction = (1.0 - beta2**t) ** 0.5
     step = lr * correction / (1.0 - beta1**t)
     eps_hat = eps * correction
-    scratch = np.empty(ADAM_BLOCK)
-    for name, theta, g in flat:
-        if name not in state.m:
-            state.m[name] = np.zeros(tensors[name].shape)
-            state.v[name] = np.zeros(tensors[name].shape)
-        m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)  # C order: views
-        for lo in range(0, theta.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, theta.size)
-            gb, mb, vb, buf = g[lo:hi], m[lo:hi], v[lo:hi], scratch[: hi - lo]
-            mb *= beta1
-            np.multiply(gb, 1.0 - beta1, out=buf)
-            mb += buf
-            vb *= beta2
-            np.multiply(gb, 1.0 - beta2, out=buf)
-            buf *= gb
-            vb += buf
-            np.sqrt(vb, out=buf)
-            buf += eps_hat
-            np.divide(mb, buf, out=buf)
-            buf *= step
-            theta[lo:hi] -= buf
+
+    def update(names: list[str]) -> None:
+        scratch = np.empty(ADAM_BLOCK)
+        for name in names:
+            # Flat views (C order); a gradient that is not contiguous is copied.
+            theta, g = tensors[name].reshape(-1), grads[name].reshape(-1)
+            m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
+            for lo in range(0, theta.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, theta.size)
+                gb, mb, vb, buf = g[lo:hi], m[lo:hi], v[lo:hi], scratch[: hi - lo]
+                mb *= beta1
+                np.multiply(gb, 1.0 - beta1, out=buf)
+                mb += buf
+                vb *= beta2
+                np.multiply(gb, 1.0 - beta2, out=buf)
+                buf *= gb
+                vb += buf
+                np.sqrt(vb, out=buf)
+                buf += eps_hat
+                np.divide(mb, buf, out=buf)
+                buf *= step
+                theta[lo:hi] -= buf
+
+    here, there = _balanced_halves({name: grad.size for name, grad in grads.items()})
+    ad.paired(lambda: update(here), lambda: update(there))

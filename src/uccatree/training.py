@@ -28,6 +28,7 @@ from .neural_core import (
     ModelConfig,
     ModelHyperparams,
     ModelParams,
+    OptimizationError,
     Vocab,
     adam_step,
     check_external,
@@ -315,7 +316,10 @@ def train(
             epoch_loss += joint
             if config.freeze_pretrained:
                 grads.pop("emb_pre", None)
-            adam_step(params.tensors, grads, adam, lr=config.learning_rate)
+            try:
+                adam_step(params.tensors, grads, adam, lr=config.learning_rate)
+            except OptimizationError as exc:
+                raise OptimizationError(f"epoch {epoch}, training sentence {int(idx) + 1}: {exc}") from exc
         report = evaluate_model(params, dev_graphs, external=external_dev)
         dev_f1 = report.averaged.f1
         history.append(EpochStats(epoch=epoch, train_loss=epoch_loss, dev_f1=dev_f1))

@@ -394,6 +394,20 @@ class TestBilstmCallers:
         assert results == {k: want for k in range(3)}
 
 
+class TestPaired:
+    def test_runs_the_second_job_on_the_worker(self):
+        def name() -> str:
+            return threading.current_thread().name
+
+        here, there = ad.paired(name, name)
+        assert here == threading.current_thread().name and there.startswith("uccatree-bilstm")
+
+    def test_a_call_on_the_worker_raises_instead_of_waiting_for_itself(self):
+        with pytest.raises(RuntimeError, match="worker thread"):
+            ad.paired(lambda: None, lambda: ad.paired(lambda: 1, lambda: 2))
+        assert ad.paired(lambda: 1, lambda: 2) == (1, 2)  # the worker is free again
+
+
 class TestUnbroadcast:
     def test_extra_leading_axis_summed(self):
         g = np.ones((3, 2))

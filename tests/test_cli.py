@@ -93,6 +93,26 @@ class TestGenAndStats:
         assert payload["error"]["type"] == "CliError"
         assert "unknown generator spec keys" in payload["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"sentences": "3"}, "spec key 'sentences' must be of type int, got '3'"),
+            ({"max_tokens": 2.5}, "spec key 'max_tokens' must be of type int, got 2.5"),
+            ({"p_remote": "x"}, "spec key 'p_remote' must be a number in [0, 1], got 'x'"),
+            ({"vocab_size": 0}, "spec key 'vocab_size' must be at least 1, got 0"),
+            ({"max_tokens": 2}, "spec key 'min_tokens' (3) must be at most 'max_tokens' (2)"),
+            ({"p_discontinuity": 1.5}, "spec key 'p_discontinuity' must be a number in [0, 1], got 1.5"),
+            ({"labels": ["A", 7]}, "each item of spec key 'labels' must be of type str, got 7"),
+            ({"labels": []}, "spec key 'labels' must hold at least one label"),
+        ],
+    )
+    def test_gen_names_the_spec_and_the_key_of_a_bad_value(self, tmp_path, capsys, data, message):
+        spec = write_json(tmp_path / "spec.json", data)
+        out = tmp_path / "x.jsonl"
+        code, _, stderr = run_cli(capsys, "gen", "--spec", spec, "--out", str(out))
+        assert code == 1 and not out.exists()
+        assert json.loads(stderr)["error"] == {"type": "CliError", "message": f"{spec}: {message}"}
+
     def test_stats_reports_move_distribution(self, tmp_path, capsys):
         spec = write_json(
             tmp_path / "spec.json", {"sentences": 12, "p_discontinuity": 1.0}

@@ -93,3 +93,12 @@ def test_readme_genspec_example_lists_the_defaults():
     defaults = asdict(SyntheticSpec())
     defaults["labels"] = list(defaults["labels"])
     assert example == defaults
+    assert SyntheticSpec.from_json(example) == SyntheticSpec()
+
+
+def test_spec_takes_the_edges_of_each_range():
+    edges = {"sentences": 1, "min_tokens": 1, "max_tokens": 1, "vocab_size": 1, "max_depth": 1,
+             "min_branch": 1, "max_branch": 1, "p_remote": 0, "p_discontinuity": 1, "labels": ["X"]}
+    spec = SyntheticSpec.from_json(edges)
+    assert spec.labels == ("X",)
+    assert [len(g.tokens) for g in generate(spec, seed=1)] == [1]

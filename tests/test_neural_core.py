@@ -27,6 +27,7 @@ from uccatree.neural_core import (
     OptimizationError,
     Vocab,
     adam_step,
+    _balanced_halves,
     _check_finite,
     biaffine,
     embed,
@@ -586,6 +587,64 @@ class TestOptimizers:
             assert np.array_equal(t[name], moved[name])
             assert np.array_equal(state.m[name], m[name])
             assert np.array_equal(state.v[name], v[name])
+
+    # sha256 of the tensors, m and v that the one-thread update left after
+    # four steps: a split of the update across threads must change no bit.
+    # "all": every tensor of a model, several over ADAM_BLOCK, where each
+    # step leaves out a different fifth of them (so some moments are made
+    # late); "one": a single tensor; "none": no gradient at all, which only
+    # advances t.
+    @pytest.mark.parametrize(
+        "seed, which, digest",
+        [
+            (3, "all", "2f378a0e5f4dcdae274f094d3b562a77f733e9c1040fdef96bde6e591c23e38d"),
+            (4, "all", "bae9ee6763b5e6edac71f5faeef18ba12f3ad23a3b9353845e09fb6126882d3b"),
+            (5, "all", "fdbd1794ce6b8fd86d5051256dcd5335b9899c65b52ad38969ccd8aad03d31d9"),
+            (3, "one", "198f36017df6cbf5a6d3a78d51a1136639ce6e02df11e2804ae5e45cd8466c27"),
+            (3, "none", "ac1c73631a94f16b5fd4e489d3025dfb4309ac4fcc48195d46d6a808dc438741"),
+        ],
+    )
+    def test_golden_digest(self, seed, which, digest):
+        cfg = tiny_config(lstm_hidden=70, mlp_hidden=30, use_ner=True, ner_tags=[UNK, "P"],
+                          multilingual=True, languages=[UNK, "de"])
+        tensors = ModelParams.initialize(cfg, seed=seed).tensors
+        names = {"all": list(tensors), "one": ["lstm1b_wx"], "none": []}[which]
+        rng = np.random.default_rng(seed)
+        state = AdamState()
+        for step in range(4):
+            grads = {
+                name: rng.standard_normal(tensors[name].shape) * 10.0 ** rng.uniform(-3, 1)
+                for k, name in enumerate(names) if k % 5 != step
+            }
+            adam_step(tensors, grads, state)
+        assert state.t == 4 and sorted(state.m) == sorted(state.v) == sorted(names)
+        h = hashlib.sha256()
+        for part in (tensors, state.m, state.v):
+            for name in sorted(part):
+                h.update(f"{name} {part[name].shape}\n".encode())
+                h.update(np.ascontiguousarray(part[name], dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+
+    def test_halves_are_greedy_by_size_with_ties_by_name(self):
+        sizes = {"d": 1, "c": 3, "a": 5, "b": 3, "e": 1}
+        assert _balanced_halves(sizes) == (["a", "d", "e"], ["b", "c"])
+        assert _balanced_halves({"w": 4}) == (["w"], [])
+        assert _balanced_halves({}) == ([], [])
+
+    def test_the_caller_updates_one_half_and_the_worker_the_other(self, monkeypatch):
+        tensors = {name: np.zeros(size) for name, size in (("a", 5), ("b", 3), ("c", 3))}
+        moved = []
+
+        def in_turn(here, there):  # ad.paired runs ``there`` on the worker
+            for job in (here, there):
+                before = {name: arr.copy() for name, arr in tensors.items()}
+                job()
+                moved.append(sorted(n for n in tensors if not np.array_equal(tensors[n], before[n])))
+            return None, None
+
+        monkeypatch.setattr(ad, "paired", in_turn)
+        adam_step(tensors, {name: np.ones_like(arr) for name, arr in tensors.items()}, AdamState())
+        assert moved == [["a"], ["b", "c"]]
 
     def test_non_finite_gradients_rejected(self):
         t = {"w": np.zeros(2)}

@@ -1,4 +1,5 @@
-"""Threads: only a parse starts one, the BiLSTM worker, and it changes no byte.
+"""Threads: only a parse or training starts one, the worker of ``autodiff``,
+and it changes no byte.
 
 Each case runs in a fresh interpreter, because the worker of this test
 process may already be running.
@@ -19,11 +20,9 @@ from uccatree.generator import SyntheticSpec, generate
 from uccatree.graph_model import dump_corpus
 
 # Parses a fixed corpus with a fixed random model; prints the output lines
-# and the names of the live threads.  ``cpu``: run on that one CPU only.
+# and the names of the live threads.
 PARSE = """
 import json, os, threading
-if {cpu!r} is not None:
-    os.sched_setaffinity(0, {{{cpu!r}}})
 from uccatree.generator import SyntheticSpec, generate
 from uccatree.neural_core import ModelParams
 from uccatree.training import TrainConfig, build_model_config, parse_pipeline
@@ -31,7 +30,7 @@ graphs = generate(SyntheticSpec(sentences=10, min_tokens=3, max_tokens=30), seed
 config = TrainConfig(seed=3, lstm_hidden=40, mlp_hidden=30, remote_mlp_dim=10)
 params = ModelParams.initialize(build_model_config(graphs, config), seed=3)
 lines = [json.dumps(parse_pipeline(g.tokens, params).to_json(), sort_keys=True) for g in graphs]
-print(json.dumps({{"lines": lines, "threads": [t.name for t in threading.enumerate()]}}))
+print(json.dumps({"lines": lines, "threads": [t.name for t in threading.enumerate()]}))
 """
 
 # Runs CLI commands in-process, then prints the names of the live threads.
@@ -44,7 +43,16 @@ print(json.dumps([t.name for t in threading.enumerate()]))
 """
 
 
-def run_python(source: str, *args: str) -> str:
+# A small training run for ``ucca train``.
+TRAIN_CONFIG = {"seed": 2, "max_epochs": 2, "word_dim": 8, "tag_dim": 3, "lstm_hidden": 24,
+                "mlp_hidden": 16, "remote_mlp_dim": 6}
+
+
+def run_python(source: str, *args: str, cpu: int | None = None) -> str:
+    """The last line that ``source`` prints, run in a fresh interpreter;
+    ``cpu``: confined to that one CPU."""
+    if cpu is not None:
+        source = f"import os\nos.sched_setaffinity(0, {{{cpu}}})\n{source}"
     src = str(Path(uccatree.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
@@ -55,7 +63,19 @@ def run_python(source: str, *args: str) -> str:
 
 
 def parse_run(cpu: int | None = None) -> dict:
-    return json.loads(run_python(PARSE.format(cpu=cpu)))
+    return json.loads(run_python(PARSE, cpu=cpu))
+
+
+def train_run(tmp_path: Path, out: str, cpu: int | None = None) -> list[str]:
+    """``ucca train`` on a small generated corpus, writing checkpoint ``out``;
+    the names of the threads left afterwards."""
+    corpus, config = tmp_path / "corpus.jsonl", tmp_path / "train.json"
+    if not corpus.exists():
+        dump_corpus(generate(SyntheticSpec(sentences=6, min_tokens=3, max_tokens=12), seed=4), str(corpus))
+        config.write_text(json.dumps(TRAIN_CONFIG), encoding="utf-8")
+    argv = ["train", "--train", str(corpus), "--dev", str(corpus), "--config", str(config),
+            "--out", str(tmp_path / out)]
+    return json.loads(run_python(CLI, json.dumps([argv]), cpu=cpu))
 
 
 def test_import_starts_no_thread():
@@ -84,15 +104,28 @@ def test_a_parse_leaves_exactly_one_worker():
     assert names[0] == "MainThread" and names[1].startswith("uccatree-bilstm")
 
 
+def test_training_leaves_exactly_one_worker(tmp_path):
+    names = train_run(tmp_path, "model.ckpt")
+    assert len(names) == 2
+    assert names[0] == "MainThread" and names[1].startswith("uccatree-bilstm")
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_one_cpu_parses_the_same_bytes():
     cpu = min(os.sched_getaffinity(0))
     assert parse_run(cpu)["lines"] == parse_run()["lines"]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_one_cpu_trains_the_same_checkpoint(tmp_path):
+    train_run(tmp_path, "one.ckpt", cpu=min(os.sched_getaffinity(0)))
+    train_run(tmp_path, "all.ckpt")
+    assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "all.ckpt").read_bytes()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_a_forked_child_gets_its_own_worker():
-    source = PARSE.format(cpu=None) + (
+    source = PARSE + (
         "pid = os.fork()\n"
         "if pid == 0:\n"
         "    import signal; signal.alarm(60)  # a child without a worker would wait forever\n"

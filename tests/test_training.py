@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uccatree import training
 from uccatree.autodiff import Var
 from uccatree.generator import SyntheticSpec, generate
 from uccatree.graph_model import Token
-from uccatree.neural_core import NOT_PARENT, UNK, ModelParams, embed, BoundParams
+from uccatree.neural_core import NOT_PARENT, UNK, ModelParams, OptimizationError, embed, BoundParams
 from uccatree.remote_recovery import loss_remote
 from uccatree.span_parser import loss_topdown
 from uccatree.training import (
@@ -232,6 +233,24 @@ class TestTrainingLoop:
         assert result.best_f1 == max(h.dev_f1 for h in result.history)
         rescored = evaluate_model(result.params, graphs)
         assert rescored.averaged.f1 == pytest.approx(result.best_f1)
+
+    def test_optimization_error_names_the_epoch_and_the_sentence(self, monkeypatch):
+        # The third sentence's gradient turns NaN in the second epoch only.
+        graphs = tiny_corpus() + [simple_graph(["A", "H", "P"], n=3)]
+        seen = []
+
+        def poisoned(example, params):
+            joint, lt, lr, grads = sentence_loss(example, params)
+            seen.append(example.tokens)
+            if example.tokens == graphs[2].tokens and seen.count(example.tokens) == 2:
+                grads["label_out_b"] = np.full_like(grads["label_out_b"], np.nan)
+            return joint, lt, lr, grads
+
+        monkeypatch.setattr(training, "sentence_loss", poisoned)
+        with pytest.raises(OptimizationError) as info:
+            train(graphs, graphs, tiny_config(max_epochs=3))
+        assert str(info.value) == "epoch 2, training sentence 3: non-finite gradient for tensor 'label_out_b'"
+        assert isinstance(info.value.__cause__, OptimizationError)
 
     def test_empty_train_set_cannot_parse_dev(self):
         with pytest.raises(ValueError, match="ROOT"):
