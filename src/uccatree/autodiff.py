@@ -6,7 +6,10 @@ into every reachable input.  The op set is exactly what the encoder,
 span scorer and biaffine classifier need — nothing more: ``add``, ``sub``,
 ``matmul``, ``linear``, ``concat``, ``index``, ``reshape``, ``relu``,
 ``vsum``, ``lstm``, ``bilstm`` and ``cross_entropy_rows``.  An op's freshly
-allocated gradient product becomes a node's first gradient uncopied.
+allocated gradient becomes an inner node's first gradient uncopied.  A
+:class:`Leaf` writes its first gradient into a buffer its caller keeps from
+pass to pass: a weight-gradient product straight through ``out=``, anything
+else by a copy.  A training step then maps no fresh gradient memory.
 
 The module owns one worker thread, started by the first call of
 :func:`paired`, which runs one job there while the caller runs another.
@@ -70,6 +73,10 @@ class Var:
             self.grad = np.empty_like(self.value)
             self.grad[...] = grad
 
+    def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add the matrix product ``a @ b`` to the gradient."""
+        self._accumulate(a @ b, fresh=True)
+
     def backward(self) -> None:
         """Backpropagate from this scalar through the whole graph."""
         if self.value.ndim != 0:
@@ -108,6 +115,33 @@ class Var:
         return sub(_wrap(other), self)
 
 
+class Leaf(Var):
+    """An input whose gradient goes into ``buffer``, an array of its value's
+    shape that the caller owns.  The first contribution of a pass
+    overwrites the buffer, later ones add to it, so a stale gradient never
+    shows; the buffer holds this pass's gradient until the next pass
+    through a leaf on it."""
+
+    __slots__ = ("buffer",)
+
+    def __init__(self, value: np.ndarray, buffer: np.ndarray):
+        super().__init__(value)
+        self.buffer = buffer
+
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        if self.grad is None:
+            self.buffer[...] = grad
+            self.grad = self.buffer
+        else:
+            self.grad += grad
+
+    def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.matmul(a, b, out=self.buffer)
+        else:
+            self.grad += a @ b
+
+
 def _wrap(x) -> Var:
     return x if isinstance(x, Var) else Var(np.asarray(x, dtype=np.float64))
 
@@ -144,8 +178,8 @@ def matmul(a: Var, b: Var) -> Var:
     out = Var(a.value @ b.value, (a, b))
 
     def bw(g: np.ndarray) -> None:
-        a._accumulate(g @ b.value.T, fresh=True)
-        b._accumulate(a.value.T @ g, fresh=True)
+        a._accumulate_product(g, b.value.T)
+        b._accumulate_product(a.value.T, g)
 
     out._bw = bw
     return out
@@ -163,8 +197,8 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
     out = Var(value, (x, w) if b is None else (x, w, b))
 
     def bw(g: np.ndarray) -> None:
-        x._accumulate(g @ w.value, fresh=True)
-        w._accumulate(g.T @ x.value, fresh=True)
+        x._accumulate_product(g, w.value)
+        w._accumulate_product(g.T, x.value)
         if b is not None:
             b._accumulate(g.sum(axis=0), fresh=True)
 
@@ -207,26 +241,37 @@ def index(a: Var, key) -> Var:
     """``a.value[key]`` for any numpy index: an int, a slice, a list or
     array of indices, or a tuple of them such as ``(rows, slice(None), cols)``.
 
-    The backward pass scatters into ``a``'s gradient, so duplicate indices
-    accumulate: one ``bincount`` over the gathered cells' flat positions,
-    not an ``a.size``-long table.  A gather of whole rows reads them from
-    its row offsets, any other key from broadcast per-axis offsets.
+    The backward pass scatters into ``a``'s gradient.  A key of only slices
+    and ints picks each cell once, so it adds ``g`` into zeros in place.
+    Any other key may repeat cells, which accumulate: one ``bincount`` over
+    the gathered cells' flat positions, not an ``a.size``-long table.  A
+    gather of whole rows reads them from its row offsets, any other key
+    from broadcast per-axis offsets.  Both give 0.0 + x in every cell
+    picked once.
     """
     out = Var(a.value[key], (a,))
+    basic = all(
+        isinstance(k, (slice, int, np.integer)) and not isinstance(k, bool)
+        for k in (key if isinstance(key, tuple) else (key,))
+    )
 
     def bw(g: np.ndarray) -> None:
         shape = a.value.shape
-        rows = _row_gather(key)
-        if rows is not None:
-            width = math.prod(shape[1:])
-            cells = (rows % shape[0])[..., None] * width + np.arange(width)
+        if basic:
+            grad = np.zeros(shape)
+            grad[key] += g
         else:
-            cells = sum(
-                np.broadcast_to(offsets * math.prod(shape[axis + 1 :]), shape)[key]
-                for axis, offsets in enumerate(np.indices(shape, sparse=True))
-            )
-        grad = np.bincount(np.ravel(cells), weights=np.ravel(g), minlength=a.value.size)
-        a._accumulate(grad.reshape(shape), fresh=True)
+            rows = _row_gather(key)
+            if rows is not None:
+                width = math.prod(shape[1:])
+                cells = (rows % shape[0])[..., None] * width + np.arange(width)
+            else:
+                cells = sum(
+                    np.broadcast_to(offsets * math.prod(shape[axis + 1 :]), shape)[key]
+                    for axis, offsets in enumerate(np.indices(shape, sparse=True))
+                )
+            grad = np.bincount(np.ravel(cells), weights=np.ravel(g), minlength=a.value.size).reshape(shape)
+        a._accumulate(grad, fresh=True)
 
     out._bw = bw
     return out
@@ -325,7 +370,7 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
             dc *= f
             np.dot(wh.T, d_gates[k], out=dh)
         projected._accumulate(d_projected, fresh=True)
-        w_h._accumulate(d_gates.T @ states[:-1], fresh=True)
+        w_h._accumulate_product(d_gates.T, states[:-1])
 
     out._bw = bw
     return out

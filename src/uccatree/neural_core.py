@@ -168,11 +168,13 @@ class Vocab:
 
 
 class ModelParams:
-    """All trainable tensors plus the configuration that shapes them."""
+    """All trainable tensors plus the configuration that shapes them, and
+    one gradient buffer per tensor name (see :meth:`gradient_buffer`)."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
         self.config = config
         self.tensors = tensors
+        self._gradients: dict[str, np.ndarray] = {}
         self.words = Vocab(config.words)
         self.pos_tags = Vocab(config.pos_tags)
         self.ner_tags = Vocab(config.ner_tags)
@@ -251,22 +253,36 @@ class ModelParams:
     def copy_tensors(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.tensors.items()}
 
+    def gradient_buffer(self, name: str) -> np.ndarray:
+        """The array that backward writes tensor ``name``'s gradient into.  It
+        is kept from step to step, so a step maps no fresh gradient memory,
+        and made anew only when the tensor's shape changes.  It is keyed by
+        name, since ``tensors`` may be replaced wholesale, and is never part
+        of a checkpoint."""
+        shape = self.tensors[name].shape
+        buffer = self._gradients.get(name)
+        if buffer is None or buffer.shape != shape:
+            buffer = self._gradients[name] = np.empty(shape)
+        return buffer
+
 
 class BoundParams:
-    """Per-forward-pass tape leaves for every parameter tensor."""
+    """Per-forward-pass tape leaves for every parameter tensor, each writing
+    its gradient into the model's buffer for that tensor."""
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.config = params.config
-        self.vars = {name: Var(arr) for name, arr in params.tensors.items()}
+        self.vars = {name: ad.Leaf(arr, params.gradient_buffer(name)) for name, arr in params.tensors.items()}
 
     def __getitem__(self, name: str) -> Var:
         return self.vars[name]
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {
-            name: v.grad for name, v in self.vars.items() if v.grad is not None
-        }
+        """The gradient of each tensor that the backward pass reached, and of
+        no other.  The arrays are the model's buffers: they hold these values
+        until the next backward pass through the same model."""
+        return {name: v.grad for name, v in self.vars.items() if v.grad is not None}
 
 
 # ---------------------------------------------------------------------------

@@ -100,13 +100,18 @@ def loss_topdown(enc: Encoding, gold: Mapping[Span, str], bound: BoundParams) ->
     first (see :func:`gold_trace`).  The descent picks the best-scoring
     gold-consistent split at every n-ary decision; terms with no incorrect
     alternative contribute zero.
+
+    The decisions read the split scores of every span, which the loss does
+    not reach.  The hinge terms score again, on the loss's tape, only the
+    distinct spans they use: at most 4(n - 1) rows, not n(n + 1)/2, so
+    backward never visits the whole span table.  The label head is taped
+    on the 2n - 1 decided spans.
     """
     n = enc.n
     if next(iter(gold), None) != (0, n):
         raise ValueError(f"gold spans start with {next(iter(gold), None)}, encoder has n={n}")
     spans, table = _span_table(n)
-    split_v = split_scores(enc, spans, bound)
-    span_scores = split_v.value[table]
+    span_scores = split_scores(enc, spans, bound).value[table]
     whole, inner, unmarked = _label_masks(tuple(bound.config.labels))
     # Bounds of the smallest gold span strictly containing each fencepost:
     # k is a gold split point of a decided span (i, j) when that gold span
@@ -158,7 +163,10 @@ def loss_topdown(enc: Encoding, gold: Mapping[Span, str], bound: BoundParams) ->
         gold_score = ad.index(label_v, (terms, gold_ids[terms]))
         margins.append(ad.index(label_v, (terms, wrong_ids)) - gold_score)
     if split_terms:
-        gold_l, gold_r, wrong_l, wrong_r = np.array(split_terms).T
+        # Tape only the distinct rows the terms read, in span-table order.
+        rows, where = np.unique(np.ravel(split_terms), return_inverse=True)
+        split_v = split_scores(enc, spans[rows], bound)
+        gold_l, gold_r, wrong_l, wrong_r = where.reshape(-1, 4).T
         wrong_score = ad.index(split_v, wrong_l) + ad.index(split_v, wrong_r)
         margins.append(wrong_score - (ad.index(split_v, gold_l) + ad.index(split_v, gold_r)))
     if not margins:

@@ -200,8 +200,10 @@ def sentence_loss(
 ) -> tuple[float, float, float, dict[str, np.ndarray]]:
     """Forward/backward for one sentence.
 
-    Returns (joint, topdown, remote) loss values and the gradients.
-    Raises if the joint loss stops being the exact sum of its parts.
+    Returns (joint, topdown, remote) loss values and the gradients of the
+    tensors the loss reaches.  The gradients are the model's buffers, valid
+    until the next backward pass through the same model.  Raises if the
+    joint loss stops being the exact sum of its parts.
     """
     bound, enc = encode_sentence(example.tokens, params, external=example.external)
     lt = loss_topdown(enc, example.trace, bound)

@@ -8,11 +8,16 @@ nine nonterminals 8..16 (8 is the root).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uccatree
 from uccatree.autodiff import Var
 from uccatree.graph_model import Edge, Token, UccaGraph
 
@@ -161,3 +166,17 @@ def tape_vars(root: Var) -> list[Var]:
 def tape_nodes(root: Var) -> int:
     """How many distinct tape nodes are reachable from ``root``."""
     return len(tape_vars(root))
+
+
+def run_python(source: str, *args: str, cpu: int | None = None) -> str:
+    """The last line that ``source`` prints, run in a fresh interpreter;
+    ``cpu``: confined to that one CPU."""
+    if cpu is not None:
+        source = f"import os\nos.sched_setaffinity(0, {{{cpu}}})\n{source}"
+    src = str(Path(uccatree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", source, *args],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return proc.stdout.splitlines()[-1]

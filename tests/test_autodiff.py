@@ -155,6 +155,9 @@ class TestIndexScatter:
             ((5, 3), np.array([-1, 4, -5, 0], dtype=np.int32)),  # negative rows
             ((5, 3), 2),
             ((6,), [5, 1, 5]),  # rows of a vector
+            ((31, 500), (slice(None), slice(250, None))),  # slices and ints only
+            ((465, 1), (slice(None), 0)),
+            ((4, 5, 3), (2, slice(None, None, -1), np.int64(-1))),
         ],
     )
     def test_backward_matches_add_at_bitwise(self, shape, key):

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import uccatree
 from uccatree.generator import SyntheticSpec, generate
 from uccatree.graph_model import dump_corpus
+
+from conftest import run_python
 
 # Parses a fixed corpus with a fixed random model; prints the output lines
 # and the names of the live threads.
@@ -46,20 +45,6 @@ print(json.dumps([t.name for t in threading.enumerate()]))
 # A small training run for ``ucca train``.
 TRAIN_CONFIG = {"seed": 2, "max_epochs": 2, "word_dim": 8, "tag_dim": 3, "lstm_hidden": 24,
                 "mlp_hidden": 16, "remote_mlp_dim": 6}
-
-
-def run_python(source: str, *args: str, cpu: int | None = None) -> str:
-    """The last line that ``source`` prints, run in a fresh interpreter;
-    ``cpu``: confined to that one CPU."""
-    if cpu is not None:
-        source = f"import os\nos.sched_setaffinity(0, {{{cpu}}})\n{source}"
-    src = str(Path(uccatree.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", source, *args],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    return proc.stdout.splitlines()[-1]
 
 
 def parse_run(cpu: int | None = None) -> dict:
