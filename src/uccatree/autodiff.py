@@ -2,10 +2,12 @@
 
 A :class:`Var` wraps a numpy array and remembers how it was computed;
 calling :meth:`Var.backward` on a scalar result accumulates gradients
-into every reachable input.  The op set is exactly what the encoder,
-span scorer and biaffine classifier need — nothing more: ``add``, ``sub``,
-``matmul``, ``linear``, ``concat``, ``index``, ``reshape``, ``relu``,
-``vsum``, ``lstm``, ``bilstm`` and ``cross_entropy_rows``.  An op's freshly
+into every reachable input.  One walk, :func:`_backprop`, runs every
+backward pass: from a loss, and from each direction of a ``bilstm``.  The
+op set is exactly what the encoder, span scorer and biaffine classifier
+need — nothing more: ``add``, ``sub``, ``matmul``, ``linear``, ``concat``,
+``index``, ``reshape``, ``relu``, ``vsum``, ``lstm``, ``bilstm`` and
+``cross_entropy_rows``.  An op's freshly
 allocated gradient becomes an inner node's first gradient uncopied.  A
 :class:`Leaf` writes its first gradient into a buffer its caller keeps from
 pass to pass: a weight-gradient product straight through ``out=``, anything
@@ -14,7 +16,8 @@ else by a copy.  A training step then maps no fresh gradient memory.
 The module owns one worker thread, started by the first call of
 :func:`paired`, which runs one job there while the caller runs another.
 ``bilstm`` runs a layer's reverse direction on it while the caller runs
-the forward one, and ``neural_core.adam_step`` half of the tensors' update.
+the forward one, and ``neural_core.adam_step`` the second half of each
+tensor's update.
 
 Gradients are checked against central finite differences by
 :func:`gradcheck`; that numeric route is kept strictly independent of
@@ -81,25 +84,7 @@ class Var:
         """Backpropagate from this scalar through the whole graph."""
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar root")
-        order: list[Var] = []
-        seen: set[int] = set()
-        stack: list[tuple[Var, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        self._accumulate(np.ones_like(self.value))
-        for node in reversed(order):
-            if node._bw is not None and node.grad is not None:
-                node._bw(node.grad)
+        _backprop(self, np.ones_like(self.value))
 
     # -- operator sugar -------------------------------------------------
 
@@ -140,6 +125,26 @@ class Leaf(Var):
             self.grad = np.matmul(a, b, out=self.buffer)
         else:
             self.grad += a @ b
+
+
+def _backprop(root: Var, grad: np.ndarray) -> None:
+    """Add ``grad`` to ``root``'s gradient, then run the backward rule of
+    every node below it, in reverse topological order."""
+    order: list[Var] = []
+    seen: set[int] = set()
+    stack: list[tuple[Var, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    root._accumulate(grad)
+    for node in reversed(order):
+        if node._bw is not None and node.grad is not None:
+            node._bw(node.grad)
 
 
 def _wrap(x) -> Var:
@@ -211,67 +216,35 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
 
 def concat(vars_: Sequence[Var], axis: int = -1) -> Var:
     out = Var(np.concatenate([v.value for v in vars_], axis=axis), tuple(vars_))
-    sizes = [v.value.shape[axis] for v in vars_]
+    cuts = np.cumsum([v.value.shape[axis] for v in vars_])[:-1]
 
     def bw(g: np.ndarray) -> None:
-        offset = 0
-        for v, size in zip(vars_, sizes):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offset, offset + size)
-            v._accumulate(g[tuple(index)])
-            offset += size
+        for v, part in zip(vars_, np.split(g, cuts, axis=axis)):
+            v._accumulate(part)
 
     out._bw = bw
     return out
-
-
-def _row_gather(key) -> np.ndarray | None:
-    """The first-axis integer indices of a key that takes whole rows (an
-    int, an integer list or array, or such a key followed by whole slices),
-    else None."""
-    if isinstance(key, tuple):
-        if not key or not all(isinstance(k, slice) and k == slice(None) for k in key[1:]):
-            return None
-        key = key[0]
-    rows = np.asarray(key)  # a slice, None or Ellipsis gives an object array
-    return rows.astype(np.intp, copy=False) if rows.dtype.kind in "iu" else None
 
 
 def index(a: Var, key) -> Var:
     """``a.value[key]`` for any numpy index: an int, a slice, a list or
     array of indices, or a tuple of them such as ``(rows, slice(None), cols)``.
 
-    The backward pass scatters into ``a``'s gradient.  A key of only slices
-    and ints picks each cell once, so it adds ``g`` into zeros in place.
-    Any other key may repeat cells, which accumulate: one ``bincount`` over
-    the gathered cells' flat positions, not an ``a.size``-long table.  A
-    gather of whole rows reads them from its row offsets, any other key
-    from broadcast per-axis offsets.  Both give 0.0 + x in every cell
-    picked once.
+    The backward pass scatters into ``a``'s gradient with one ``bincount``
+    over the picked cells' flat positions, the per-axis offsets of
+    ``np.indices`` broadcast to ``a``'s shape and indexed by ``key``.  A
+    repeated cell accumulates; a cell picked once gets 0.0 + x.
     """
     out = Var(a.value[key], (a,))
-    basic = all(
-        isinstance(k, (slice, int, np.integer)) and not isinstance(k, bool)
-        for k in (key if isinstance(key, tuple) else (key,))
-    )
 
     def bw(g: np.ndarray) -> None:
         shape = a.value.shape
-        if basic:
-            grad = np.zeros(shape)
-            grad[key] += g
-        else:
-            rows = _row_gather(key)
-            if rows is not None:
-                width = math.prod(shape[1:])
-                cells = (rows % shape[0])[..., None] * width + np.arange(width)
-            else:
-                cells = sum(
-                    np.broadcast_to(offsets * math.prod(shape[axis + 1 :]), shape)[key]
-                    for axis, offsets in enumerate(np.indices(shape, sparse=True))
-                )
-            grad = np.bincount(np.ravel(cells), weights=np.ravel(g), minlength=a.value.size).reshape(shape)
-        a._accumulate(grad, fresh=True)
+        cells = sum(
+            np.broadcast_to(offsets * math.prod(shape[axis + 1 :]), shape)[key]
+            for axis, offsets in enumerate(np.indices(shape, sparse=True))
+        )
+        grad = np.bincount(np.ravel(cells), weights=np.ravel(g), minlength=a.value.size)
+        a._accumulate(grad.reshape(shape), fresh=True)
 
     out._bw = bw
     return out
@@ -412,48 +385,41 @@ def paired(here: Callable[[], object], there: Callable[[], object]) -> tuple:
     return mine, theirs
 
 
-def _direction(x: np.ndarray, weights: tuple[Var, Var, Var], reverse: bool) -> Var:
-    """(n, h) states of one LSTM direction ``(wx, b, wh)`` over rows ``x``,
-    read through a leaf of its own."""
+def _direction(x: np.ndarray, weights: tuple[Var, Var, Var], reverse: bool) -> tuple[Var, Var]:
+    """A leaf of its own over rows ``x``, and the (n, h) states of one LSTM
+    direction ``(wx, b, wh)`` read through it."""
     wx, b, wh = weights
-    return lstm(linear(Var(x), wx, b), wh, reverse=reverse)
-
-
-def _direction_backward(states: Var, grad: np.ndarray) -> np.ndarray:
-    """Backpropagate ``grad`` through a :func:`_direction` subgraph into its
-    weights; return its input leaf's gradient."""
-    projected = states._parents[0]
-    states._bw(grad)
-    projected._bw(projected.grad)
-    return projected._parents[0].grad
+    leaf = Var(x)
+    return leaf, lstm(linear(leaf, wx, b), wh, reverse=reverse)
 
 
 def bilstm(x: Var, forward: tuple[Var, Var, Var], reverse: tuple[Var, Var, Var]) -> Var:
     """(n, 2h) outputs of one BiLSTM layer over (n, d) rows ``x``: the
     forward direction's states, then the reverse one's.  Each direction is a
-    ``(wx, b, wh)`` triple run as ``lstm(linear(x, wx, b), wh)``.
+    ``(wx, b, wh)`` triple run as ``lstm(linear(x, wx, b), wh)`` on a leaf of
+    its own, and its weights must be leaves too.
 
     The directions are independent recurrences, so in both passes the
     reverse one runs on the worker thread while the caller runs the forward
-    one (arXiv 1604.01946).  Each writes only its own tensors' gradients;
-    ``x`` gets their two input gradients after the join.  A sum of two terms
-    is the same in either order, so results equal one thread's bit for bit.
+    one (arXiv 1604.01946); backward is :func:`_backprop` from each
+    direction's states.  Each writes only its own tensors' gradients; ``x``
+    gets their two leaves' gradients after the join.  A sum of two terms is
+    the same in either order, so results equal one thread's bit for bit.
     """
     if {id(v) for v in forward} & {id(v) for v in reverse}:
         raise ValueError("the two directions of a bilstm share a tensor")
-    ahead, behind = paired(
+    if any(v._parents for v in (*forward, *reverse)):  # a direction's walk would run their rules
+        raise ValueError("a bilstm's weights must be leaves")
+    (x_ahead, ahead), (x_behind, behind) = paired(
         lambda: _direction(x.value, forward, False), lambda: _direction(x.value, reverse, True)
     )
     h = ahead.shape[1]
     out = Var(np.concatenate([ahead.value, behind.value], axis=1), (x, *forward, *reverse))
 
     def bw(g: np.ndarray) -> None:
-        grads = paired(
-            lambda: _direction_backward(ahead, g[:, :h]),
-            lambda: _direction_backward(behind, g[:, h:]),
-        )
-        for grad in grads:
-            x._accumulate(grad, fresh=True)
+        paired(lambda: _backprop(ahead, g[:, :h]), lambda: _backprop(behind, g[:, h:]))
+        for leaf in (x_ahead, x_behind):
+            x._accumulate(leaf.grad, fresh=True)
 
     out._bw = bw
     return out

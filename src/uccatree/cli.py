@@ -26,6 +26,7 @@ from .graph_model import (
     UccaGraph,
     atomic_output,
     dump_corpus,
+    json_typed,
     load_corpus,
     load_jsonl,
     load_lines,
@@ -52,14 +53,17 @@ def _load_external(
     order, and their width; each is checked before any work is done."""
 
     def vectors(record: dict) -> np.ndarray:
-        return np.asarray(record["vectors"], dtype=np.float64)
+        rows = [json_typed(row, list, "each vector") for row in json_typed(record["vectors"], list, "vectors")]
+        if any(type(x) not in (int, float) for row in rows for x in row):
+            raise TypeError("each vector must hold JSON numbers only")
+        return np.asarray(rows, dtype=np.float64)
 
     loaded = [load_jsonl(path, vectors, "external feature") for path in paths]
     matrices = [matrix for records in loaded for matrix in records]
     if len(matrices) != len(sentences):
         raise CliError(f"{len(matrices)} external feature records for {len(sentences)} {what}")
     for path, records in zip(paths, loaded):
-        width = check_external(records, sentences, path, width)
+        width = check_external(records, sentences[: len(records)], path, width)
         sentences = sentences[len(records) :]
     return matrices, width
 

@@ -25,14 +25,13 @@ in :mod:`uccatree.graph_model`; both directions start from input that its
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graph_model import (
     ANCESTOR_SUFFIX,
     REMOTE_SUFFIX,
     ROOT_LABEL,
     ConstituentTree,
-    Edge,
     Span,
     Token,
     UccaGraph,
@@ -89,19 +88,10 @@ def strip_remotes(graph: UccaGraph) -> tuple[UccaGraph, tuple[tuple[int, int, st
     """
     dropped = tuple((e.parent, e.child, e.label) for e in graph.remote_edges)
     marked = {e.child for e in graph.remote_edges}
-    edges = []
-    for e in graph.primary_edges:
-        if e.child in marked:
-            edges.append(Edge(e.parent, e.child, e.label + REMOTE_SUFFIX))
-        else:
-            edges.append(Edge(e.parent, e.child, e.label))
-    stripped = UccaGraph(
-        tokens=graph.tokens,
-        root=graph.root,
-        nonterminals=graph.nonterminals,
-        edges=tuple(edges),
+    edges = tuple(
+        replace(e, label=e.label + REMOTE_SUFFIX) if e.child in marked else e for e in graph.primary_edges
     )
-    return stripped, dropped
+    return replace(graph, edges=edges), dropped
 
 
 # ---------------------------------------------------------------------------

@@ -293,9 +293,11 @@ def check_external(
     matrices: Sequence[np.ndarray], sentences: Sequence[Sequence[Token]], source: str, width: int = 0
 ) -> int:
     """The width of per-token external feature matrices, one per sentence:
-    ``width`` if nonzero, else the first matrix's.  A matrix without one row
-    per token of that width, or with a NaN or infinite value, raises, naming
-    ``source`` and its 1-based record."""
+    ``width`` if nonzero, else the first matrix's.  Another number of matrices
+    than of sentences raises naming ``source``, and a matrix without one row per
+    token of that width, or with a NaN or infinity, naming its 1-based record too."""
+    if len(matrices) != len(sentences):
+        raise ValueError(f"{source}: {len(matrices)} external feature matrices for {len(sentences)} sentences")
     for k, (matrix, tokens) in enumerate(zip(matrices, sentences), start=1):
         shape = np.shape(matrix)
         width = width or (shape[1] if len(shape) == 2 else 0)
@@ -474,19 +476,6 @@ class AdamState:
 ADAM_BLOCK = 16384
 
 
-def _balanced_halves(sizes: dict[str, int]) -> tuple[list[str], list[str]]:
-    """The names in two groups of about equal total size: greedy by
-    descending size, ties by name, each to the lighter group (the first on
-    a tie)."""
-    halves: tuple[list[str], list[str]] = ([], [])
-    loads = [0, 0]
-    for name in sorted(sizes, key=lambda name: (-sizes[name], name)):
-        k = int(loads[1] < loads[0])
-        halves[k].append(name)
-        loads[k] += sizes[name]
-    return halves
-
-
 def adam_step(
     tensors: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -505,10 +494,10 @@ def adam_step(
     non-finite gradient raises before any tensor or any optimizer state
     changes.
 
-    The tensors are split into two groups of about equal size: the caller
-    updates one while ``autodiff``'s worker thread updates the other, each
-    through a scratch block of its own.  Each element's update reads only
-    its own cells, so the result is one thread's, bit for bit.
+    Each tensor is split at its midpoint: the caller updates flat elements
+    ``[0, size // 2)`` and ``autodiff``'s worker thread ``[size // 2, size)``,
+    each through a scratch block of its own.  Each element's update reads
+    only its own cells, so the result is one thread's, bit for bit.
     """
     for name, grad in grads.items():  # before anything changes
         _check_finite(name, grad)
@@ -524,14 +513,15 @@ def adam_step(
     step = lr * correction / (1.0 - beta1**t)
     eps_hat = eps * correction
 
-    def update(names: list[str]) -> None:
+    def update(half: int) -> None:
         scratch = np.empty(ADAM_BLOCK)
-        for name in names:
+        for name, grad in grads.items():
             # Flat views (C order); a gradient that is not contiguous is copied.
-            theta, g = tensors[name].reshape(-1), grads[name].reshape(-1)
+            theta, g = tensors[name].reshape(-1), grad.reshape(-1)
             m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
-            for lo in range(0, theta.size, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, theta.size)
+            start, stop = (0, theta.size // 2, theta.size)[half : half + 2]
+            for lo in range(start, stop, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, stop)
                 gb, mb, vb, buf = g[lo:hi], m[lo:hi], v[lo:hi], scratch[: hi - lo]
                 mb *= beta1
                 np.multiply(gb, 1.0 - beta1, out=buf)
@@ -546,5 +536,4 @@ def adam_step(
                 buf *= step
                 theta[lo:hi] -= buf
 
-    here, there = _balanced_halves({name: grad.size for name, grad in grads.items()})
-    ad.paired(lambda: update(here), lambda: update(there))
+    ad.paired(lambda: update(0), lambda: update(1))

@@ -263,10 +263,10 @@ def evaluate_model(
     external: Sequence[np.ndarray] | None = None,
 ) -> F1Report:
     """Parse every sentence and score the result against its gold graph."""
-    predictions = []
-    for k, gold in enumerate(graphs):
-        ext = external[k] if external is not None else None
-        predictions.append(parse_pipeline(gold.tokens, params, external=ext))
+    externals = [None] * len(graphs) if external is None else external
+    predictions = [
+        parse_pipeline(gold.tokens, params, external=ext) for gold, ext in zip(graphs, externals, strict=True)
+    ]
     return score_corpus(list(graphs), predictions)
 
 
@@ -287,8 +287,9 @@ def train(
     if config.pretrained_path:
         pretrained_words, pretrained_matrix = load_pretrained(config.pretrained_path)
         pretrained_dim = pretrained_matrix.shape[1]
-    width = check_external(external_train or (), [g.tokens for g in train_graphs], "training set")
-    check_external(external_dev or (), [g.tokens for g in dev_graphs], "dev set", width)
+    if external_train is not None:
+        width = check_external(external_train, [g.tokens for g in train_graphs], "training set")
+        check_external(external_dev, [g.tokens for g in dev_graphs], "dev set", width)
 
     examples = []
     for k, g in enumerate(train_graphs):

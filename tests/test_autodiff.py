@@ -183,9 +183,8 @@ class TestIndexScatter:
         ],
     )
     def test_row_gather_matches_the_general_positions_bitwise(self, shape, key):
-        """Whole-row gathers take their flat positions from row offsets; the
-        gradient is the one the per-axis position rule gives, repeated rows
-        included."""
+        """Whole-row gathers get the gradient that the per-axis position rule
+        gives, repeated rows included."""
         r = rng(41)
         a = Var(r.standard_normal(shape))
         out = ad.index(a, key)
@@ -352,6 +351,15 @@ class TestBilstm:
         x, wx, b, wh = (Var(case[name]) for name in ("x", "wxf", "bf", "whf"))
         with pytest.raises(ValueError, match="share"):
             ad.bilstm(x, (wx, b, wh), (Var(case["wxr"]), Var(case["br"]), wh))
+
+    def test_weights_must_be_leaves(self):
+        # Each direction's backward walk would run a computed weight's rule,
+        # and the outer walk would run it again.
+        case = bilstm_case(2)
+        x, wx, b, wh = (Var(case[name]) for name in ("x", "wxf", "bf", "whf"))
+        reverse = (Var(case["wxr"]), Var(case["br"]), Var(case["whr"]) + 0.0)
+        with pytest.raises(ValueError, match="leaves"):
+            ad.bilstm(x, (wx, b, wh), reverse)
 
 
 class TestBilstmCallers:

@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import random
 import re
@@ -294,18 +295,25 @@ def test_tree_records_through_restore(workdir, tree):
 
 
 def acceptable_features(record: dict, tokens: int) -> bool:
-    """Whether ``record`` holds one finite vector of width 2 per token."""
-    try:
-        matrix = np.asarray(record["vectors"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
-        return False
-    return matrix.shape == (tokens, 2) and bool(np.isfinite(matrix).all())
+    """Whether ``record`` holds one vector per token: a list of two finite
+    JSON numbers, where a string or a boolean is not a number."""
+    vectors = record.get("vectors")
+    return (
+        isinstance(vectors, list)
+        and len(vectors) == tokens
+        and all(
+            isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) and math.isfinite(x) for x in v)
+            for v in vectors
+        )
+    )
 
 
 # Finite but huge features saturate the LSTM gates, which numpy reports.
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 @example(mutation=(("vectors", 0, 1), float("nan")))
 @example(mutation=(("vectors", 1, 0), float("inf")))
+@example(mutation=(("vectors", 0, 0), "1.5"))
+@example(mutation=(("vectors", 1, 1), True))
 @settings(max_examples=30)
 @given(mutation=mutations(FEATURES))
 def test_feature_records_through_parse_and_train(workdir, mutation):

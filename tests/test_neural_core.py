@@ -27,7 +27,6 @@ from uccatree.neural_core import (
     OptimizationError,
     Vocab,
     adam_step,
-    _balanced_halves,
     _check_finite,
     biaffine,
     embed,
@@ -625,26 +624,25 @@ class TestOptimizers:
                 h.update(np.ascontiguousarray(part[name], dtype="<f8").tobytes())
         assert h.hexdigest() == digest
 
-    def test_halves_are_greedy_by_size_with_ties_by_name(self):
-        sizes = {"d": 1, "c": 3, "a": 5, "b": 3, "e": 1}
-        assert _balanced_halves(sizes) == (["a", "d", "e"], ["b", "c"])
-        assert _balanced_halves({"w": 4}) == (["w"], [])
-        assert _balanced_halves({}) == ([], [])
-
     def test_the_caller_updates_one_half_and_the_worker_the_other(self, monkeypatch):
-        tensors = {name: np.zeros(size) for name, size in (("a", 5), ("b", 3), ("c", 3))}
+        sizes = {"a": 1, "b": 2, "c": 5, "d": 2 * ADAM_BLOCK + 3}
+        tensors = {name: np.zeros(size) for name, size in sizes.items()}
         moved = []
 
         def in_turn(here, there):  # ad.paired runs ``there`` on the worker
             for job in (here, there):
                 before = {name: arr.copy() for name, arr in tensors.items()}
                 job()
-                moved.append(sorted(n for n in tensors if not np.array_equal(tensors[n], before[n])))
+                moved.append({n: np.flatnonzero(tensors[n] != before[n]).tolist() for n in tensors})
             return None, None
 
         monkeypatch.setattr(ad, "paired", in_turn)
         adam_step(tensors, {name: np.ones_like(arr) for name, arr in tensors.items()}, AdamState())
-        assert moved == [["a"], ["b", "c"]]
+        # A size-1 tensor's midpoint is 0, so its one element is the worker's.
+        assert moved == [
+            {n: list(range(size // 2)) for n, size in sizes.items()},
+            {n: list(range(size // 2, size)) for n, size in sizes.items()},
+        ]
 
     def test_non_finite_gradients_rejected(self):
         t = {"w": np.zeros(2)}

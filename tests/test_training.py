@@ -535,3 +535,16 @@ class TestExternalFeatures:
         with pytest.raises(ValueError, match=re.escape(message)):
             train(graphs, graphs, tiny_config(), external_train=ext["train"], external_dev=ext["dev"])
         assert steps == []
+
+    @pytest.mark.parametrize("part", ["train", "dev"])
+    def test_too_few_matrices_are_refused_before_the_first_step(self, monkeypatch, part):
+        graphs = tiny_corpus()
+        ext = {k: [np.zeros((len(g.tokens), 2)) for g in graphs] for k in ("train", "dev")}
+        ext[part] = ext[part][:-1]
+        steps = []
+        monkeypatch.setattr("uccatree.training.adam_step", lambda *a, **k: steps.append(a))
+        where = "training set" if part == "train" else "dev set"
+        message = f"{where}: {len(graphs) - 1} external feature matrices for {len(graphs)} sentences"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(graphs, graphs, tiny_config(), external_train=ext["train"], external_dev=ext["dev"])
+        assert steps == []
