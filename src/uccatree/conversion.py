@@ -10,11 +10,13 @@ The forward direction, :func:`graph_to_tree`, turns a graph into a tree:
    discontinuous node's own parent (distance one, which is also the lowest
    common ancestor) the move is recorded on the label as ``-ancestor1`` and
    can be undone exactly; all other moves are lossy and only counted.  The
-   repaired children map and yields give the tree's labeled spans directly:
-   edge labels become node labels, the root is named "ROOT", and a unary
-   chain of nonterminals on one span becomes one "+"-joined label.
+   repair moves nodes of the graph's :class:`~uccatree.graph_model.PrimaryTree`,
+   whose yields then give the tree's labeled spans directly: edge labels
+   become node labels, the root is named "ROOT", and a unary chain of
+   nonterminals on one span becomes one "+"-joined label.
 
-``tree_to_graph`` expands the chains, re-expands ``-ancestor1`` moves and
+``tree_to_graph`` builds a ``PrimaryTree`` as it reads the spans, expands
+the chains, moves each ``-ancestor1`` node back to its grandparent and
 returns the list of nodes whose incoming remote edges must be recovered
 by a classifier.  The markers, the label grammar that keeps graph labels
 clear of them and the rule that keeps every marker undoable are defined
@@ -32,13 +34,11 @@ from .graph_model import (
     REMOTE_SUFFIX,
     ROOT_LABEL,
     ConstituentTree,
+    PrimaryTree,
     Span,
     Token,
     UccaGraph,
     checked,
-    graph_from_children,
-    node_yields,
-    preorder_edges,
     span_preorder,
     split_label,
 )
@@ -98,40 +98,6 @@ def strip_remotes(graph: UccaGraph) -> tuple[UccaGraph, tuple[tuple[int, int, st
 # Discontinuities and labels onto nodes
 
 
-class _MutableTree:
-    """Scratch parent/children/label maps for the move procedure."""
-
-    def __init__(self, graph: UccaGraph):
-        if graph.remote_edges:
-            raise ConversionError("remove_discontinuities expects a remote-free graph")
-        self.n = graph.n
-        self.root = graph.root
-        self.parent = dict(graph.primary_parent)
-        self.label = dict(graph.primary_label)
-        self.children: dict[int, list[int]] = {v: [] for v in graph.node_ids}
-        for e in graph.primary_edges:
-            self.children[e.parent].append(e.child)
-
-    def depth(self, v: int) -> int:
-        d = 0
-        while v != self.root:
-            v = self.parent[v]
-            d += 1
-        return d
-
-    def ancestors(self, v: int) -> list[int]:
-        chain = [v]
-        while chain[-1] != self.root:
-            chain.append(self.parent[chain[-1]])
-        return chain
-
-    def move(self, child: int, new_parent: int) -> None:
-        old = self.parent[child]
-        self.children[old].remove(child)
-        self.children[new_parent].append(child)
-        self.parent[child] = new_parent
-
-
 def _discontinuity_pairs(yields: dict[int, tuple[int, ...]]) -> int:
     """Total count of (node, missing terminal inside its interval) pairs."""
     total = 0
@@ -140,17 +106,19 @@ def _discontinuity_pairs(yields: dict[int, tuple[int, ...]]) -> int:
     return total
 
 
-def _repair(graph: UccaGraph) -> tuple[_MutableTree, dict, tuple[MoveRecord, ...]]:
+def _repair(graph: UccaGraph) -> tuple[PrimaryTree, dict, tuple[MoveRecord, ...]]:
     """The discontinuity repair of :func:`remove_discontinuities`: the
     repaired tree, its (now contiguous) yields and the moves made."""
-    state = _MutableTree(graph)
+    if graph.remote_edges:
+        raise ConversionError("remove_discontinuities expects a remote-free graph")
+    tree = PrimaryTree.of(graph)
     moves: list[MoveRecord] = []
 
     # The gap-pair count is a non-negative integer that must fall every
     # round, so the progress check alone ends the loop.
     previous_pairs: int | None = None
     while True:
-        yields = node_yields(state.children, state.root, state.n)
+        yields = tree.yields()
         pairs = _discontinuity_pairs(yields)
         if previous_pairs is not None and pairs >= previous_pairs:
             raise ConversionError(
@@ -162,34 +130,34 @@ def _repair(graph: UccaGraph) -> tuple[_MutableTree, dict, tuple[MoveRecord, ...
             v for v, y in yields.items() if (y[-1] - y[0] + 1) != len(y)
         }
         if not discontinuous:
-            return state, yields, tuple(moves)
+            return tree, yields, tuple(moves)
 
-        a = min(discontinuous, key=lambda v: (yields[v][0], -state.depth(v)))
+        a = min(discontinuous, key=lambda v: (yields[v][0], -len(tree.ancestors(v))))
         ya = set(yields[a])
         b = next(t for t in range(yields[a][0], yields[a][-1] + 1) if t not in ya)
 
-        ancestors_a = set(state.ancestors(a))
-        chain_b = state.ancestors(b)
-        lca = next(v for v in chain_b if v in ancestors_a)
+        chain_a = tree.ancestors(a)
+        ancestors_a = set(chain_a)
+        lca = next(v for v in tree.ancestors(b) if v in ancestors_a)
 
         c = b
         while True:
-            father = state.parent[c]
+            father = tree.parent[c]
             if father == lca or (father in discontinuous and father != lca):
                 break
             c = father
-        detach = state.parent[c]
+        detach = tree.parent[c]
 
         if detach == lca:
-            distance = state.depth(a) - state.depth(lca)
+            distance = chain_a.index(lca)
             category = "ancestor"
         else:
             distance = None
             category = "discontinuous"
-        state.move(c, a)
-        marked = category == "ancestor" and distance == 1 and c > state.n
+        tree.move(c, a)
+        marked = category == "ancestor" and distance == 1 and c > tree.n
         if marked:
-            state.label[c] += ANCESTOR_SUFFIX
+            tree.label[c] += ANCESTOR_SUFFIX
         moves.append(
             MoveRecord(
                 moved=c,
@@ -213,21 +181,21 @@ def remove_discontinuities(graph: UccaGraph) -> tuple[UccaGraph, tuple[MoveRecor
     lca at distance one from A gain the ``-ancestor1`` label marker; every
     other move is lossy.  Returns the projective graph and the moves.
     """
-    state, _, moves = _repair(graph)
-    return graph_from_children(graph.tokens, state.root, state.children, state.label), moves
+    primary, _, moves = _repair(graph)
+    return primary.graph(graph.tokens), moves
 
 
 def graph_to_tree(graph: UccaGraph) -> ConversionResult:
     """Full forward conversion: graph -> constituent tree."""
     stripped, dropped = strip_remotes(checked(graph, "graph", ConversionError))
-    state, yields, moves = _repair(stripped)
+    primary, yields, moves = _repair(stripped)
     n = graph.n
     spans = {(0, n): ROOT_LABEL}
     # Preorder puts a parent's label before its child's on a shared span.
-    for _, v in preorder_edges(state.children, state.root, n, yields):
+    for _, v in primary.preorder(yields):
         if v > n:
             span = (yields[v][0] - 1, yields[v][-1])
-            spans[span] = f"{spans[span]}+{state.label[v]}" if span in spans else state.label[v]
+            spans[span] = f"{spans[span]}+{primary.label[v]}" if span in spans else primary.label[v]
     tree = ConstituentTree.from_spans(graph.tokens, spans)
     lossy = sum(not m.marked for m in moves)
     return ConversionResult(tree=tree, dropped_remote_edges=dropped, lossy_moves=lossy)
@@ -245,33 +213,27 @@ def tree_to_graph(tree: ConstituentTree) -> tuple[UccaGraph, tuple[int, ...]]:
     remote edges still need to be recovered.
     """
     n = checked(tree, "tree", ConversionError).n
-    parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {}
-    labels: dict[int, str] = {}
+    primary = PrimaryTree(n, n + 1)
     remote_marked: list[int] = []
     ancestor_marked: list[int] = []
     stack: list[int] = []  # the lowest chain part of each open node
     for kind, value in span_preorder(n, tree.spans()):
         if kind == "leaf":
-            labels[value] = ""
-            parent[value] = stack[-1]
-            children[stack[-1]].append(value)
+            primary.attach(stack[-1], value, "")
         elif kind == "close":
             stack.pop()
+        elif not stack:  # the root, a part of its own and opened first
+            stack.append(primary.root)
         else:
-            above = stack[-1] if stack else None
+            above = stack[-1]
             for part in value.split("+"):
                 base, remote, ancestor = split_label(part)
-                ident = n + 1 + len(children)  # nonterminal ids in preorder
-                children[ident] = []
-                labels[ident] = base
+                ident = n + 1 + len(primary.children)  # nonterminal ids in preorder
+                primary.attach(above, ident, base)
                 if remote:
                     remote_marked.append(ident)
                 if ancestor:
                     ancestor_marked.append(ident)
-                if above is not None:
-                    parent[ident] = above
-                    children[above].append(ident)
                 above = ident
             stack.append(above)
 
@@ -279,14 +241,8 @@ def tree_to_graph(tree: ConstituentTree) -> tuple[UccaGraph, tuple[int, ...]]:
     # preorder, so sorting gives exactly that order); in a valid tree each
     # has a grandparent and leaves its parent a child.
     for ident in sorted(ancestor_marked):
-        origin = parent[ident]
-        target = parent[origin]
-        children[origin].remove(ident)
-        children[target].append(ident)
-        parent[ident] = target
-
-    graph = graph_from_children(tree.tokens, n + 1, children, labels)
-    return graph, tuple(remote_marked)
+        primary.move(ident, primary.parent[primary.parent[ident]])
+    return primary.graph(tree.tokens), tuple(remote_marked)
 
 
 # ---------------------------------------------------------------------------

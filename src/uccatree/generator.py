@@ -11,13 +11,11 @@ tree conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph_model import (
-    Edge, Token, UccaGraph, checked, descendants, graph_from_children, json_typed, label_problem, node_yields,
-)
+from .graph_model import Edge, PrimaryTree, Token, UccaGraph, checked, descendants, json_typed, label_problem
 
 _POS_TAGS = ("NOUN", "VERB", "ADJ", "DET")
 _NER_TAGS = ("O", "PER", "LOC")
@@ -80,45 +78,29 @@ class SyntheticSpec:
 
 class _Builder:
     def __init__(self, n: int, spec: SyntheticSpec, rng: np.random.Generator):
-        self.n = n
         self.spec = spec
         self.rng = rng
-        self.next_id = n + 1
-        self.parent: dict[int, int] = {}
-        self.label: dict[int, str] = {}
-        self.children: dict[int, list[int]] = {}
+        self.tree = PrimaryTree(n, n + 1)
 
-    def _new_node(self, parent: int | None, label: str) -> int:
-        nid = self.next_id
-        self.next_id += 1
-        self.children[nid] = []
-        if parent is not None:
-            self.parent[nid] = parent
-            self.children[parent].append(nid)
-            self.label[nid] = label
+    def _new_node(self, parent: int, label: str) -> int:
+        nid = self.tree.n + 1 + len(self.tree.children)
+        self.tree.attach(parent, nid, label)
         return nid
-
-    def _attach_terminal(self, parent: int, position: int) -> None:
-        self.parent[position] = parent
-        self.children[parent].append(position)
-        self.label[position] = ""
 
     def _random_label(self) -> str:
         return str(self.rng.choice(self.spec.labels))
 
-    def build(self) -> int:
-        root = self._new_node(None, "")
-        self._fill(root, 1, self.n, depth=1)
-        return root
+    def build(self) -> None:
+        self._fill(self.tree.root, 1, self.tree.n, depth=1)
 
     def _fill(self, node: int, lo: int, hi: int, depth: int) -> None:
         length = hi - lo + 1
         if length == 1:
-            self._attach_terminal(node, lo)
+            self.tree.attach(node, lo, "")
             return
         if depth >= self.spec.max_depth:
             for t in range(lo, hi + 1):
-                self._attach_terminal(node, t)
+                self.tree.attach(node, t, "")
             return
         top = min(self.spec.max_branch, length)
         low = min(self.spec.min_branch, top)
@@ -130,7 +112,7 @@ class _Builder:
         ends = cuts + [hi]
         for a, b in zip(starts, ends):
             if a == b and self.rng.random() < _P_DIRECT_TERMINAL:
-                self._attach_terminal(node, a)
+                self.tree.attach(node, a, "")
                 continue
             parent = node
             if self.rng.random() < _P_UNARY:
@@ -138,21 +120,22 @@ class _Builder:
             child = self._new_node(parent, self._random_label())
             self._fill(child, a, b, depth + 1)
 
-    def inject_discontinuity(self, root: int) -> bool:
+    def inject_discontinuity(self) -> bool:
         """Lift one interior nonterminal child above its parent.
 
         Only configurations that the conversion undoes with a single
         recorded distance-one move are eligible; returns False when the
         tree offers none.
         """
-        yields = node_yields(self.children, root, self.n)
+        tree = self.tree
+        yields = tree.yields()
         candidates: list[tuple[int, int]] = []
-        for a in sorted(self.children):
-            if a <= self.n or a == root:
+        for a in sorted(tree.children):
+            if a == tree.root:
                 continue
             ya = yields[a]
-            for c in self.children[a]:
-                if c <= self.n:
+            for c in tree.children[a]:
+                if c <= tree.n:
                     continue
                 yc = yields[c]
                 if ya[0] < yc[0] and yc[-1] < ya[-1]:
@@ -160,36 +143,29 @@ class _Builder:
         if not candidates:
             return False
         a, c = candidates[int(self.rng.integers(0, len(candidates)))]
-        target = self.parent[a]
-        self.children[a].remove(c)
-        self.children[target].append(c)
-        self.parent[c] = target
+        tree.move(c, tree.parent[a])
         return True
 
-    def add_remotes(self, root: int) -> list[Edge]:
-        nonterminals = sorted(v for v in self.children if v > self.n)
-        out_edges: dict[int, set[int]] = {v: set(self.children[v]) for v in self.children}
-        for t in range(1, self.n + 1):
-            out_edges.setdefault(t, set())
+    def add_remotes(self) -> list[Edge]:
+        tree = self.tree
+        nonterminals = sorted(tree.children)
+        out_edges: dict[int, set[int]] = {t: set() for t in range(1, tree.n + 1)}
+        out_edges.update((v, set(cs)) for v, cs in tree.children.items())
 
         remotes: list[Edge] = []
         for child in nonterminals:
-            if child == root:
+            if child == tree.root:
                 continue
             if self.rng.random() >= self.spec.p_remote:
                 continue
             below = descendants(out_edges, child)  # child included
-            options = [p for p in nonterminals if p != self.parent[child] and p not in below]
+            options = [p for p in nonterminals if p != tree.parent[child] and p not in below]
             if not options:
                 continue
             parent = options[int(self.rng.integers(0, len(options)))]
             remotes.append(Edge(parent, child, self._random_label(), remote=True))
             out_edges[parent].add(child)
         return remotes
-
-    def to_graph(self, tokens: tuple[Token, ...], root: int, remotes: list[Edge]) -> UccaGraph:
-        primary = graph_from_children(tokens, root, self.children, self.label)
-        return replace(primary, edges=primary.edges + tuple(remotes))
 
 
 def generate(spec: SyntheticSpec, seed: int, lang: str = "en") -> list[UccaGraph]:
@@ -209,10 +185,9 @@ def generate(spec: SyntheticSpec, seed: int, lang: str = "en") -> list[UccaGraph
             for _ in range(n)
         )
         builder = _Builder(n, spec, rng)
-        root = builder.build()
+        builder.build()
         if rng.random() < spec.p_discontinuity:
-            builder.inject_discontinuity(root)
-        remotes = builder.add_remotes(root)
-        graph = builder.to_graph(tokens, root, remotes)
+            builder.inject_discontinuity()
+        graph = builder.tree.graph(tokens, builder.add_remotes())
         graphs.append(checked(graph, "generated graph", AssertionError))  # a bug here, not bad input
     return graphs

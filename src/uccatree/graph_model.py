@@ -206,10 +206,6 @@ class UccaGraph:
         return range(1, self.n + 1)
 
     @cached_property
-    def node_ids(self) -> frozenset[NodeId]:
-        return self.nonterminals | frozenset(self.terminals)
-
-    @cached_property
     def primary_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if not e.remote)
 
@@ -218,26 +214,20 @@ class UccaGraph:
         return tuple(e for e in self.edges if e.remote)
 
     @cached_property
-    def primary_parent(self) -> dict[NodeId, NodeId]:
-        return {e.child: e.parent for e in self.primary_edges}
+    def primary(self) -> PrimaryTree:
+        """The tree of the primary edges, built once; do not change it."""
+        return PrimaryTree.of(self)
 
-    @cached_property
+    @property
     def primary_label(self) -> dict[NodeId, str]:
         """Label of the unique primary edge above each non-root node."""
-        return {e.child: e.label for e in self.primary_edges}
-
-    @cached_property
-    def primary_children(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        children: dict[NodeId, list[NodeId]] = {v: [] for v in self.node_ids}
-        for e in self.primary_edges:
-            children[e.parent].append(e.child)
-        return {v: tuple(cs) for v, cs in children.items()}
+        return self.primary.label
 
     # -- yields ---------------------------------------------------------
 
     @cached_property
     def _yields(self) -> dict[NodeId, tuple[int, ...]]:
-        return node_yields(self.primary_children, self.root, self.n)
+        return self.primary.yields()
 
     def yield_of(self, node: NodeId) -> tuple[int, ...]:
         """Sorted token positions reachable from ``node`` via primary edges."""
@@ -352,7 +342,7 @@ class UccaGraph:
         ids = itertools.count(self.n + 1)
         mapping: dict[NodeId, NodeId] = {t: t for t in self.terminals}
         mapping[self.root] = next(ids)
-        for _, child in preorder_edges(self.primary_children, self.root, self.n, self._yields):
+        for _, child in self.primary.preorder(self._yields):
             if child > self.n:
                 mapping[child] = next(ids)
         return mapping
@@ -414,55 +404,93 @@ class UccaGraph:
 
 
 # ---------------------------------------------------------------------------
-# Trees held as children maps
+# The primary tree
 
 
-def node_yields(
-    children: Mapping[NodeId, Sequence[NodeId]], root: NodeId, n: int
-) -> dict[NodeId, tuple[int, ...]]:
-    """Sorted terminal yield of each terminal and of every nonterminal
-    below ``root``.
+class PrimaryTree:
+    """A mutable primary tree over n tokens, whose ids 1..n are the terminals.
 
-    ``children`` maps each nonterminal to its children; ids 1..n are the
-    terminals.  Raises ValueError when the walk reaches more nonterminals
-    than the map holds, as a cycle in unvalidated input makes it do.
+    ``children`` maps each nonterminal to its ordered children, ``parent``
+    and ``label`` each non-root node to its parent and its edge's label.
     """
-    reached: list[NodeId] = []  # nonterminals, parents before children
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v > n:
-            reached.append(v)
-            if len(reached) > len(children):
-                raise ValueError(f"the children below node {root} do not form a tree")
-            stack.extend(children[v])
-    yields: dict[NodeId, tuple[int, ...]] = {t: (t,) for t in range(1, n + 1)}
-    for v in reversed(reached):
-        acc: list[int] = []
-        for c in children[v]:
-            acc.extend(yields[c])
-        yields[v] = tuple(sorted(acc))
-    return yields
 
+    def __init__(self, n: int, root: NodeId):
+        self.n = n
+        self.root = root
+        self.children: dict[NodeId, list[NodeId]] = {root: []}
+        self.parent: dict[NodeId, NodeId] = {}
+        self.label: dict[NodeId, str] = {}
 
-def preorder_edges(
-    children: Mapping[NodeId, Sequence[NodeId]],
-    root: NodeId,
-    n: int,
-    yields: Mapping[NodeId, tuple[int, ...]],
-) -> Iterator[tuple[NodeId, NodeId]]:
-    """(parent, child) pairs below ``root`` in preorder, the children of
-    each node ordered by their leftmost terminal."""
+    @classmethod
+    def of(cls, graph: UccaGraph) -> PrimaryTree:
+        """The tree of ``graph``'s primary edges, children in edge order."""
+        tree = cls(graph.n, graph.root)
+        tree.children.update((v, []) for v in graph.nonterminals)
+        for e in graph.primary_edges:
+            tree.attach(e.parent, e.child, e.label)
+        return tree
 
-    def reversed_children(v: NodeId) -> Iterator[NodeId]:
-        return reversed(sorted(children[v], key=lambda c: yields[c][0]))
+    def attach(self, parent: NodeId, child: NodeId, label: str) -> None:
+        """Make ``child`` the last child of ``parent``."""
+        self.children[parent].append(child)
+        self.parent[child] = parent
+        self.label[child] = label
+        if child > self.n:
+            self.children.setdefault(child, [])
 
-    stack = [(root, c) for c in reversed_children(root)]
-    while stack:
-        parent, child = stack.pop()
-        yield parent, child
-        if child > n:
-            stack.extend((child, c) for c in reversed_children(child))
+    def move(self, child: NodeId, new_parent: NodeId) -> None:
+        """Detach ``child`` and make it the last child of ``new_parent``."""
+        self.children[self.parent[child]].remove(child)
+        self.children[new_parent].append(child)
+        self.parent[child] = new_parent
+
+    def ancestors(self, v: NodeId) -> list[NodeId]:
+        """``v`` and the nodes above it, the root last."""
+        chain = [v]
+        while chain[-1] != self.root:
+            chain.append(self.parent[chain[-1]])
+        return chain
+
+    def yields(self) -> dict[NodeId, tuple[int, ...]]:
+        """Sorted terminal yield of each terminal and of every nonterminal
+        below the root.  Raises ValueError when the walk reaches more
+        nonterminals than the tree holds, as a cycle makes it do."""
+        reached: list[NodeId] = []  # nonterminals, parents before children
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            if v > self.n:
+                reached.append(v)
+                if len(reached) > len(self.children):
+                    raise ValueError(f"the children below node {self.root} do not form a tree")
+                stack.extend(self.children[v])
+        yields: dict[NodeId, tuple[int, ...]] = {t: (t,) for t in range(1, self.n + 1)}
+        for v in reversed(reached):
+            acc: list[int] = []
+            for c in self.children[v]:
+                acc.extend(yields[c])
+            yields[v] = tuple(sorted(acc))
+        return yields
+
+    def preorder(self, yields: Mapping[NodeId, tuple[int, ...]]) -> Iterator[tuple[NodeId, NodeId]]:
+        """(parent, child) pairs below the root in preorder, the children of
+        each node ordered by their leftmost terminal in ``yields``."""
+
+        def reversed_children(v: NodeId) -> Iterator[NodeId]:
+            return reversed(sorted(self.children[v], key=lambda c: yields[c][0]))
+
+        stack = [(self.root, c) for c in reversed_children(self.root)]
+        while stack:
+            parent, child = stack.pop()
+            yield parent, child
+            if child > self.n:
+                stack.extend((child, c) for c in reversed_children(child))
+
+    def graph(self, tokens: tuple[Token, ...], remotes: Iterable[Edge] = ()) -> UccaGraph:
+        """The graph of this tree over ``tokens``: its primary edges in the
+        order of :meth:`preorder`, then ``remotes``."""
+        primary = tuple(Edge(p, c, self.label[c]) for p, c in self.preorder(self.yields()))
+        return UccaGraph(tokens, self.root, frozenset(self.children), primary + tuple(remotes))
 
 
 def descendants(out_edges: Mapping[NodeId, Iterable[NodeId]], start: NodeId) -> set[NodeId]:
@@ -474,27 +502,6 @@ def descendants(out_edges: Mapping[NodeId, Iterable[NodeId]], start: NodeId) -> 
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def graph_from_children(
-    tokens: tuple[Token, ...],
-    root: NodeId,
-    children: Mapping[NodeId, Sequence[NodeId]],
-    labels: Mapping[NodeId, str],
-) -> UccaGraph:
-    """The remote-free graph of a tree held as a children map.
-
-    ``labels`` holds the label of the edge above each node.  Edges come
-    in the order of :func:`preorder_edges`.
-    """
-    n = len(tokens)
-    pairs = preorder_edges(children, root, n, node_yields(children, root, n))
-    return UccaGraph(
-        tokens=tokens,
-        root=root,
-        nonterminals=frozenset(v for v in children if v > n),
-        edges=tuple(Edge(p, c, labels[c]) for p, c in pairs),
-    )
 
 
 def load_lines(path: str, decode: Callable[[str], object], what: str) -> list:

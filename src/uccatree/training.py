@@ -278,6 +278,9 @@ def train(
     external_dev: Sequence[np.ndarray] | None = None,
 ) -> TrainResult:
     """Run joint training and return the best-on-dev model."""
+    for graphs, name in ((train_graphs, "training"), (dev_graphs, "dev")):
+        if not graphs:
+            raise ValueError(f"the {name} set holds no graphs")
     if (external_train is None) != (external_dev is None):
         given, missing = ("training", "dev") if external_dev is None else ("dev", "training")
         raise ValueError(f"external features given for the {given} set but not for the {missing} set")

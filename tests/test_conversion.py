@@ -245,7 +245,7 @@ class TestTreeToGraph:
         assert g.root == 3
         assert g.primary_label[4] == "H"
         assert g.primary_label[5] == "A"
-        assert g.primary_parent[5] == 4
+        assert g.primary.parent[5] == 4
 
     def test_nested_chain_reads_in_plus_form(self):
         # A hand-written chain is one labeled span, read as its "+" label;
@@ -271,8 +271,8 @@ class TestTreeToGraph:
         g, _ = tree_to_graph(tree_from_sexpr("(ROOT (H (E+F (A-ancestor1 a) (P b)) (U c)))"))
         # A-ancestor1 sits under F; its grandparent is E.
         ids = {g.primary_label[v]: v for v in g.nonterminals if v != g.root}
-        assert g.primary_parent[ids["A"]] == ids["E"]
-        assert g.primary_parent[ids["P"]] == ids["F"]
+        assert g.primary.parent[ids["A"]] == ids["E"]
+        assert g.primary.parent[ids["P"]] == ids["F"]
 
     def test_marker_under_bare_root_rejected(self):
         with pytest.raises(ConversionError, match="no grandparent"):

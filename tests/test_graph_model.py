@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from uccatree.conversion import remove_discontinuities
 from uccatree.graph_model import (
     ConstituentTree,
     Edge,
@@ -46,16 +47,17 @@ class TestYields:
             german_graph.yield_of(99)
 
     def test_primary_cycle_rejected(self):
-        # Unvalidated input (a predicted corpus given to "ucca eval") can
-        # hold a primary cycle; computing yields must stop with an error.
+        # Unvalidated input (a graph built in code) can hold a primary
+        # cycle; every walk of the primary tree must stop with an error.
         cyclic = UccaGraph(
             tokens=(Token(form="hi"),),
             root=2,
             nonterminals=frozenset({2, 3, 4}),
             edges=(Edge(2, 3, "A"), Edge(3, 4, "B"), Edge(4, 3, "C"), Edge(4, 1, "")),
         )
-        with pytest.raises(ValueError, match="not form a tree"):
-            cyclic.yield_of(2)
+        for walk in (lambda g: g.yield_of(2), UccaGraph.canonical_ids, remove_discontinuities):
+            with pytest.raises(ValueError, match="do not form a tree"):
+                walk(cyclic)
 
     def test_discontinuity_flags(self, german_graph):
         assert german_graph.is_discontinuous(10) is True
@@ -80,7 +82,7 @@ class TestValidate:
 
     def test_primary_edge_count(self, german_graph):
         # A valid graph's primary edges form a spanning tree.
-        assert len(german_graph.primary_edges) == len(german_graph.node_ids) - 1
+        assert len(german_graph.primary_edges) == len(german_graph.nonterminals) + german_graph.n - 1
 
     def test_remote_to_terminal_rejected(self, german_graph):
         bad = UccaGraph(

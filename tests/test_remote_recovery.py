@@ -335,7 +335,7 @@ def pair_list_predict(graph, remote_marked, enc, bound):
     ]
     proposals.sort(key=lambda item: (-item[0], item[1], item[2]))
     primary = {(e.parent, e.child) for e in graph.primary_edges}
-    out_edges = {v: set() for v in graph.node_ids}
+    out_edges = {v: set() for v in [*graph.nonterminals, *graph.terminals]}
     for e in graph.primary_edges:
         out_edges[e.parent].add(e.child)
     accepted = []

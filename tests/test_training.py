@@ -369,8 +369,19 @@ class TestTrainingLoop:
         assert isinstance(info.value.__cause__, OptimizationError)
 
     def test_empty_train_set_cannot_parse_dev(self):
-        with pytest.raises(ValueError, match="ROOT"):
+        with pytest.raises(ValueError, match="the training set holds no graphs"):
             train([], tiny_corpus(), tiny_config(max_epochs=1))
+
+    @pytest.mark.parametrize("which", ["training", "dev"])
+    def test_empty_set_refused_before_the_first_step(self, which, monkeypatch):
+        # An empty dev set used to select the first epoch with F1 1.0.
+        def no_step(*args, **kwargs):
+            raise AssertionError("adam_step ran")
+
+        monkeypatch.setattr(training, "adam_step", no_step)
+        sets = {"training": tiny_corpus(), "dev": tiny_corpus(), which: []}
+        with pytest.raises(ValueError, match=f"the {which} set holds no graphs"):
+            train(sets["training"], sets["dev"], tiny_config(max_epochs=1))
 
 
 class TestMultilingual:
