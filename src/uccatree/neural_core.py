@@ -454,13 +454,12 @@ def biaffine(children: Var, parents: Var, w: Var) -> Var:
 # Optimizer
 
 
-def _check_finite(name: str, grad: np.ndarray) -> None:
+def _finite(values: np.ndarray) -> bool:
     # A sum of finite values is finite unless it overflows, so the
     # elementwise test runs only when the one-pass sum is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = grad.sum()
-    if not np.isfinite(total) and not np.isfinite(grad).all():
-        raise OptimizationError(f"non-finite gradient for tensor {name!r}")
+        total = values.sum()
+    return bool(np.isfinite(total) or np.isfinite(values).all())
 
 
 @dataclass
@@ -494,15 +493,30 @@ def adam_step(
     non-finite gradient raises before any tensor or any optimizer state
     changes.
 
-    Each tensor is split at its midpoint: the caller updates flat elements
-    ``[0, size // 2)`` and ``autodiff``'s worker thread ``[size // 2, size)``,
-    each through a scratch block of its own.  Each element's update reads
-    only its own cells, so the result is one thread's, bit for bit.
+    Each tensor is split at its midpoint: the caller checks, then updates,
+    flat elements ``[0, size // 2)`` and ``autodiff``'s worker thread
+    ``[size // 2, size)``.  Both halves are checked before either changes;
+    each reports its first non-finite tensor, and the error names the
+    earlier of the two in ``grads``.  Each thread updates through a scratch
+    block of its own, and each element's update reads only its own cells,
+    so the result is one thread's, bit for bit.
     """
-    for name, grad in grads.items():  # before anything changes
-        _check_finite(name, grad)
+    for name in grads:  # before anything changes
         if not tensors[name].flags.c_contiguous:
             raise ValueError(f"tensor {name!r} is not C-contiguous; Adam updates it in place")
+
+    def first_bad(half: int) -> int:
+        """Position in ``grads`` of the first gradient whose half is not finite."""
+        for position, grad in enumerate(grads.values()):
+            g = grad.reshape(-1)
+            start, stop = (0, g.size // 2, g.size)[half : half + 2]
+            if not _finite(g[start:stop]):
+                return position
+        return len(grads)
+
+    bad = min(ad.paired(lambda: first_bad(0), lambda: first_bad(1)))
+    if bad < len(grads):
+        raise OptimizationError(f"non-finite gradient for tensor {list(grads)[bad]!r}")
     for name in grads:  # here, so that the worker never inserts into a dict
         if name not in state.m:
             state.m[name] = np.zeros(tensors[name].shape)

@@ -82,6 +82,26 @@ def _span_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([lo, hi], axis=1), table
 
 
+# Spans per ``split_scores`` call when the split table is filled.  Each of a
+# call's temporaries is SPAN_BLOCK x mlp_hidden floats, 125 KiB at the
+# paper's 250, so the table's memory grows with n(n + 1)/2 scalars, not
+# with n(n + 1)/2 hidden layers.  With one BLAS thread, blocks of a multiple
+# of 8 spans give the bits of one call over all spans (measured; other
+# sizes round some rows differently).
+SPAN_BLOCK = 64
+
+
+def _split_table(enc: Encoding, bound: BoundParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_span_table(enc.n)`` and the ``(n + 1, n + 1)`` matrix of split
+    scores s(i, j), filled SPAN_BLOCK spans at a time."""
+    spans, table = _span_table(enc.n)
+    blocks = [
+        split_scores(enc, spans[lo : lo + SPAN_BLOCK], bound).value
+        for lo in range(0, len(spans), SPAN_BLOCK)
+    ]
+    return spans, table, np.concatenate(blocks)[table]
+
+
 def _best_split(span_scores: np.ndarray, i: int, j: int, ks: np.ndarray) -> int:
     """The k among the ascending ``ks`` with the highest s(i, k) + s(k, j),
     the first one on ties; ``span_scores`` is indexed like the span table."""
@@ -110,8 +130,7 @@ def loss_topdown(enc: Encoding, gold: Mapping[Span, str], bound: BoundParams) ->
     n = enc.n
     if next(iter(gold), None) != (0, n):
         raise ValueError(f"gold spans start with {next(iter(gold), None)}, encoder has n={n}")
-    spans, table = _span_table(n)
-    span_scores = split_scores(enc, spans, bound).value[table]
+    spans, table, span_scores = _split_table(enc, bound)
     whole, inner, unmarked = _label_masks(tuple(bound.config.labels))
     # Bounds of the smallest gold span strictly containing each fencepost:
     # k is a gold split point of a decided span (i, j) when that gold span
@@ -194,8 +213,7 @@ def parse_topdown(
     whole, inner, unmarked = _label_masks(tuple(labels))
     if not whole.any():
         raise ValueError('the label inventory has no "ROOT"-headed entry')
-    spans, table = _span_table(n)
-    span_scores = split_scores(enc, spans, bound).value[table]
+    span_scores = _split_table(enc, bound)[2]
 
     decided = [(0, n)]
     split_at: dict[Span, int] = {}

@@ -7,6 +7,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+from uccatree.cli import main
 from uccatree.conversion import graph_to_tree, tree_from_sexpr, tree_to_graph, tree_to_sexpr
 from uccatree.generator import SyntheticSpec, generate
 
@@ -15,6 +16,10 @@ from conftest import primary_only
 
 def dumps(graphs) -> str:
     return "\n".join(json.dumps(g.to_json(), sort_keys=True) for g in graphs)
+
+
+def sha256(text: str | bytes) -> str:
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
 
 
 class TestDeterminism:
@@ -100,6 +105,32 @@ class TestRoundTripGuarantee:
                              json.dumps(restored.to_json(), sort_keys=True), repr(marked)):
                     digest.update(text.encode() + b"\n")
         assert digest.hexdigest() == "0ec11babe793904fe3d26c75a1553aae403a03f6c55a0ef09f56c07b52803096"
+
+
+class TestStreamDigests:
+    """A spec and a seed give the same corpus across versions: these pin the
+    generator's random stream where the conversion-path digest does not
+    reach."""
+
+    def test_one_label_one_word_spec(self):
+        # A pool of one still takes its draw from the stream.
+        spec = SyntheticSpec(sentences=30, vocab_size=1, max_depth=5, p_remote=0.6,
+                             p_discontinuity=1.0, labels=("X",))
+        digest = sha256(dumps(generate(spec, seed=21)))
+        assert digest == "f6829631bd716d5259ff0bcf79082bb954e371eba5714e6a0b4d44e59a3ff6ae"
+
+    def test_french_corpus(self):
+        digest = sha256(dumps(generate(SyntheticSpec(sentences=30), seed=22, lang="fr")))
+        assert digest == "4a983845155f04d033234b0c7c4bb3650bf86ac70776d9c4ddb8d83e257fac1b"
+
+    def test_ucca_gen_output_bytes(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sentences": 20, "max_tokens": 25, "p_remote": 0.5,
+                                    "labels": ["A", "P", "H"]}), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["gen", "--spec", str(spec), "--seed", "23", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sha256(out.read_bytes()) == "f86b6c32abd6d899b0f5b663baedab148940771f72409d4610143e47f6b9b2cb"
 
 
 def test_readme_genspec_example_lists_the_defaults():

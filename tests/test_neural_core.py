@@ -27,7 +27,7 @@ from uccatree.neural_core import (
     OptimizationError,
     Vocab,
     adam_step,
-    _check_finite,
+    _finite,
     biaffine,
     embed,
     encode,
@@ -630,16 +630,20 @@ class TestOptimizers:
         moved = []
 
         def in_turn(here, there):  # ad.paired runs ``there`` on the worker
+            results = []
             for job in (here, there):
                 before = {name: arr.copy() for name, arr in tensors.items()}
-                job()
+                results.append(job())
                 moved.append({n: np.flatnonzero(tensors[n] != before[n]).tolist() for n in tensors})
-            return None, None
+            return tuple(results)
 
         monkeypatch.setattr(ad, "paired", in_turn)
         adam_step(tensors, {name: np.ones_like(arr) for name, arr in tensors.items()}, AdamState())
-        # A size-1 tensor's midpoint is 0, so its one element is the worker's.
+        # The finite check's pair comes first and moves nothing.  A size-1
+        # tensor's midpoint is 0, so its one element is the worker's.
         assert moved == [
+            {n: [] for n in sizes},
+            {n: [] for n in sizes},
             {n: list(range(size // 2)) for n, size in sizes.items()},
             {n: list(range(size // 2, size)) for n, size in sizes.items()},
         ]
@@ -651,14 +655,36 @@ class TestOptimizers:
                 adam_step(t, {"w": bad}, AdamState())
 
     def test_opposite_infinities_rejected_by_name(self):
-        # Their sum is NaN, not infinite: the tensor is still named.
+        # Each half's sum is NaN, not infinite: the tensor is still named.
+        t = {"v": np.zeros(3), "w": np.zeros(4)}
+        bad = {"v": np.zeros(3), "w": np.array([np.inf, -np.inf, -np.inf, np.inf])}
         with pytest.raises(OptimizationError, match="non-finite gradient for tensor 'w'"):
-            _check_finite("w", np.array([np.inf, -np.inf]))
+            adam_step(t, bad, AdamState())
 
     def test_finite_gradient_whose_sum_overflows_passes_quietly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _check_finite("w", np.full(4, 1e308))
+            assert _finite(np.full(4, 1e308))
+
+    def test_bad_value_only_in_the_workers_half(self):
+        t = {"a": np.full(3, 0.5), "w": np.full(6, 0.5)}
+        state = AdamState()
+        with pytest.raises(OptimizationError, match="non-finite gradient for tensor 'w'$"):
+            adam_step(t, {"a": np.ones(3), "w": np.array([1.0, 1.0, 1.0, 1.0, 1.0, np.nan])}, state)
+        assert all(np.array_equal(arr, np.full(arr.size, 0.5)) for arr in t.values())
+        assert state.t == 0 and not state.m and not state.v
+
+    @pytest.mark.parametrize("first_half, second_half", [(0, 1), (1, 0)])
+    def test_the_earlier_of_two_bad_tensors_is_named(self, first_half, second_half):
+        # One bad tensor in each thread's half, in either order: the caller
+        # names the one that comes first in ``grads``, whichever half it is in.
+        grads = {name: np.ones(4) for name in ("a", "b", "c", "d")}
+        grads["b"][3 * first_half] = np.inf
+        grads["d"][3 * second_half] = np.nan
+        t = {name: np.zeros(4) for name in grads}
+        with pytest.raises(OptimizationError, match="non-finite gradient for tensor 'b'$"):
+            adam_step(t, grads, AdamState())
+        assert all(not arr.any() for arr in t.values())
 
 
 class TestCheckpoint:

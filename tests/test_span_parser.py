@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from uccatree.span_parser import (
 )
 from uccatree.training import TrainConfig, build_model_config
 
-from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, primary_only, tape_nodes, tape_vars
+from conftest import GERMAN_TREE_SEXPR, GERMAN_FORMS, primary_only, run_python, tape_nodes, tape_vars
 
 
 def parser_config(labels, words=("a", "b", "c"), **overrides) -> ModelConfig:
@@ -568,3 +570,47 @@ class TestParseValidity:
                 restored, marked = tree_to_graph(tree)
                 assert restored.validate() == []
                 assert all(m in restored.nonterminals for m in marked)
+
+
+BLOCKS_AS_ONE_CALL = """
+import json, os
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+import numpy as np
+from uccatree.graph_model import Token
+from uccatree.neural_core import UNK, BoundParams, ModelConfig, ModelParams, embed, encode, split_scores
+from uccatree.span_parser import _split_table
+cfg = ModelConfig(words=[UNK, "a"], labels=["", "ROOT", "A"])
+bound = BoundParams(ModelParams.initialize(cfg, seed=1))
+equal = []
+for n in (70, 121):
+    enc = encode(embed(tuple(Token(form="a") for _ in range(n)), "en", bound), bound)
+    spans, table, blocked = _split_table(enc, bound)
+    equal.append(bool(np.array_equal(blocked, split_scores(enc, spans, bound).value[table])))
+print(json.dumps(equal))
+"""
+
+
+class TestLongSentence:
+    """The split table is scored in blocks of spans, so a long sentence's
+    parse holds O(n^2) scalars, not an O(n^2) x mlp_hidden hidden layer."""
+
+    def test_blocks_score_as_one_call_with_one_blas_thread(self):
+        # Several BLAS threads may split one call's rows between them and
+        # round some differently, so the check runs with one, as the
+        # benchmark does.  Both lengths end on a ragged block.
+        assert run_python(BLOCKS_AS_ONE_CALL) == "[true, true]"
+
+    def test_long_parse_memory_is_bounded(self):
+        # Paper dimensions; one call over all 45,150 spans peaks at 433 MiB.
+        cfg = ModelConfig(words=[UNK, *(f"w{k}" for k in range(50))],
+                          labels=["", "ROOT", "A", "P", "H", "A-remote", "P-ancestor1"])
+        model = ModelParams.initialize(cfg, seed=1)
+        tokens, bound, enc = encode_tokens(model, [f"w{k % 50}" for k in range(300)])
+        tracemalloc.start()
+        try:
+            tree = parse_topdown(enc, tokens, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert tree.validate() == []
