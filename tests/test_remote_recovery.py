@@ -144,9 +144,10 @@ class TestEnumeratePairs:
         graph = simple_graph(["A", "P", "E", "D"], n=4)
         grid = enumerate_pairs(graph, marked)
         cells = [(grid.children[r], grid.parents[c]) for r, c in zip(grid.rows, grid.cols)]
-        assert cells == nested_loop_pairs(graph, marked)
+        # A node marked twice is one row.
+        assert cells == nested_loop_pairs(graph, list(dict.fromkeys(marked)))
         assert grid.children == list(dict.fromkeys(marked))
-        assert len(set(grid.parents)) == len(grid.parents)
+        assert grid.parents == sorted(graph.nonterminals)
 
     def test_single_node_graph_has_no_cells(self):
         toks = (Token(form="t1"),)
@@ -315,7 +316,9 @@ class TestPredictRemotes:
         assert len(pairs) == 8  # one marked child, eight candidate parents
         loss_remote(pairs, [(9, 12, "A")], enc, bound)
         predict_remotes(graph, marked, enc, bound)
-        assert calls == [("remote_child", 1), ("remote_parent", 8)] * 2
+        # The parent head runs over all nine nonterminals, the child's own
+        # column included.
+        assert calls == [("remote_child", 1), ("remote_parent", 9)] * 2
 
     def test_no_marked_nodes_short_circuits(self):
         graph, _, bound, enc = self._german_setup()
@@ -386,3 +389,55 @@ class TestGridMatchesPairList:
         marked = sorted(graph.nonterminals)[:5]
         once = predict_remotes(graph, marked, enc, bound)
         assert predict_remotes(graph, marked + marked[::-1], enc, bound) == once
+
+
+def random_case(graph_seed, model_seed, picks, three_labels):
+    """A generated primary graph, nodes marked by ``picks`` (repeats
+    kept), and a tiny random model's encoding of its tokens."""
+    spec = SyntheticSpec(sentences=1, min_tokens=2, max_tokens=9)
+    graph = primary_only(generate(spec, seed=graph_seed)[0])
+    nonterminals = sorted(graph.nonterminals)
+    marked = [nonterminals[k % len(nonterminals)] for k in picks]
+    forms = [t.form for t in graph.tokens]
+    labels = (NOT_PARENT, "A", "E") if three_labels else (NOT_PARENT, "A")
+    cfg = recovery_config(words=tuple(forms), remote_labels=labels)
+    _, bound, enc = encode_tokens(ModelParams.initialize(cfg, seed=model_seed), forms)
+    return graph, marked, enc, bound
+
+
+CYCLE_CASE = dict(graph_seed=0, model_seed=0, picks=[0, 3, 1, 3, 5], three_labels=True)
+
+
+def test_grid_matches_the_pair_list():
+    """``predict_remotes`` equals the pair list on random generated graphs,
+    marked nodes with repeats and tiny models.  Without hypothesis installed
+    only this test skips."""
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import example, given, settings
+
+    @example(**CYCLE_CASE)
+    @settings(max_examples=60)
+    @given(
+        graph_seed=st.integers(0, 2**16),
+        model_seed=st.integers(0, 2**16),
+        picks=st.lists(st.integers(0, 40), max_size=8),
+        three_labels=st.booleans(),
+    )
+    def check(graph_seed, model_seed, picks, three_labels):
+        graph, marked, enc, bound = random_case(graph_seed, model_seed, picks, three_labels)
+        assert predict_remotes(graph, marked, enc, bound) == pair_list_predict(graph, marked, enc, bound)
+
+    check()
+
+
+def test_the_pinned_case_drops_a_cycle():
+    """Every proposal of the pinned example that is neither accepted nor a
+    primary edge was dropped because it would close a cycle."""
+    graph, marked, enc, bound = random_case(**CYCLE_CASE)
+    assert len(marked) > len(set(marked))
+    pairs = nested_loop_pairs(graph, list(dict.fromkeys(marked)))
+    scores = hand_scores(graph, pairs, enc, bound.params.tensors)
+    proposed = {(p, c) for (c, p), s in zip(pairs, scores) if s.argmax() != 0}
+    accepted = {(p, c) for p, c, _ in predict_remotes(graph, marked, enc, bound)}
+    primary = {(e.parent, e.child) for e in graph.primary_edges}
+    assert proposed - accepted - primary
