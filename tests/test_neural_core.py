@@ -14,6 +14,7 @@ import pytest
 
 from conftest import tape_nodes
 from uccatree import autodiff as ad
+from uccatree import neural_core as nc
 from uccatree.autodiff import Var
 from uccatree.graph_model import Token
 from uccatree.neural_core import (
@@ -587,12 +588,68 @@ class TestOptimizers:
             assert np.array_equal(state.m[name], m[name])
             assert np.array_equal(state.v[name], v[name])
 
+    @pytest.mark.parametrize(
+        "name, grad, moments, message",
+        [
+            ("w", np.ones(3), {}, r"gradient for tensor 'w' has shape \(3,\), not \(2, 2\)"),
+            ("u", np.ones(5), {}, r"gradient for tensor 'u' has shape \(5,\), not \(4,\)"),
+            ("x", np.ones(2), {}, "gradient for 'x', which is not a tensor"),
+            ("w", np.ones((2, 2)), {"m": np.zeros(4)}, r"state.m for tensor 'w' has shape \(4,\), not \(2, 2\)"),
+            ("w", np.ones((2, 2)), {"v": np.zeros(4)}, r"state.v for tensor 'w' has shape \(4,\), not \(2, 2\)"),
+            ("w", np.ones((2, 2)), {"v": None}, "only one of state.m and state.v holds tensor 'w'"),
+        ],
+    )
+    def test_wrong_shape_or_name_refused_before_any_change(self, name, grad, moments, message):
+        # A gradient of another shape, a name without a tensor, or a moment
+        # of another shape (say, from another model) or without its twin is
+        # refused by name, after a good gradient, and nothing moves.
+        t = {"a": np.full(3, 0.5), "w": np.full((2, 2), 0.5), "u": np.full(4, 0.5)}
+        state = AdamState()
+        adam_step(t, {"a": np.ones(3), "w": np.ones((2, 2)), "u": np.ones(4)}, state)
+        for moment, value in moments.items():  # None removes the entry
+            getattr(state, moment).pop("w")
+            if value is not None:
+                getattr(state, moment)["w"] = value
+        kept = [{k: arr.copy() for k, arr in part.items()} for part in (t, state.m, state.v)]
+        with pytest.raises(ValueError, match=message):
+            adam_step(t, {"a": np.ones(3), name: grad}, state)
+        assert state.t == 1
+        for part, before in zip((t, state.m, state.v), kept):
+            assert part.keys() == before.keys()
+            assert all(np.array_equal(part[k], before[k]) for k in before)
+
+    @pytest.mark.parametrize("block", [5, 1000, 16384, 65536])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        # A block only partitions each element's identical operations, so
+        # any ADAM_BLOCK leaves the bits of a run whose halves are one block
+        # each (2**22 is over every size here).  Sizes of 1, 2 and 5 make
+        # halves of 0 to 3 elements; the two large ones span several blocks
+        # at 16 Ki and 64 Ki and end in a partial one.
+        sizes = {"a": 1, "b": 2, "c": 5, "d": 70001, "e": 2 * 65536 + 3}
+        rng = np.random.default_rng(11)
+        steps = [
+            {name: rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 1) for name, size in sizes.items()}
+            for _ in range(3)
+        ]
+
+        def run(block_size: int):
+            monkeypatch.setattr(nc, "ADAM_BLOCK", block_size)
+            tensors = {name: np.linspace(-1.0, 1.0, size) for name, size in sizes.items()}
+            state = AdamState()
+            for grads in steps:
+                adam_step(tensors, grads, state)
+            return tensors, state.m, state.v
+
+        for got, want in zip(run(block), run(2**22)):
+            for name in sizes:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
     # sha256 of the tensors, m and v that the one-thread update left after
     # four steps: a split of the update across threads must change no bit.
-    # "all": every tensor of a model, several over ADAM_BLOCK, where each
-    # step leaves out a different fifth of them (so some moments are made
-    # late); "one": a single tensor; "none": no gradient at all, which only
-    # advances t.
+    # "all": every tensor of a model, each under ADAM_BLOCK (tensors over it
+    # are test_block_size_changes_no_bit's), where each step leaves out a
+    # different fifth of them (so some moments are made late); "one": a
+    # single tensor; "none": no gradient at all, which only advances t.
     @pytest.mark.parametrize(
         "seed, which, digest",
         [
