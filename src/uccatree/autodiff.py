@@ -26,7 +26,6 @@ the analytic rules here.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -230,21 +229,16 @@ def index(a: Var, key) -> Var:
     """``a.value[key]`` for any numpy index: an int, a slice, a list or
     array of indices, or a tuple of them such as ``(rows, slice(None), cols)``.
 
-    The backward pass scatters into ``a``'s gradient with one ``bincount``
-    over the picked cells' flat positions, the per-axis offsets of
-    ``np.indices`` broadcast to ``a``'s shape and indexed by ``key``.  A
-    repeated cell accumulates; a cell picked once gets 0.0 + x.
+    The backward pass scatters into a zero gradient with one ``np.add.at``
+    by the same ``key``.  A repeated cell accumulates in the order it was
+    picked; a cell picked once gets 0.0 + x.
     """
     out = Var(a.value[key], (a,))
 
     def bw(g: np.ndarray) -> None:
-        shape = a.value.shape
-        cells = sum(
-            np.broadcast_to(offsets * math.prod(shape[axis + 1 :]), shape)[key]
-            for axis, offsets in enumerate(np.indices(shape, sparse=True))
-        )
-        grad = np.bincount(np.ravel(cells), weights=np.ravel(g), minlength=a.value.size)
-        a._accumulate(grad.reshape(shape), fresh=True)
+        grad = np.zeros(a.value.shape)
+        np.add.at(grad, key, g)
+        a._accumulate(grad, fresh=True)
 
     out._bw = bw
     return out

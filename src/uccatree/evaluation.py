@@ -95,29 +95,21 @@ def edge_records(graph: UccaGraph) -> Counter[EdgeRecord]:
     )
 
 
-def _score_kind(gold: Counter[EdgeRecord], pred: Counter[EdgeRecord]) -> KindScore:
-    matched = sum((gold & pred).values())
-    return KindScore(matched=matched, gold=sum(gold.values()), predicted=sum(pred.values()))
-
-
-def _split_kinds(records: Counter[EdgeRecord]) -> tuple[Counter, Counter]:
-    primary: Counter[EdgeRecord] = Counter()
-    remote: Counter[EdgeRecord] = Counter()
-    for record, count in records.items():
-        (remote if record.remote else primary)[record] = count
-    return primary, remote
-
-
 def score(gold: UccaGraph, pred: UccaGraph) -> F1Report:
     """Score one predicted graph against its gold counterpart."""
     if [t.form for t in gold.tokens] != [t.form for t in pred.tokens]:
         raise ValueError("gold and predicted graphs are over different token sequences")
-    gold_primary, gold_remote = _split_kinds(edge_records(gold))
-    pred_primary, pred_remote = _split_kinds(edge_records(pred))
-    return F1Report(
-        primary=_score_kind(gold_primary, pred_primary),
-        remote=_score_kind(gold_remote, pred_remote),
-    )
+    gold_records, pred_records = edge_records(gold), edge_records(pred)
+    matched = gold_records & pred_records  # the kind is part of a record
+
+    def kind(remote: bool) -> KindScore:
+        matched_n, gold_n, pred_n = (
+            sum(n for record, n in records.items() if record.remote == remote)
+            for records in (matched, gold_records, pred_records)
+        )
+        return KindScore(matched=matched_n, gold=gold_n, predicted=pred_n)
+
+    return F1Report(primary=kind(False), remote=kind(True))
 
 
 def score_corpus(gold: list[UccaGraph], pred: list[UccaGraph]) -> F1Report:

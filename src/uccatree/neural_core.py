@@ -85,7 +85,8 @@ class ModelConfig(ModelHyperparams):
     vectors and of the external features, read from the data, 0 without
     them.  Vocabulary lists carry their reserved first entry explicitly:
     index 0 is ``<unk>`` for token-feature vocabularies, the empty label
-    for span labels, and ``NOT-PARENT`` for remote labels.
+    for span labels, and ``NOT-PARENT`` for remote labels.  Only
+    ``pretrained_words`` omits it: its words name the pretrained rows 1, 2, ...
     """
 
     pretrained_dim: int = 0
@@ -175,12 +176,17 @@ class ModelParams:
         self.config = config
         self.tensors = tensors
         self._gradients: dict[str, np.ndarray] = {}
-        self.words = Vocab(config.words)
-        self.pos_tags = Vocab(config.pos_tags)
-        self.ner_tags = Vocab(config.ner_tags)
-        self.dep_labels = Vocab(config.dep_labels)
-        self.languages = Vocab(config.languages)
-        self.pretrained_words = Vocab(config.pretrained_words) if config.pretrained_words else None
+        # Each lookup table's vocabulary and the token field it reads, by tensor
+        # name in input order.  Index 0 is the table's reserved row, which every
+        # unseen string reads: the pretrained words follow its zero row.
+        self.lookups = {
+            "emb_word": (Vocab(config.words), "form"),
+            "emb_pos": (Vocab(config.pos_tags), "pos"),
+            "emb_ner": (Vocab(config.ner_tags), "ner"),
+            "emb_dep": (Vocab(config.dep_labels), "dep"),
+            "emb_lang": (Vocab(config.languages), "lang"),
+            "emb_pre": (Vocab([UNK, *config.pretrained_words]), "form"),
+        }
         self.labels = Vocab(config.labels)
         self.remote_labels = Vocab(config.remote_labels)
 
@@ -295,7 +301,8 @@ def check_external(
     """The width of per-token external feature matrices, one per sentence:
     ``width`` if nonzero, else the first matrix's.  Another number of matrices
     than of sentences raises naming ``source``, and a matrix without one row per
-    token of that width, or with a NaN or infinity, naming its 1-based record too."""
+    token of that width, of width 0, or with a NaN or infinity, naming its
+    1-based record too."""
     if len(matrices) != len(sentences):
         raise ValueError(f"{source}: {len(matrices)} external feature matrices for {len(sentences)} sentences")
     for k, (matrix, tokens) in enumerate(zip(matrices, sentences), start=1):
@@ -306,6 +313,8 @@ def check_external(
                 f"{source}: record {k}: external features of shape {shape}, "
                 f"expected ({len(tokens)}, {width})"
             )
+        if not width:
+            raise ValueError(f"{source}: record {k}: external features of width 0")
         if not np.isfinite(matrix).all():
             raise ValueError(f"{source}: record {k}: external features hold NaN or infinite values")
     return width
@@ -317,31 +326,20 @@ def embed(
     bound: BoundParams,
     external: np.ndarray | None = None,
 ) -> Var:
-    """Concatenate per-token feature embeddings into an (n, input_dim) matrix.
+    """Concatenate per-token feature embeddings into an (n, input_dim) matrix:
+    a row of each lookup table the model has, in :attr:`ModelParams.lookups`
+    order, then the external features.  The language table reads ``lang``.
 
     Lookups of unseen strings fall back to the reserved row 0.  When the
     model was built with external features, ``external`` must supply one
     vector per token of the configured width; otherwise it must be None.
     """
     cfg = bound.config
-    p = bound.params
-    n = len(tokens)
-    parts: list[Var] = []
-    word_ids = [p.words.lookup(t.form) for t in tokens]
-    parts.append(ad.index(bound["emb_word"], word_ids))
-    if cfg.use_pos:
-        parts.append(ad.index(bound["emb_pos"], [p.pos_tags.lookup(t.pos) for t in tokens]))
-    if cfg.use_ner:
-        parts.append(ad.index(bound["emb_ner"], [p.ner_tags.lookup(t.ner) for t in tokens]))
-    if cfg.use_dep:
-        parts.append(ad.index(bound["emb_dep"], [p.dep_labels.lookup(t.dep) for t in tokens]))
-    if cfg.multilingual:
-        parts.append(ad.index(bound["emb_lang"], [p.languages.lookup(lang)] * n))
-    if cfg.pretrained_dim:
-        assert p.pretrained_words is not None
-        parts.append(
-            ad.index(bound["emb_pre"], [p.pretrained_words.lookup(t.form) for t in tokens])
-        )
+    parts = [
+        ad.index(bound[name], [vocab.lookup(lang if key == "lang" else getattr(t, key)) for t in tokens])
+        for name, (vocab, key) in bound.params.lookups.items()
+        if name in bound.vars
+    ]
     if cfg.external_dim:
         if external is None:
             raise ValueError("model expects external feature vectors but none were given")

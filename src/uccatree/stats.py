@@ -10,17 +10,6 @@ from .graph_model import UccaGraph
 CATEGORIES = ("ancestor1", "ancestor2", "ancestor3plus", "discontinuous")
 
 
-def classify_move(category: str, distance: int | None) -> str:
-    if category == "discontinuous":
-        return "discontinuous"
-    assert distance is not None
-    if distance == 1:
-        return "ancestor1"
-    if distance == 2:
-        return "ancestor2"
-    return "ancestor3plus"
-
-
 def discontinuity_stats(graphs: Sequence[UccaGraph]) -> dict:
     """Distribution of repair-move kinds across a corpus.
 
@@ -32,7 +21,10 @@ def discontinuity_stats(graphs: Sequence[UccaGraph]) -> dict:
         stripped, _ = strip_remotes(graph)
         _, moves = remove_discontinuities(stripped)
         for move in moves:
-            counts[classify_move(move.category, move.ancestor_distance)] += 1
+            if move.category == "discontinuous":
+                counts["discontinuous"] += 1
+            else:
+                counts[CATEGORIES[min(move.ancestor_distance, 3) - 1]] += 1
     total = sum(counts.values())
     percent = {
         c: (100.0 * counts[c] / total if total else 0.0) for c in CATEGORIES

@@ -99,52 +99,34 @@ def prepare_example(graph: UccaGraph, external: np.ndarray | None = None) -> Exa
     )
 
 
-def build_model_config(
-    train_graphs: Sequence[UccaGraph],
-    config: TrainConfig,
-    pretrained_words: list[str] | None = None,
-    pretrained_dim: int = 0,
-) -> ModelConfig:
+def build_model_config(train_graphs: Sequence[UccaGraph], config: TrainConfig) -> ModelConfig:
     """Collect vocabularies and label inventories from the training set."""
-    examples = [prepare_example(g) for g in train_graphs]
-    return _model_config_from_examples(examples, config, pretrained_words, pretrained_dim)
+    return _model_config_from_examples([prepare_example(g) for g in train_graphs], config)
 
 
 def _model_config_from_examples(
     examples: Sequence[Example],
     config: TrainConfig,
-    pretrained_words: list[str] | None = None,
-    pretrained_dim: int = 0,
+    pretrained: tuple[list[str], np.ndarray] | None = None,
 ) -> ModelConfig:
-    words: set[str] = set()
-    pos: set[str] = set()
-    ner: set[str] = set()
-    dep: set[str] = set()
-    langs: set[str] = set()
-    labels: set[str] = set()
-    remote_labels: set[str] = set()
-    for ex in examples:
-        for t in ex.tokens:
-            words.add(t.form)
-            pos.add(t.pos)
-            ner.add(t.ner)
-            dep.add(t.dep)
-        langs.add(ex.lang)
-        labels.update(ex.trace.values())
-        for _, _, label in ex.gold_remotes:
-            remote_labels.add(label)
+    """The model config of ``config``'s hyperparameters, the examples'
+    inventories and the words and width of ``pretrained`` vectors, if any."""
+    tokens = [t for ex in examples for t in ex.tokens]
+    words, matrix = pretrained or ([], np.zeros((1, 0)))  # no pretrained rows: width 0
     return ModelConfig(
         **config.hyperparams(),
-        pretrained_dim=pretrained_dim,
+        pretrained_dim=matrix.shape[1],
         external_dim=next((ex.external.shape[1] for ex in examples if ex.external is not None), 0),
-        words=Vocab.build(words).items,
-        pos_tags=Vocab.build(pos).items,
-        ner_tags=Vocab.build(ner).items,
-        dep_labels=Vocab.build(dep).items,
-        languages=Vocab.build(langs).items,
-        pretrained_words=pretrained_words or [],
-        labels=[""] + sorted(labels),
-        remote_labels=[NOT_PARENT] + sorted(remote_labels),
+        words=Vocab.build(t.form for t in tokens).items,
+        pos_tags=Vocab.build(t.pos for t in tokens).items,
+        ner_tags=Vocab.build(t.ner for t in tokens).items,
+        dep_labels=Vocab.build(t.dep for t in tokens).items,
+        languages=Vocab.build(ex.lang for ex in examples).items,
+        pretrained_words=words,
+        labels=Vocab.build((label for ex in examples for label in ex.trace.values()), "").items,
+        remote_labels=Vocab.build(
+            (label for ex in examples for _, _, label in ex.gold_remotes), NOT_PARENT
+        ).items,
     )
 
 
@@ -284,24 +266,15 @@ def train(
     if (external_train is None) != (external_dev is None):
         given, missing = ("training", "dev") if external_dev is None else ("dev", "training")
         raise ValueError(f"external features given for the {given} set but not for the {missing} set")
-    pretrained_matrix = None
-    pretrained_words: list[str] | None = None
-    pretrained_dim = 0
-    if config.pretrained_path:
-        pretrained_words, pretrained_matrix = load_pretrained(config.pretrained_path)
-        pretrained_dim = pretrained_matrix.shape[1]
+    pretrained = load_pretrained(config.pretrained_path) if config.pretrained_path else None
     if external_train is not None:
         width = check_external(external_train, [g.tokens for g in train_graphs], "training set")
         check_external(external_dev, [g.tokens for g in dev_graphs], "dev set", width)
 
-    examples = []
-    for k, g in enumerate(train_graphs):
-        ext = external_train[k] if external_train is not None else None
-        examples.append(prepare_example(g, external=ext))
-    model_config = _model_config_from_examples(
-        examples, config, pretrained_words, pretrained_dim
-    )
-    params = ModelParams.initialize(model_config, seed=config.seed, pretrained=pretrained_matrix)
+    externals = [None] * len(train_graphs) if external_train is None else external_train
+    examples = [prepare_example(g, external=ext) for g, ext in zip(train_graphs, externals)]
+    model_config = _model_config_from_examples(examples, config, pretrained)
+    params = ModelParams.initialize(model_config, seed=config.seed, pretrained=pretrained and pretrained[1])
 
     adam = AdamState()
     rng = np.random.default_rng(config.seed)

@@ -567,6 +567,22 @@ class TestTrainParseEval:
         message = json.loads(stderr)["error"]["message"]
         assert message == f"{bad}: record 3: external features of shape {shape}, expected (2, 2)"
 
+    def test_train_refuses_zero_width_external_features(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        dump_corpus([simple_graph(["A", "P"], n=2)] * 2, str(corpus))
+        feats = tmp_path / "empty.jsonl"
+        feats.write_text('{"vectors": [[], []]}\n' * 2, encoding="utf-8")
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--train", str(corpus), "--dev", str(corpus),
+            "--config", write_json(tmp_path / "train.json", TINY_TRAIN),
+            "--external-features", str(feats), "--dev-external-features", str(feats),
+            "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        message = json.loads(stderr)["error"]["message"]
+        assert message == f"{feats}: record 1: external features of width 0"
+
     @pytest.mark.parametrize("flag", ["--external-features", "--dev-external-features"])
     def test_train_refuses_non_finite_external_features(self, tmp_path, capsys, flag):
         corpus = tmp_path / "corpus.jsonl"

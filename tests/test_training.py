@@ -470,6 +470,20 @@ class TestPretrained:
         with pytest.raises(ValueError, match="no vectors"):
             load_pretrained(str(path))
 
+    def test_each_word_reads_its_own_pretrained_row(self, tmp_path):
+        # The vectors name t1, t2 and zzz in rows 1-3 below the zero row 0;
+        # a word without a vector reads row 0.
+        vecs = self.write_vectors(tmp_path)
+        _, matrix = load_pretrained(vecs)
+        graphs = tiny_corpus()
+        result = train(
+            graphs, graphs,
+            tiny_config(max_epochs=1, pretrained_path=vecs, freeze_pretrained=True),
+        )
+        tokens = tuple(Token(form=form) for form in ("zzz", "t1", "qqq", "t2"))
+        rows = embed(tokens, "en", BoundParams(result.params)).value[:, -matrix.shape[1] :]
+        assert rows.tolist() == matrix[[3, 1, 0, 2]].tolist()
+
     def test_freeze_keeps_pretrained_rows_fixed(self, tmp_path):
         vecs = self.write_vectors(tmp_path)
         graphs = tiny_corpus()  # token forms t1, t2 overlap the vectors
@@ -545,6 +559,16 @@ class TestExternalFeatures:
         message = f"{where}: record 3: external features of shape {shape}, expected (2, 2)"
         with pytest.raises(ValueError, match=re.escape(message)):
             train(graphs, graphs, tiny_config(), external_train=ext["train"], external_dev=ext["dev"])
+        assert steps == []
+
+    def test_zero_width_matrices_are_refused_before_the_first_step(self, monkeypatch):
+        graphs = tiny_corpus()
+        ext = [np.zeros((len(g.tokens), 0)) for g in graphs]
+        steps = []
+        monkeypatch.setattr("uccatree.training.sentence_loss", lambda *a: steps.append(a))
+        message = "training set: record 1: external features of width 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(graphs, graphs, tiny_config(), external_train=ext, external_dev=ext)
         assert steps == []
 
     @pytest.mark.parametrize("part", ["train", "dev"])
