@@ -6,7 +6,7 @@ Everything runs on numpy through the :mod:`uccatree.autodiff` tape, in
 64-bit floats, with fully seeded initialization so that two runs from the
 same seed produce bit-identical parameters.  :func:`tensor_shapes` is the
 one inventory of a model's tensors: initialization draws them in its order,
-and a checkpoint's header names them and its payload holds them by it.
+and :func:`tensor_views` lays them out in a model's flat arrays and checkpoints.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -149,6 +149,18 @@ def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def tensor_views(flat: np.ndarray, shapes: Mapping[str, tuple], what: str = "array") -> dict[str, np.ndarray]:
+    """Each tensor's view of ``flat``, a model's array of values, gradients or
+    Adam moments, where the tensors lie one after another in sorted-name order
+    (a checkpoint payload's).  A ``flat`` of another length raises, as ``what``."""
+    names = sorted(shapes)
+    bounds = np.cumsum([0, *(math.prod(shapes[name]) for name in names)]).tolist()
+    if flat.shape != (bounds[-1],):
+        raise ValueError(f"{what} has shape {flat.shape}, not the tensors' ({bounds[-1]},)")
+    ranges = {name: slice(lo, hi) for name, lo, hi in zip(names, bounds, bounds[1:])}
+    return {name: flat[ranges[name]].reshape(shape) for name, shape in shapes.items()}
+
+
 class Vocab:
     """String-to-index mapping with a reserved fallback at index 0."""
 
@@ -169,13 +181,20 @@ class Vocab:
 
 
 class ModelParams:
-    """All trainable tensors plus the configuration that shapes them, and
-    one gradient buffer per tensor name (see :meth:`gradient_buffer`)."""
+    """All trainable tensors plus the configuration that shapes them.  The
+    C-contiguous float64 array ``values`` holds the tensors in the layout of
+    :func:`tensor_views`, and ``tensors[name]`` is a view of it; assigning a
+    mapping to ``tensors`` copies into these views.  Backward writes each
+    tensor's gradient into ``buffers[name]``, the same view of ``gradients``:
+    kept from step to step, so a step maps no fresh memory."""
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
+    def __init__(self, config: ModelConfig, values: np.ndarray):
         self.config = config
-        self.tensors = tensors
-        self._gradients: dict[str, np.ndarray] = {}
+        shapes = tensor_shapes(config)
+        self.values = np.ascontiguousarray(values, dtype=np.float64)
+        self._tensors = tensor_views(self.values, shapes, "the value array")
+        self.gradients = np.empty_like(self.values)
+        self.buffers = tensor_views(self.gradients, shapes)
         # Each lookup table's vocabulary and the token field it reads, by tensor
         # name in input order.  Index 0 is the table's reserved row, which every
         # unseen string reads: the pretrained words follow its zero row.
@@ -190,6 +209,21 @@ class ModelParams:
         self.labels = Vocab(config.labels)
         self.remote_labels = Vocab(config.remote_labels)
 
+    @property
+    def tensors(self) -> dict[str, np.ndarray]:
+        return self._tensors
+
+    @tensors.setter
+    def tensors(self, arrays: Mapping[str, np.ndarray]) -> None:
+        # Other names or shapes than the model's raise before any tensor changes.
+        want = {name: arr.shape for name, arr in self._tensors.items()}
+        got = {name: np.shape(arr) for name, arr in arrays.items()}
+        if got != want:
+            bad = sorted(name for name in want.keys() | got.keys() if got.get(name) != want.get(name))
+            raise ValueError(f"tensors {bad} are missing, extra or of another shape than the model's")
+        for name, arr in arrays.items():
+            self._tensors[name][...] = arr
+
     @classmethod
     def initialize(
         cls,
@@ -201,23 +235,22 @@ class ModelParams:
         ±0.01 (or the given pretrained matrix), biases zero but for the LSTM
         forget gates' 1, and every weight Glorot-uniform."""
         rng = np.random.default_rng(seed)
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape in tensor_shapes(config).items():
+        shapes = tensor_shapes(config)
+        params = cls(config, np.zeros(sum(map(math.prod, shapes.values()))))
+        for name, tensor in params.tensors.items():
+            shape = tensor.shape
             if name == "emb_pre" and pretrained is not None:
                 if pretrained.shape != shape:
                     raise ValueError(f"pretrained matrix shape {pretrained.shape} does not match {shape}")
-                # A C-ordered copy: Adam updates tensors in place.
-                tensors[name] = np.array(pretrained, dtype=np.float64, order="C")
+                tensor[...] = pretrained
             elif name.startswith("emb_"):
-                tensors[name] = rng.uniform(-0.01, 0.01, size=shape)
-            elif name.endswith("_b"):
-                tensors[name] = np.zeros(shape)
-                if name.startswith("lstm"):
-                    tensors[name][shape[0] // 4 : shape[0] // 2] = 1.0  # forget gate: remember at first
-            else:
+                tensor[...] = rng.uniform(-0.01, 0.01, size=shape)
+            elif name.startswith("lstm") and name.endswith("_b"):
+                tensor[shape[0] // 4 : shape[0] // 2] = 1.0  # forget gate: remember at first
+            elif not name.endswith("_b"):
                 limit = float(np.sqrt(6.0 / (shape[-1] + shape[0])))
-                tensors[name] = rng.uniform(-limit, limit, size=shape)
-        return cls(config, tensors)
+                tensor[...] = rng.uniform(-limit, limit, size=shape)
+        return params
 
     # -- checkpointing --------------------------------------------------
 
@@ -225,13 +258,12 @@ class ModelParams:
 
     def save(self, path: str) -> None:
         """A JSON header line naming the config and the sorted tensor names,
-        then each tensor's little-endian float64 values in that order."""
+        then ``values`` as little-endian float64, each tensor's in that order."""
         names = sorted(self.tensors)
         header = {"config": self.config.to_json(), "tensors": names, "version": self.CHECKPOINT_VERSION}
         with atomic_output(path, binary=True) as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for name in names:
-                fh.write(np.ascontiguousarray(self.tensors[name], dtype="<f8"))
+            fh.write(np.ascontiguousarray(self.values, dtype="<f8"))
 
     @classmethod
     def load(cls, path: str) -> ModelParams:
@@ -247,29 +279,15 @@ class ModelParams:
                 names = sorted(shapes)
                 if header.get("tensors") != names:
                     raise ValueError(f"tensors {header.get('tensors')!r} are not the config's {names}")
-                sizes = [math.prod(shapes[name]) for name in names]
-                flat = np.empty(sum(sizes), dtype="<f8")  # a huge config fails here
+                flat = np.empty(sum(map(math.prod, shapes.values())), dtype="<f8")  # a huge config fails here
             except (TypeError, ValueError, MemoryError) as exc:
                 raise ValueError(f"{path}: checkpoint header: {exc}") from None
             if fh.readinto(flat) != flat.nbytes or fh.read(1):
                 raise ValueError(f"{path}: checkpoint payload is not the {flat.nbytes} bytes its header implies")
-        parts = np.split(flat.astype(np.float64, copy=False), np.cumsum(sizes)[:-1])
-        return cls(config, {name: part.reshape(shapes[name]) for name, part in zip(names, parts)})
+        return cls(config, flat)
 
     def copy_tensors(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.tensors.items()}
-
-    def gradient_buffer(self, name: str) -> np.ndarray:
-        """The array that backward writes tensor ``name``'s gradient into.  It
-        is kept from step to step, so a step maps no fresh gradient memory,
-        and made anew only when the tensor's shape changes.  It is keyed by
-        name, since ``tensors`` may be replaced wholesale, and is never part
-        of a checkpoint."""
-        shape = self.tensors[name].shape
-        buffer = self._gradients.get(name)
-        if buffer is None or buffer.shape != shape:
-            buffer = self._gradients[name] = np.empty(shape)
-        return buffer
 
 
 class BoundParams:
@@ -279,7 +297,7 @@ class BoundParams:
     def __init__(self, params: ModelParams):
         self.params = params
         self.config = params.config
-        self.vars = {name: ad.Leaf(arr, params.gradient_buffer(name)) for name, arr in params.tensors.items()}
+        self.vars = {name: ad.Leaf(arr, params.buffers[name]) for name, arr in params.tensors.items()}
 
     def __getitem__(self, name: str) -> Var:
         return self.vars[name]
@@ -462,8 +480,11 @@ def _finite(values: np.ndarray) -> bool:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Adam's step count and moments: ``m`` and ``v`` are None until the first
+    step, then each a zeroed array in the layout of :func:`tensor_views`."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
@@ -495,9 +516,9 @@ def adam_step(
     ever stored.  The flattened arrays are updated block by block through
     a scratch block.  Only the tensors named in ``grads`` change.  A
     non-finite gradient raises before any tensor or any optimizer state
-    changes, and so does a gradient for a name that ``tensors`` lacks, a
-    gradient or a moment whose shape is not its tensor's, or a tensor with
-    only one of its two moments.
+    changes, and so does a gradient for a name that ``tensors`` lacks or of
+    another shape than its tensor's, a tensor that is not C-contiguous, and
+    a moment of another length than all of ``tensors`` (from another model).
 
     Each tensor is split at its midpoint: the caller checks, then updates,
     flat elements ``[0, size // 2)`` and ``autodiff``'s worker thread
@@ -507,16 +528,15 @@ def adam_step(
     block of its own, and each element's update reads only its own cells,
     so the result is one thread's, bit for bit.
     """
+    shapes = {name: arr.shape for name, arr in tensors.items()}
+    size = sum(map(math.prod, shapes.values()))
+    moments = (np.zeros(size), np.zeros(size)) if state.m is None else (state.m, state.v)
+    ms, vs = (tensor_views(flat, shapes, f"state.{what}") for flat, what in zip(moments, "mv"))
     for name, grad in grads.items():  # before anything changes
         if name not in tensors:
             raise ValueError(f"gradient for {name!r}, which is not a tensor")
-        if (name in state.m) != (name in state.v):
-            raise ValueError(f"only one of state.m and state.v holds tensor {name!r}")
-        shape = tensors[name].shape
-        held = {"gradient": grad, "state.m": state.m.get(name), "state.v": state.v.get(name)}
-        for what, arr in held.items():
-            if arr is not None and arr.shape != shape:
-                raise ValueError(f"{what} for tensor {name!r} has shape {arr.shape}, not {shape}")
+        if grad.shape != shapes[name]:
+            raise ValueError(f"gradient for tensor {name!r} has shape {grad.shape}, not {shapes[name]}")
         if not tensors[name].flags.c_contiguous:
             raise ValueError(f"tensor {name!r} is not C-contiguous; Adam updates it in place")
 
@@ -532,10 +552,7 @@ def adam_step(
     bad = min(ad.paired(lambda: first_bad(0), lambda: first_bad(1)))
     if bad < len(grads):
         raise OptimizationError(f"non-finite gradient for tensor {list(grads)[bad]!r}")
-    for name in grads:  # here, so that the worker never inserts into a dict
-        if name not in state.m:
-            state.m[name] = np.zeros(tensors[name].shape)
-            state.v[name] = np.zeros(tensors[name].shape)
+    state.m, state.v = moments
     state.t += 1
     t = state.t
     correction = (1.0 - beta2**t) ** 0.5
@@ -547,7 +564,7 @@ def adam_step(
         for name, grad in grads.items():
             # Flat views (C order); a gradient that is not contiguous is copied.
             theta, g = tensors[name].reshape(-1), grad.reshape(-1)
-            m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
+            m, v = ms[name].reshape(-1), vs[name].reshape(-1)
             start, stop = (0, theta.size // 2, theta.size)[half : half + 2]
             for lo in range(start, stop, ADAM_BLOCK):
                 hi = min(lo + ADAM_BLOCK, stop)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -65,6 +67,10 @@ def test_one_train_n30_op_passes_its_check_and_replays():
     first = [workload.op(state, k) for k in (1, 2)]
     assert workload.check(state, 1, first[0]) == []
     workload.restore(state, snap)
+    # Restoring copies into the model's array: the tensors, the gradient
+    # buffers and ``save`` still read the same memory.
+    params = state.params
+    assert all(np.shares_memory(arr, params.values) for arr in params.tensors.values())
     assert [workload.op(state, k) for k in (1, 2)] == first
     workload.restore(state, snap)
     tracer = harness.Tracer()

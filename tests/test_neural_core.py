@@ -36,6 +36,7 @@ from uccatree.neural_core import (
     span_affine,
     split_scores,
     tensor_shapes,
+    tensor_views,
 )
 
 
@@ -495,6 +496,12 @@ class TestBiaffine:
                 assert grid[k, :, j] == pytest.approx(cell[0, :, 0], abs=1e-12)
 
 
+def moments(state: AdamState, tensors: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
+    """Each tensor's views of ``state.m`` and of ``state.v``."""
+    shapes = {name: arr.shape for name, arr in tensors.items()}
+    return [tensor_views(flat, shapes) for flat in (state.m, state.v)]
+
+
 class TestOptimizers:
     def test_adam_first_step_closed_form(self):
         lr, eps = 1e-3, 1e-8
@@ -554,7 +561,7 @@ class TestOptimizers:
             adam_step(t, grads, state)
             adam_step(contiguous, {"w": kept["w"].copy()}, other)
         assert np.array_equal(t["frozen"], frozen)
-        assert "frozen" not in state.m and "frozen" not in state.v
+        assert all(not part["frozen"].any() for part in moments(state, t))
         assert np.array_equal(t["w"], contiguous["w"])
         for name, g in grads.items():
             assert np.array_equal(g, kept[name])
@@ -565,7 +572,7 @@ class TestOptimizers:
         with pytest.raises(ValueError, match="'w' is not C-contiguous"):
             adam_step(t, {"a": np.ones(3), "w": np.ones((4, 3))}, state)
         assert t["a"].tolist() == [0.5] * 3 and np.array_equal(t["w"], np.ones((4, 3)))
-        assert state.t == 0 and not state.m and not state.v
+        assert state.t == 0 and state.m is None and state.v is None
 
     def test_failed_step_changes_nothing(self):
         # The bad gradient comes after a good one: the good tensor must
@@ -578,45 +585,37 @@ class TestOptimizers:
         state = AdamState()
         adam_step(t, {"a": np.ones(3), "b": np.ones(2)}, state)
         moved = {k: arr.copy() for k, arr in t.items()}
-        m = {k: arr.copy() for k, arr in state.m.items()}
-        v = {k: arr.copy() for k, arr in state.v.items()}
+        m, v = state.m.copy(), state.v.copy()
         with pytest.raises(OptimizationError, match="'b'"):
             adam_step(t, bad, state)
         assert state.t == 1
         for name in moved:
             assert np.array_equal(t[name], moved[name])
-            assert np.array_equal(state.m[name], m[name])
-            assert np.array_equal(state.v[name], v[name])
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
     @pytest.mark.parametrize(
-        "name, grad, moments, message",
+        "name, grad, stepped, message",
         [
-            ("w", np.ones(3), {}, r"gradient for tensor 'w' has shape \(3,\), not \(2, 2\)"),
-            ("u", np.ones(5), {}, r"gradient for tensor 'u' has shape \(5,\), not \(4,\)"),
-            ("x", np.ones(2), {}, "gradient for 'x', which is not a tensor"),
-            ("w", np.ones((2, 2)), {"m": np.zeros(4)}, r"state.m for tensor 'w' has shape \(4,\), not \(2, 2\)"),
-            ("w", np.ones((2, 2)), {"v": np.zeros(4)}, r"state.v for tensor 'w' has shape \(4,\), not \(2, 2\)"),
-            ("w", np.ones((2, 2)), {"v": None}, "only one of state.m and state.v holds tensor 'w'"),
+            ("w", np.ones(3), None, r"gradient for tensor 'w' has shape \(3,\), not \(2, 2\)"),
+            ("u", np.ones(5), None, r"gradient for tensor 'u' has shape \(5,\), not \(4,\)"),
+            ("x", np.ones(2), None, "gradient for 'x', which is not a tensor"),
+            ("w", np.ones((2, 2)), {"z": np.zeros(5)}, r"state.m has shape \(5,\), not the tensors' \(11,\)"),
         ],
     )
-    def test_wrong_shape_or_name_refused_before_any_change(self, name, grad, moments, message):
-        # A gradient of another shape, a name without a tensor, or a moment
-        # of another shape (say, from another model) or without its twin is
-        # refused by name, after a good gradient, and nothing moves.
+    def test_wrong_shape_or_name_refused_before_any_change(self, name, grad, stepped, message):
+        # A gradient of another shape, a name without a tensor, or a state
+        # whose moments were stepped on another model's tensors (``stepped``)
+        # is refused, after a good gradient, and nothing moves.
         t = {"a": np.full(3, 0.5), "w": np.full((2, 2), 0.5), "u": np.full(4, 0.5)}
         state = AdamState()
-        adam_step(t, {"a": np.ones(3), "w": np.ones((2, 2)), "u": np.ones(4)}, state)
-        for moment, value in moments.items():  # None removes the entry
-            getattr(state, moment).pop("w")
-            if value is not None:
-                getattr(state, moment)["w"] = value
-        kept = [{k: arr.copy() for k, arr in part.items()} for part in (t, state.m, state.v)]
+        stepped = t if stepped is None else stepped
+        adam_step(stepped, {k: np.ones_like(arr) for k, arr in stepped.items()}, state)
+        values, m, v = {k: arr.copy() for k, arr in t.items()}, state.m.copy(), state.v.copy()
         with pytest.raises(ValueError, match=message):
             adam_step(t, {"a": np.ones(3), name: grad}, state)
         assert state.t == 1
-        for part, before in zip((t, state.m, state.v), kept):
-            assert part.keys() == before.keys()
-            assert all(np.array_equal(part[k], before[k]) for k in before)
+        assert all(np.array_equal(t[k], values[k]) for k in values)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
     @pytest.mark.parametrize("block", [5, 1000, 16384, 65536])
     def test_block_size_changes_no_bit(self, monkeypatch, block):
@@ -638,7 +637,7 @@ class TestOptimizers:
             state = AdamState()
             for grads in steps:
                 adam_step(tensors, grads, state)
-            return tensors, state.m, state.v
+            return [tensors, *moments(state, tensors)]
 
         for got, want in zip(run(block), run(2**22)):
             for name in sizes:
@@ -673,9 +672,11 @@ class TestOptimizers:
                 for k, name in enumerate(names) if k % 5 != step
             }
             adam_step(tensors, grads, state)
-        assert state.t == 4 and sorted(state.m) == sorted(state.v) == sorted(names)
+        assert state.t == 4
+        m, v = moments(state, tensors)
+        assert not any(part[name].any() for part in (m, v) for name in tensors if name not in names)
         h = hashlib.sha256()
-        for part in (tensors, state.m, state.v):
+        for part in (tensors, {name: m[name] for name in names}, {name: v[name] for name in names}):
             for name in sorted(part):
                 h.update(f"{name} {part[name].shape}\n".encode())
                 h.update(np.ascontiguousarray(part[name], dtype="<f8").tobytes())
@@ -729,7 +730,7 @@ class TestOptimizers:
         with pytest.raises(OptimizationError, match="non-finite gradient for tensor 'w'$"):
             adam_step(t, {"a": np.ones(3), "w": np.array([1.0, 1.0, 1.0, 1.0, 1.0, np.nan])}, state)
         assert all(np.array_equal(arr, np.full(arr.size, 0.5)) for arr in t.values())
-        assert state.t == 0 and not state.m and not state.v
+        assert state.t == 0 and state.m is None and state.v is None
 
     @pytest.mark.parametrize("first_half, second_half", [(0, 1), (1, 0)])
     def test_the_earlier_of_two_bad_tensors_is_named(self, first_half, second_half):
@@ -788,19 +789,17 @@ class TestCheckpoint:
         assert os.stat(path).st_mode == os.stat(plain).st_mode
         plain.unlink()
 
-        # The interrupt comes after the header and the first tensors are written.
-        contiguous, written = np.ascontiguousarray, []
+        # The interrupt comes after the header is written, as the payload is.
+        model, written = ModelParams.initialize(tiny_config(), seed=1), []
 
         def interrupted(arr, dtype=None):
-            if len(written) == 3:
-                raise KeyboardInterrupt
             written.append(arr)
-            return contiguous(arr, dtype=dtype)
+            raise KeyboardInterrupt
 
         monkeypatch.setattr(np, "ascontiguousarray", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            ModelParams.initialize(tiny_config(), seed=1).save(str(path))
-        assert len(written) == 3
+            model.save(str(path))
+        assert len(written) == 1 and written[0] is model.values
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.json"]
 
@@ -823,6 +822,63 @@ class TestCheckpoint:
         copy = p.copy_tensors()
         copy["emb_word"][0, 0] = 123.0
         assert p.tensors["emb_word"][0, 0] != 123.0
+
+
+class TestStore:
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_tensors_and_buffers_view_their_arrays_at_sorted_offsets(self, tmp_path, loaded):
+        cfg = tiny_config(multilingual=True, languages=[UNK, "de"], pretrained_dim=2, pretrained_words=["a"])
+        p = ModelParams.initialize(cfg, seed=0)
+        if loaded:
+            p.save(str(tmp_path / "model.ckpt"))
+            p = ModelParams.load(str(tmp_path / "model.ckpt"))
+        bound = BoundParams(p)
+        for flat, views in ((p.values, p.tensors), (p.gradients, p.buffers)):
+            assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+            offset = 0
+            for name in sorted(tensor_shapes(cfg)):
+                view = views[name]
+                assert view.shape == tensor_shapes(cfg)[name] and view.flags.c_contiguous, name
+                assert np.shares_memory(view, flat), name
+                assert view.ctypes.data == flat.ctypes.data + 8 * offset, name
+                offset += view.size
+            assert offset == flat.size
+        assert all(bound[name].buffer is p.buffers[name] for name in p.tensors)
+
+    def test_assigning_tensors_copies_into_the_views(self, tmp_path):
+        p = ModelParams.initialize(tiny_config(), seed=0)
+        views = dict(p.tensors)
+        other = ModelParams.initialize(tiny_config(), seed=1)
+        arrays = other.copy_tensors()
+        p.tensors = arrays
+        assert all(p.tensors[name] is view for name, view in views.items())
+        for name, arr in arrays.items():
+            assert np.array_equal(p.tensors[name], arr) and not np.shares_memory(p.tensors[name], arr), name
+        p.save(str(tmp_path / "assigned.ckpt"))
+        other.save(str(tmp_path / "other.ckpt"))
+        assert (tmp_path / "assigned.ckpt").read_bytes() == (tmp_path / "other.ckpt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, arr", [("span_out_b", None), ("zzz", np.zeros(2)), ("span_out_b", np.zeros(2))]
+    )
+    def test_other_names_or_shapes_refused_before_any_tensor_changes(self, name, arr):
+        # A missing name, an extra one, or another shape; the tensors before
+        # the bad one in the mapping's order must not change either.
+        p = ModelParams.initialize(tiny_config(), seed=0)
+        before = p.values.copy()
+        arrays = {key: value + 1.0 for key, value in p.tensors.items()}
+        arrays.pop(name, None)
+        if arr is not None:
+            arrays[name] = arr
+        with pytest.raises(ValueError, match=rf"tensors \['{name}'\] are missing, extra or of another shape"):
+            p.tensors = arrays
+        assert np.array_equal(p.values, before)
+
+    def test_a_value_array_of_another_length_is_refused(self):
+        cfg = tiny_config()
+        size = sum(math.prod(shape) for shape in tensor_shapes(cfg).values())
+        with pytest.raises(ValueError, match=rf"has shape \({size + 1},\), not the tensors' \({size},\)"):
+            ModelParams(cfg, np.zeros(size + 1))
 
 
 class TestBoundParams:

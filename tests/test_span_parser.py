@@ -350,7 +350,7 @@ class TestLossValues:
             return float(loss_topdown(enc, trace, bound).value)
 
         before = loss_of(base)
-        shifted = ModelParams(cfg, base.copy_tensors())
+        shifted = ModelParams(cfg, base.values.copy())
         shifted.tensors["label_out_b"] += 3.7
         shifted.tensors["span_out_b"] += -1.9
         assert loss_of(shifted) == pytest.approx(before, abs=1e-9)

@@ -26,6 +26,8 @@ from uccatree.neural_core import (
     adam_step,
     embed,
     encode,
+    tensor_shapes,
+    tensor_views,
 )
 from uccatree.remote_recovery import loss_remote
 from uccatree.span_parser import loss_topdown
@@ -238,8 +240,9 @@ class TestSentenceLoss:
         grads = sentence_loss(nested, params)[3]
         assert split_head <= grads.keys()
         adam_step(params.tensors, grads, adam)
-        kept = {name: [params.tensors[name].copy(), adam.m[name].copy(), adam.v[name].copy()] for name in split_head}
-        unbuffered = sentence_loss(flat, ModelParams(cfg, params.copy_tensors()))[3]
+        adam_m, adam_v = (tensor_views(moment, tensor_shapes(cfg)) for moment in (adam.m, adam.v))
+        kept = {name: [params.tensors[name].copy(), adam_m[name].copy(), adam_v[name].copy()] for name in split_head}
+        unbuffered = sentence_loss(flat, ModelParams(cfg, params.values.copy()))[3]
         grads = sentence_loss(flat, params)[3]
         assert not split_head & grads.keys()
         assert grads.keys() == unbuffered.keys()
@@ -247,7 +250,7 @@ class TestSentenceLoss:
         adam_step(params.tensors, grads, adam)
         for name, (tensor, m, v) in kept.items():
             assert tensor.tobytes() == params.tensors[name].tobytes(), name
-            assert m.tobytes() == adam.m[name].tobytes() and v.tobytes() == adam.v[name].tobytes(), name
+            assert m.tobytes() == adam_m[name].tobytes() and v.tobytes() == adam_v[name].tobytes(), name
 
     def test_parse_and_checkpoint_leave_the_buffers_out(self, german_graph, tmp_path):
         # A parse runs no backward pass, so it writes no buffer, and a
@@ -259,7 +262,7 @@ class TestSentenceLoss:
         parse_pipeline(german_graph.tokens, params)
         assert all(grads[name].tobytes() == before[name].tobytes() for name in grads)
         params.save(str(tmp_path / "trained.ckpt"))
-        ModelParams(cfg, params.copy_tensors()).save(str(tmp_path / "fresh.ckpt"))
+        ModelParams(cfg, params.values.copy()).save(str(tmp_path / "fresh.ckpt"))
         assert (tmp_path / "trained.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
