@@ -5,59 +5,8 @@ units into plain constituent trees (recording what the tree cannot hold
 on label markers), parses sentences with a greedy top-down span model,
 and restores remote edges with a biaffine classifier over shared BiLSTM
 span representations.
+
+Each name is imported from the module that defines it, such as
+``from uccatree.conversion import graph_to_tree``.  Importing the package
+alone loads none of its modules, nor NumPy.
 """
-
-from .conversion import (
-    ConversionError,
-    ConversionResult,
-    MoveRecord,
-    graph_to_tree,
-    tree_from_sexpr,
-    tree_to_graph,
-    tree_to_sexpr,
-)
-from .evaluation import F1Report, score, score_corpus
-from .generator import SyntheticSpec, generate
-from .graph_model import (
-    ConstituentTree,
-    Edge,
-    EdgeRecord,
-    Token,
-    TreeNode,
-    UccaGraph,
-    load_corpus,
-    dump_corpus,
-)
-from .neural_core import ModelConfig, ModelParams
-from .training import TrainConfig, parse_pipeline, train
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ConstituentTree",
-    "ConversionError",
-    "ConversionResult",
-    "Edge",
-    "EdgeRecord",
-    "F1Report",
-    "ModelConfig",
-    "ModelParams",
-    "MoveRecord",
-    "SyntheticSpec",
-    "Token",
-    "TrainConfig",
-    "TreeNode",
-    "UccaGraph",
-    "dump_corpus",
-    "generate",
-    "graph_to_tree",
-    "load_corpus",
-    "parse_pipeline",
-    "score",
-    "score_corpus",
-    "train",
-    "tree_from_sexpr",
-    "tree_to_graph",
-    "tree_to_sexpr",
-    "__version__",
-]

@@ -9,9 +9,17 @@ remotes) and ``eval``.  Errors exit nonzero and print a JSON object
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before NumPy loads.
+# A threaded BLAS splits a large product between threads and rounds its parts
+# differently, so a parse would depend on the thread count; and the parser
+# already runs a second thread of its own, the BiLSTM's worker.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 

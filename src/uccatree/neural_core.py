@@ -5,8 +5,9 @@ scorer.
 Everything runs on numpy through the :mod:`uccatree.autodiff` tape, in
 64-bit floats, with fully seeded initialization so that two runs from the
 same seed produce bit-identical parameters.  :func:`tensor_shapes` is the
-one inventory of a model's tensors: initialization draws them in its order,
-and :func:`tensor_views` lays them out in a model's flat arrays and checkpoints.
+one inventory of a model's tensors (its lookup tables come from
+:func:`lookup_tables`): initialization draws them in its order, and
+:func:`tensor_views` lays them out in a model's flat arrays and checkpoints.
 """
 
 from __future__ import annotations
@@ -102,13 +103,7 @@ class ModelConfig(ModelHyperparams):
 
     @property
     def input_dim(self) -> int:
-        dim = self.word_dim
-        dim += self.tag_dim * (int(self.use_pos) + int(self.use_ner) + int(self.use_dep))
-        if self.multilingual:
-            dim += self.lang_dim
-        dim += self.pretrained_dim
-        dim += self.external_dim
-        return dim
+        return sum(width for _, _, width in lookup_tables(self).values()) + self.external_dim
 
     @property
     def span_dim(self) -> int:
@@ -118,20 +113,28 @@ class ModelConfig(ModelHyperparams):
         return asdict(self)
 
 
+def lookup_tables(config: ModelConfig) -> dict[str, tuple[list[str], str, int]]:
+    """Each lookup table ``config`` turns on, by tensor name in input order:
+    its row strings, the token field it reads and its width.  Row 0 is the
+    table's reserved row, which every unseen string reads: the pretrained
+    words follow its zero row."""
+    c = config
+    tables = (
+        (True, "emb_word", c.words, "form", c.word_dim),
+        (c.use_pos, "emb_pos", c.pos_tags, "pos", c.tag_dim),
+        (c.use_ner, "emb_ner", c.ner_tags, "ner", c.tag_dim),
+        (c.use_dep, "emb_dep", c.dep_labels, "dep", c.tag_dim),
+        (c.multilingual, "emb_lang", c.languages, "lang", c.lang_dim),
+        (c.pretrained_dim, "emb_pre", [UNK, *c.pretrained_words], "form", c.pretrained_dim),
+    )
+    return {name: (rows, key, width) for used, name, rows, key, width in tables if used}
+
+
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """The name and shape of every tensor of a model with ``config``, in the
     order :meth:`ModelParams.initialize` draws them."""
     c, h = config, config.lstm_hidden
-    shapes = {"emb_word": (len(c.words), c.word_dim)}
-    for used, name, shape in (
-        (c.use_pos, "emb_pos", (len(c.pos_tags), c.tag_dim)),
-        (c.use_ner, "emb_ner", (len(c.ner_tags), c.tag_dim)),
-        (c.use_dep, "emb_dep", (len(c.dep_labels), c.tag_dim)),
-        (c.multilingual, "emb_lang", (len(c.languages), c.lang_dim)),
-        (c.pretrained_dim, "emb_pre", (len(c.pretrained_words) + 1, c.pretrained_dim)),
-    ):
-        if used:
-            shapes[name] = shape
+    shapes = {name: (len(rows), width) for name, (rows, _, width) in lookup_tables(c).items()}
     for layer, d_in in ((1, c.input_dim), (2, 2 * h)):
         for direction in "fb":
             prefix = f"lstm{layer}{direction}"
@@ -195,17 +198,8 @@ class ModelParams:
         self._tensors = tensor_views(self.values, shapes, "the value array")
         self.gradients = np.empty_like(self.values)
         self.buffers = tensor_views(self.gradients, shapes)
-        # Each lookup table's vocabulary and the token field it reads, by tensor
-        # name in input order.  Index 0 is the table's reserved row, which every
-        # unseen string reads: the pretrained words follow its zero row.
-        self.lookups = {
-            "emb_word": (Vocab(config.words), "form"),
-            "emb_pos": (Vocab(config.pos_tags), "pos"),
-            "emb_ner": (Vocab(config.ner_tags), "ner"),
-            "emb_dep": (Vocab(config.dep_labels), "dep"),
-            "emb_lang": (Vocab(config.languages), "lang"),
-            "emb_pre": (Vocab([UNK, *config.pretrained_words]), "form"),
-        }
+        # Each lookup table's vocabulary and the token field it reads.
+        self.lookups = {name: (Vocab(rows), key) for name, (rows, key, _) in lookup_tables(config).items()}
         self.labels = Vocab(config.labels)
         self.remote_labels = Vocab(config.remote_labels)
 
@@ -356,7 +350,6 @@ def embed(
     parts = [
         ad.index(bound[name], [vocab.lookup(lang if key == "lang" else getattr(t, key)) for t in tokens])
         for name, (vocab, key) in bound.params.lookups.items()
-        if name in bound.vars
     ]
     if cfg.external_dim:
         if external is None:

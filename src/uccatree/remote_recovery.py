@@ -118,7 +118,9 @@ def predict_remotes(
     rows, cols, best = grid.rows[hits], grid.cols[hits], best[hits]
     margins = cells[hits, best] - cells[hits, 0]
     child_at = np.searchsorted(grid.parents, grid.children)[rows]
-    proposals = sorted(zip((-margins).tolist(), child_at.tolist(), cols.tolist(), best.tolist()))
+    # By descending margin, then child and parent column: each cell is one proposal.
+    order = np.lexsort((cols, child_at, -margins))
+    proposals = zip(child_at[order].tolist(), cols[order].tolist(), best[order].tolist())
 
     # reach[a, b]: column a reaches column b, kept closed under every edge linked so far.
     reach = np.eye(len(grid.parents), dtype=bool)
@@ -134,7 +136,7 @@ def predict_remotes(
 
     labels = bound.config.remote_labels
     accepted: list[tuple[int, int, str]] = []
-    for _, child, parent, label in proposals:
+    for child, parent, label in proposals:
         if (parent, child) in primary:
             continue
         if reach[child, parent]:

@@ -15,6 +15,7 @@ import pytest
 
 import uccatree
 from uccatree.cli import main
+from uccatree.generator import SyntheticSpec, generate
 from uccatree.graph_model import (
     ConstituentTree,
     Edge,
@@ -843,3 +844,29 @@ class TestConsoleScript:
             assert proc.returncode == 0, f"{exe}: {proc.stderr}"
             assert "wrote 2 graphs" in proc.stdout
             assert len(load_corpus(str(out))) == 2
+
+
+class TestBlasThreads:
+    def test_parse_bytes_do_not_depend_on_the_callers_blas_variables(self, tmp_path):
+        """``ucca parse`` runs BLAS on one thread unless its caller chose
+        otherwise: long sentences through a paper-size random model give the
+        same bytes with the variables unset as with them at 1.  (Importing
+        ``uccatree.cli`` here set them in this process, so they are removed
+        from the unset run's environment.)"""
+        model, corpus = tmp_path / "model.ckpt", tmp_path / "in.jsonl"
+        config = build_model_config(generate(SyntheticSpec(sentences=50), seed=1), TrainConfig(seed=3))
+        ModelParams.initialize(config, seed=3).save(str(model))
+        dump_corpus(generate(SyntheticSpec(sentences=8, min_tokens=40, max_tokens=80), seed=7), str(corpus))
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        checkout = dict(os.environ, PYTHONPATH=str(Path(uccatree.__file__).resolve().parents[1]))
+        unset = {k: v for k, v in checkout.items() if k not in blas}
+        outputs = []
+        for k, env in enumerate([unset, {**unset, **dict.fromkeys(blas, "1")}]):
+            out = tmp_path / f"out{k}.jsonl"
+            subprocess.run(
+                [sys.executable, "-m", "uccatree.cli", "parse", "--model", str(model), "--in", str(corpus),
+                 "--out", str(out)],
+                env=env, capture_output=True, timeout=300, check=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

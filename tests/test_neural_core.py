@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -72,6 +73,14 @@ class TestConfig:
         assert tiny_config(external_dim=5).input_dim == 4 + 2 + 5
         assert tiny_config(pretrained_dim=7).input_dim == 4 + 2 + 7
         assert tiny_config(use_ner=True, use_dep=True).input_dim == 4 + 3 * 2
+
+    def test_lookups_input_dim_and_tensors_name_the_same_tables(self):
+        for pos, ner, dep, multilingual, pre, ext in itertools.product((False, True), repeat=6):
+            cfg = tiny_config(use_pos=pos, use_ner=ner, use_dep=dep, multilingual=multilingual,
+                              pretrained_dim=7 * pre, pretrained_words=["a"] * pre, external_dim=5 * ext)
+            tables = {name: shape for name, shape in tensor_shapes(cfg).items() if name.startswith("emb_")}
+            assert list(ModelParams.initialize(cfg).lookups) == list(tables)
+            assert cfg.input_dim == sum(width for _, width in tables.values()) + cfg.external_dim
 
     def test_default_dimensions(self):
         cfg = ModelConfig()
