@@ -88,15 +88,15 @@ class Var:
     # -- operator sugar -------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
 
 class Leaf(Var):
@@ -146,8 +146,10 @@ def _backprop(root: Var, grad: np.ndarray) -> None:
             node._bw(node.grad)
 
 
-def _wrap(x) -> Var:
-    return x if isinstance(x, Var) else Var(np.asarray(x, dtype=np.float64))
+def _wrap(x, like: Var) -> Var:
+    """``x`` as a Var; a number becomes one of ``like``'s dtype, so that
+    ``0.0 - v`` or ``v + 1.0`` keeps ``v``'s."""
+    return x if isinstance(x, Var) else Var(np.asarray(x, dtype=like.value.dtype))
 
 
 # -- arithmetic ---------------------------------------------------------
@@ -236,7 +238,7 @@ def index(a: Var, key) -> Var:
     out = Var(a.value[key], (a,))
 
     def bw(g: np.ndarray) -> None:
-        grad = np.zeros(a.value.shape)
+        grad = np.zeros(a.value.shape, dtype=a.value.dtype)
         np.add.at(grad, key, g)
         a._accumulate(grad, fresh=True)
 
@@ -269,8 +271,8 @@ def relu(a: Var) -> Var:
 
 
 def vsum(a: Var) -> Var:
-    """Sum of all elements."""
-    out = Var(a.value.sum(), (a,))
+    """Sum of all elements, reduced in float64 whatever ``a``'s dtype."""
+    out = Var(a.value.sum(dtype=np.float64), (a,))
 
     def bw(g: np.ndarray) -> None:
         a._accumulate(np.full_like(a.value, float(g)), fresh=True)
@@ -291,10 +293,10 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
     array, then takes each input's gradient in one product (arXiv 1604.01946).
     Each step writes into rows of those arrays, allocating nothing."""
     x, wh = projected.value[::-1] if reverse else projected.value, w_h.value
-    n, h_dim = x.shape[0], wh.shape[1]
-    acts = np.empty(x.shape)  # sigmoid of the i, f, o blocks, tanh of g
-    cells = np.zeros((n + 1, h_dim))  # row k + 1 after step k, row 0 the zero state
-    states = np.zeros((n + 1, h_dim))
+    n, h_dim, dtype = x.shape[0], wh.shape[1], x.dtype
+    acts = np.empty(x.shape, dtype)  # sigmoid of the i, f, o blocks, tanh of g
+    cells = np.zeros((n + 1, h_dim), dtype)  # row k + 1 after step k, row 0 the zero state
+    states = np.zeros((n + 1, h_dim), dtype)
     for k in range(n):
         pre, c, s = acts[k], cells[k + 1], states[k + 1]
         np.dot(wh, states[k], out=pre)
@@ -319,9 +321,9 @@ def lstm(projected: Var, w_h: Var, reverse: bool = False) -> Var:
         d_tanh_cells = 1.0 - tanh_cells**2
         slopes = acts * (1.0 - acts)
         slopes[:, 3 * h_dim :] = 1.0 - acts[:, 3 * h_dim :] ** 2
-        d_projected = np.empty(x.shape)  # C order: each row's four gate blocks are views
+        d_projected = np.empty(x.shape, dtype)  # C order: each row's four gate blocks are views
         d_gates = d_projected[::-1] if reverse else d_projected  # in step order
-        dh, dc, scratch = np.zeros(h_dim), np.zeros(h_dim), np.empty(h_dim)
+        dh, dc, scratch = np.zeros(h_dim, dtype), np.zeros(h_dim, dtype), np.empty(h_dim, dtype)
         for k in range(n - 1, -1, -1):
             i, f, o, g = acts[k].reshape(4, h_dim)
             dh += d_states[k]
@@ -424,7 +426,8 @@ def bilstm(x: Var, forward: tuple[Var, Var, Var], reverse: tuple[Var, Var, Var])
 
 def cross_entropy_rows(scores: Var, gold: Sequence[int]) -> Var:
     """Summed negative log softmax probability of ``gold[r]`` in row ``r``
-    of an (m, labels) score matrix, numerically stable."""
+    of an (m, labels) score matrix, numerically stable; the rows' terms
+    are summed in float64."""
     s = scores.value
     rows = np.arange(s.shape[0])
     gold = np.asarray(gold, dtype=np.intp)
@@ -432,7 +435,7 @@ def cross_entropy_rows(scores: Var, gold: Sequence[int]) -> Var:
     exp = np.exp(s - m)
     z = exp.sum(axis=1, keepdims=True)
     softmax = exp / z
-    out = Var(((np.log(z) + m)[:, 0] - s[rows, gold]).sum(), (scores,))
+    out = Var(((np.log(z) + m)[:, 0] - s[rows, gold]).sum(dtype=np.float64), (scores,))
 
     def bw(g: np.ndarray) -> None:
         grad = softmax * float(g)

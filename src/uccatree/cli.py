@@ -42,7 +42,7 @@ from .graph_model import (
 )
 from .neural_core import ModelParams, check_external
 from .stats import discontinuity_stats
-from .training import TrainConfig, encode_sentence, parse_pipeline, restore_graph, train
+from .training import TRAIN_DTYPE, TrainConfig, encode_sentence, parse_pipeline, restore_graph, train
 
 
 class CliError(Exception):
@@ -55,10 +55,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _load_external(
-    paths: Sequence[str], sentences: Sequence[Sequence[Token]], what: str, width: int = 0
+    paths: Sequence[str], sentences: Sequence[Sequence[Token]], what: str, dtype: str, width: int = 0
 ) -> tuple[list[np.ndarray], int]:
     """The per-token feature matrices in ``paths``, one per sentence in
-    order, and their width; each is checked before any work is done."""
+    order, and their width; each is checked, for a model of ``dtype``,
+    before any work is done."""
 
     def vectors(record: dict) -> np.ndarray:
         rows = [json_typed(row, list, "each vector") for row in json_typed(record["vectors"], list, "vectors")]
@@ -71,7 +72,7 @@ def _load_external(
     if len(matrices) != len(sentences):
         raise CliError(f"{len(matrices)} external feature records for {len(sentences)} {what}")
     for path, records in zip(paths, loaded):
-        width = check_external(records, sentences[: len(records)], path, width)
+        width = check_external(records, sentences[: len(records)], path, dtype, width)
         sentences = sentences[len(records) :]
     return matrices, width
 
@@ -165,10 +166,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     width = 0
     if args.external_features:
         sentences = [g.tokens for g in train_graphs]
-        external_train, width = _load_external(args.external_features, sentences, "training sentences")
+        paths = args.external_features
+        external_train, width = _load_external(paths, sentences, "training sentences", TRAIN_DTYPE)
     if args.dev_external_features:
         paths, sentences = [args.dev_external_features], [g.tokens for g in dev_graphs]
-        external_dev, _ = _load_external(paths, sentences, "dev sentences", width)
+        external_dev, _ = _load_external(paths, sentences, "dev sentences", TRAIN_DTYPE, width)
     result = train(
         train_graphs,
         dev_graphs,
@@ -191,7 +193,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     external = None
     if args.external_features:
         paths, width = [args.external_features], params.config.external_dim
-        external, _ = _load_external(paths, sentences, "sentences", width)
+        external, _ = _load_external(paths, sentences, "sentences", params.config.dtype, width)
     parsed = []
     for k, tokens in enumerate(sentences):
         ext = external[k] if external is not None else None

@@ -3,11 +3,12 @@ layers on projected fenceposts, MLP scoring heads and a biaffine pair
 scorer.
 
 Everything runs on numpy through the :mod:`uccatree.autodiff` tape, in
-64-bit floats, with fully seeded initialization so that two runs from the
-same seed produce bit-identical parameters.  :func:`tensor_shapes` is the
-one inventory of a model's tensors (its lookup tables come from
-:func:`lookup_tables`): initialization draws them in its order, and
-:func:`tensor_views` lays them out in a model's flat arrays and checkpoints.
+the model's ``dtype`` (float64 unless its config names float32), with fully
+seeded initialization so that two runs from the same seed produce
+bit-identical parameters.  :func:`tensor_shapes` is the one inventory of a
+model's tensors (its lookup tables come from :func:`lookup_tables`):
+initialization draws them in its order, and :func:`tensor_views` lays them
+out in a model's flat arrays and checkpoints.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ UNK = "<unk>"
 
 class OptimizationError(Exception):
     """Raised when training produces non-finite gradients."""
+
+
+# The dtypes a model computes in: float32 trains and parses, float64 also
+# serves the finite-difference checks.
+DTYPES = ("float32", "float64")
 
 
 @dataclass
@@ -56,7 +62,8 @@ class ModelHyperparams:
     def from_json(cls, data: dict):
         """An instance from a JSON object of field values, each optional and of its
         default's JSON type (a float takes any finite number, a path null).  The
-        widths and ``max_epochs`` are at least 1, other integers at least 0."""
+        widths and ``max_epochs`` are at least 1, other integers at least 0, and
+        a :class:`ModelConfig`'s ``dtype`` is one of :data:`DTYPES`."""
         widths = {"word_dim", "tag_dim", "lang_dim", "lstm_hidden", "mlp_hidden", "remote_mlp_dim"}
         defaults = vars(cls())
         unknown = set(json_typed(data, dict, f"the {cls.__name__}")) - set(defaults)
@@ -75,6 +82,8 @@ class ModelHyperparams:
                     json_typed(item, str, f"each item of {what}")
             elif type(default) is int and value < least:
                 raise ValueError(f"{what} must be at least {least}, got {value}")
+            elif key == "dtype" and value not in DTYPES:
+                raise ValueError(f"{what} must be one of {list(DTYPES)}, got {value!r}")
         return cls(**data)
 
 
@@ -88,8 +97,11 @@ class ModelConfig(ModelHyperparams):
     index 0 is ``<unk>`` for token-feature vocabularies, the empty label
     for span labels, and ``NOT-PARENT`` for remote labels.  Only
     ``pretrained_words`` omits it: its words name the pretrained rows 1, 2, ...
+    ``dtype`` is that of every array the model computes with: training
+    builds float32 models, and a config built by hand is float64.
     """
 
+    dtype: str = "float64"
     pretrained_dim: int = 0
     external_dim: int = 0
     words: list[str] = field(default_factory=lambda: [UNK])
@@ -185,16 +197,18 @@ class Vocab:
 
 class ModelParams:
     """All trainable tensors plus the configuration that shapes them.  The
-    C-contiguous float64 array ``values`` holds the tensors in the layout of
-    :func:`tensor_views`, and ``tensors[name]`` is a view of it; assigning a
-    mapping to ``tensors`` copies into these views.  Backward writes each
+    C-contiguous array ``values``, of the config's ``dtype``, holds the
+    tensors in the layout of :func:`tensor_views`, and ``tensors[name]`` is a
+    view of it; assigning a mapping to ``tensors`` copies into these views.  Backward writes each
     tensor's gradient into ``buffers[name]``, the same view of ``gradients``:
     kept from step to step, so a step maps no fresh memory."""
 
     def __init__(self, config: ModelConfig, values: np.ndarray):
+        if config.dtype not in DTYPES:  # a checkpoint could not hold it
+            raise ValueError(f"model dtype {config.dtype!r} is not one of {list(DTYPES)}")
         self.config = config
         shapes = tensor_shapes(config)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
+        self.values = np.ascontiguousarray(values, dtype=config.dtype)
         self._tensors = tensor_views(self.values, shapes, "the value array")
         self.gradients = np.empty_like(self.values)
         self.buffers = tensor_views(self.gradients, shapes)
@@ -230,7 +244,7 @@ class ModelParams:
         forget gates' 1, and every weight Glorot-uniform."""
         rng = np.random.default_rng(seed)
         shapes = tensor_shapes(config)
-        params = cls(config, np.zeros(sum(map(math.prod, shapes.values()))))
+        params = cls(config, np.zeros(sum(map(math.prod, shapes.values())), config.dtype))
         for name, tensor in params.tensors.items():
             shape = tensor.shape
             if name == "emb_pre" and pretrained is not None:
@@ -252,12 +266,14 @@ class ModelParams:
 
     def save(self, path: str) -> None:
         """A JSON header line naming the config and the sorted tensor names,
-        then ``values`` as little-endian float64, each tensor's in that order."""
+        then ``values`` little-endian in the config's dtype, each tensor's in
+        that order.  A header without ``dtype`` (written before it was a key)
+        reads as float64."""
         names = sorted(self.tensors)
         header = {"config": self.config.to_json(), "tensors": names, "version": self.CHECKPOINT_VERSION}
         with atomic_output(path, binary=True) as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8"))
+            fh.write(np.ascontiguousarray(self.values, dtype=self.values.dtype.newbyteorder("<")))
 
     @classmethod
     def load(cls, path: str) -> ModelParams:
@@ -273,7 +289,8 @@ class ModelParams:
                 names = sorted(shapes)
                 if header.get("tensors") != names:
                     raise ValueError(f"tensors {header.get('tensors')!r} are not the config's {names}")
-                flat = np.empty(sum(map(math.prod, shapes.values())), dtype="<f8")  # a huge config fails here
+                dtype = np.dtype(config.dtype).newbyteorder("<")
+                flat = np.empty(sum(map(math.prod, shapes.values())), dtype)  # a huge config fails here
             except (TypeError, ValueError, MemoryError) as exc:
                 raise ValueError(f"{path}: checkpoint header: {exc}") from None
             if fh.readinto(flat) != flat.nbytes or fh.read(1):
@@ -308,13 +325,13 @@ class BoundParams:
 
 
 def check_external(
-    matrices: Sequence[np.ndarray], sentences: Sequence[Sequence[Token]], source: str, width: int = 0
+    matrices: Sequence[np.ndarray], sentences: Sequence[Sequence[Token]], source: str, dtype: str, width: int = 0
 ) -> int:
     """The width of per-token external feature matrices, one per sentence:
     ``width`` if nonzero, else the first matrix's.  Another number of matrices
     than of sentences raises naming ``source``, and a matrix without one row per
-    token of that width, of width 0, or with a NaN or infinity, naming its
-    1-based record too."""
+    token of that width, of width 0, or with a NaN or a value that is infinite
+    in ``dtype`` (the model's), naming its 1-based record too."""
     if len(matrices) != len(sentences):
         raise ValueError(f"{source}: {len(matrices)} external feature matrices for {len(sentences)} sentences")
     for k, (matrix, tokens) in enumerate(zip(matrices, sentences), start=1):
@@ -327,7 +344,7 @@ def check_external(
             )
         if not width:
             raise ValueError(f"{source}: record {k}: external features of width 0")
-        if not np.isfinite(matrix).all():
+        if not finite_in(matrix, dtype):
             raise ValueError(f"{source}: record {k}: external features hold NaN or infinite values")
     return width
 
@@ -354,8 +371,10 @@ def embed(
     if cfg.external_dim:
         if external is None:
             raise ValueError("model expects external feature vectors but none were given")
-        check_external([external], [tokens], "sentence", cfg.external_dim)
-        parts.append(Var(np.asarray(external, dtype=np.float64)))
+        with np.errstate(over="ignore"):  # 1e300 is infinite in float32: refused next
+            external = np.asarray(external, dtype=cfg.dtype)
+        check_external([external], [tokens], "sentence", cfg.dtype, cfg.external_dim)
+        parts.append(Var(external))
     elif external is not None:
         raise ValueError("model takes no external feature vectors but some were given")
     return ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
@@ -396,7 +415,7 @@ def encode(inputs: Var, bound: BoundParams) -> Encoding:
         raise ValueError("cannot encode an empty sentence")
     top = ad.bilstm(ad.bilstm(inputs, *_directions(bound, 1)), *_directions(bound, 2))
     h = bound.config.lstm_hidden
-    zeros = Var(np.zeros((1, h)))
+    zeros = Var(np.zeros((1, h), top.value.dtype))
     forward = ad.concat([zeros, ad.index(top, (slice(None), slice(None, h)))], axis=0)
     backward = ad.concat([ad.index(top, (slice(None), slice(h, None))), zeros], axis=0)
     return Encoding(fenceposts=ad.concat([forward, 0.0 - backward], axis=1), n=n)
@@ -454,7 +473,7 @@ def biaffine(children: Var, parents: Var, w: Var) -> Var:
     of each label slice acts as a parent-only bias term.
     """
     c, (rows, labels, dp), m = children.shape[0], w.shape, parents.shape[0]
-    extended = ad.concat([children, Var(np.ones((c, 1)))], axis=1)
+    extended = ad.concat([children, Var(np.ones((c, 1), children.value.dtype))], axis=1)
     left = ad.reshape(ad.matmul(extended, ad.reshape(w, (rows, labels * dp))), (c * labels, dp))
     return ad.reshape(ad.linear(left, parents), (c, labels, m))
 
@@ -469,6 +488,13 @@ def _finite(values: np.ndarray) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         total = values.sum()
     return bool(np.isfinite(total) or np.isfinite(values).all())
+
+
+def finite_in(values, dtype: str) -> bool:
+    """Whether ``values`` are finite once cast to ``dtype``: 1e300 is not
+    in float32."""
+    with np.errstate(over="ignore"):
+        return _finite(np.asarray(values, dtype=dtype))
 
 
 @dataclass
@@ -486,10 +512,12 @@ class AdamState:
 # wants, so small blocks lose to the handoffs: at 2 Ki elements the two
 # threads took 67 ms over the 29 paper-size tensors, one thread 30 ms.
 # Large blocks lose the L2: a block's slices of the tensor, m, v and the
-# gradient and the scratch block are 40 bytes an element, 2.5 MiB at 64 Ki,
-# against 2 MiB of L2 per core.  On a 2-core Xeon with one BLAS thread the
-# two threads took 16.3, 13.6, 13.4, 14.3 and 14.9 ms at 16, 32, 64, 128
-# and 256 Ki (medians of 30 interleaved rounds).
+# gradient and the scratch block are 40 bytes an element in float64, 2.5 MiB
+# at 64 Ki, against 2 MiB of L2 per core.  On a 2-core Xeon with one BLAS
+# thread the two threads took 16.3, 13.6, 13.4, 14.3 and 14.9 ms at 16, 32,
+# 64, 128 and 256 Ki (medians of 30 interleaved rounds).  In float32 (20
+# bytes an element) 32 to 256 Ki took 6.2 to 9.5 ms, with no size ahead of
+# 64 Ki by more than the spread between runs.
 ADAM_BLOCK = 65536
 
 
@@ -510,8 +538,10 @@ def adam_step(
     a scratch block.  Only the tensors named in ``grads`` change.  A
     non-finite gradient raises before any tensor or any optimizer state
     changes, and so does a gradient for a name that ``tensors`` lacks or of
-    another shape than its tensor's, a tensor that is not C-contiguous, and
-    a moment of another length than all of ``tensors`` (from another model).
+    another shape or dtype than its tensor's, a tensor that is not
+    C-contiguous, and a moment of another length or dtype than all of
+    ``tensors`` (from another model).  The moments and the scratch blocks
+    are of the tensors' dtype.
 
     Each tensor is split at its midpoint: the caller checks, then updates,
     flat elements ``[0, size // 2)`` and ``autodiff``'s worker thread
@@ -523,13 +553,19 @@ def adam_step(
     """
     shapes = {name: arr.shape for name, arr in tensors.items()}
     size = sum(map(math.prod, shapes.values()))
-    moments = (np.zeros(size), np.zeros(size)) if state.m is None else (state.m, state.v)
+    dtype = np.result_type(*tensors.values()) if tensors else np.float64
+    moments = (np.zeros(size, dtype), np.zeros(size, dtype)) if state.m is None else (state.m, state.v)
     ms, vs = (tensor_views(flat, shapes, f"state.{what}") for flat, what in zip(moments, "mv"))
-    for name, grad in grads.items():  # before anything changes
+    for flat, what in zip(moments, "mv"):  # before anything changes
+        if flat.dtype != dtype:
+            raise ValueError(f"state.{what} is {flat.dtype}, not the tensors' {dtype}")
+    for name, grad in grads.items():
         if name not in tensors:
             raise ValueError(f"gradient for {name!r}, which is not a tensor")
         if grad.shape != shapes[name]:
             raise ValueError(f"gradient for tensor {name!r} has shape {grad.shape}, not {shapes[name]}")
+        if grad.dtype != tensors[name].dtype:
+            raise ValueError(f"gradient for tensor {name!r} is {grad.dtype}, not {tensors[name].dtype}")
         if not tensors[name].flags.c_contiguous:
             raise ValueError(f"tensor {name!r} is not C-contiguous; Adam updates it in place")
 
@@ -553,7 +589,7 @@ def adam_step(
     eps_hat = eps * correction
 
     def update(half: int) -> None:
-        scratch = np.empty(ADAM_BLOCK)
+        scratch = np.empty(ADAM_BLOCK, dtype)
         for name, grad in grads.items():
             # Flat views (C order); a gradient that is not contiguous is copied.
             theta, g = tensors[name].reshape(-1), grad.reshape(-1)

@@ -10,7 +10,6 @@ epochs without improvement or at the epoch cap.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -34,11 +33,16 @@ from .neural_core import (
     check_external,
     embed,
     encode,
+    finite_in,
 )
 from .remote_recovery import RemoteGrid, enumerate_pairs, loss_remote, predict_remotes
 from .span_parser import gold_trace, loss_topdown, parse_topdown
 
 DECOMPOSITION_TOLERANCE = 1e-12
+
+# The dtype of every model that training builds; a ModelConfig built by
+# hand stays float64, for the finite-difference checks.
+TRAIN_DTYPE = "float32"
 
 
 @dataclass
@@ -115,6 +119,7 @@ def _model_config_from_examples(
     words, matrix = pretrained or ([], np.zeros((1, 0)))  # no pretrained rows: width 0
     return ModelConfig(
         **config.hyperparams(),
+        dtype=TRAIN_DTYPE,
         pretrained_dim=matrix.shape[1],
         external_dim=next((ex.external.shape[1] for ex in examples if ex.external is not None), 0),
         words=Vocab.build(t.form for t in tokens).items,
@@ -130,13 +135,13 @@ def _model_config_from_examples(
     )
 
 
-def load_pretrained(path: str) -> tuple[list[str], np.ndarray]:
+def load_pretrained(path: str, dtype: str) -> tuple[list[str], np.ndarray]:
     """Read text-format word vectors: one whitespace-separated ``word v1 .. vk``
     line per word.
 
     A leading ``count dim`` header line is accepted and skipped, and every
-    value must be a finite number.  Returns the word list and a matrix with
-    a zero row 0 reserved for unknowns.
+    value must be a number that is finite in ``dtype``.  Returns the word
+    list and a ``dtype`` matrix with a zero row 0 reserved for unknowns.
     """
     words: list[str] = []
     vectors: list[list[float]] = []
@@ -167,13 +172,13 @@ def load_pretrained(path: str) -> tuple[list[str], np.ndarray]:
                 vector = [float(v) for v in values]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, vector)):
+            if not finite_in(vector, dtype):
                 raise ValueError(f"{path}:{lineno}: vector holds NaN or infinite values")
             vectors.append(vector)
             words.append(word)
     if dim is None:
         raise ValueError(f"{path}: no vectors found")
-    matrix = np.vstack([np.zeros((1, dim)), np.asarray(vectors, dtype=np.float64)])
+    matrix = np.vstack([np.zeros((1, dim), dtype), np.asarray(vectors, dtype=dtype)])
     return words, matrix
 
 
@@ -266,10 +271,10 @@ def train(
     if (external_train is None) != (external_dev is None):
         given, missing = ("training", "dev") if external_dev is None else ("dev", "training")
         raise ValueError(f"external features given for the {given} set but not for the {missing} set")
-    pretrained = load_pretrained(config.pretrained_path) if config.pretrained_path else None
+    pretrained = load_pretrained(config.pretrained_path, TRAIN_DTYPE) if config.pretrained_path else None
     if external_train is not None:
-        width = check_external(external_train, [g.tokens for g in train_graphs], "training set")
-        check_external(external_dev, [g.tokens for g in dev_graphs], "dev set", width)
+        width = check_external(external_train, [g.tokens for g in train_graphs], "training set", TRAIN_DTYPE)
+        check_external(external_dev, [g.tokens for g in dev_graphs], "dev set", TRAIN_DTYPE, width)
 
     externals = [None] * len(train_graphs) if external_train is None else external_train
     examples = [prepare_example(g, external=ext) for g, ext in zip(train_graphs, externals)]

@@ -20,7 +20,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import math
 import os
 import random
 import re
@@ -295,17 +294,23 @@ def test_tree_records_through_restore(workdir, tree):
 
 
 def acceptable_features(record: dict, tokens: int) -> bool:
-    """Whether ``record`` holds one vector per token: a list of two finite
-    JSON numbers, where a string or a boolean is not a number."""
+    """Whether ``record`` holds one vector per token: a list of two JSON
+    numbers that are finite in float32, the dtype of the models here (1e300
+    is not), where a string or a boolean is not a number."""
     vectors = record.get("vectors")
     return (
         isinstance(vectors, list)
         and len(vectors) == tokens
         and all(
-            isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) and math.isfinite(x) for x in v)
+            isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) and finite32(x) for x in v)
             for v in vectors
         )
     )
+
+
+def finite32(x: int | float) -> bool:
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.float32(x)))
 
 
 # Finite but huge features saturate the LSTM gates, which numpy reports.
@@ -314,6 +319,7 @@ def acceptable_features(record: dict, tokens: int) -> bool:
 @example(mutation=(("vectors", 1, 0), float("inf")))
 @example(mutation=(("vectors", 0, 0), "1.5"))
 @example(mutation=(("vectors", 1, 1), True))
+@example(mutation=(("vectors", 0, 0), 1e300))
 @settings(max_examples=30)
 @given(mutation=mutations(FEATURES))
 def test_feature_records_through_parse_and_train(workdir, mutation):

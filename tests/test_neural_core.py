@@ -99,12 +99,17 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("dtype", "float64"), ("lstm_hidden", "5"), ("lstm_hidden", 0), ("external_dim", -1),
+        [("dtype", "float16"), ("lstm_hidden", "5"), ("lstm_hidden", 0), ("external_dim", -1),
          ("use_pos", 1), ("words", ["a", 1]), ("labels", "A")],
     )
     def test_from_json_refuses_what_a_checkpoint_cannot_hold(self, key, value):
         with pytest.raises((TypeError, ValueError), match=key):
             ModelConfig.from_json({**tiny_config().to_json(), key: value})
+
+    @pytest.mark.parametrize("dtype", ["float16", "int64", "f4"])
+    def test_a_model_of_another_dtype_is_refused(self, dtype):
+        with pytest.raises(ValueError, match=f"model dtype '{dtype}' is not one of"):
+            ModelParams.initialize(tiny_config(dtype=dtype), seed=0)
 
 
 class TestVocab:
@@ -609,12 +614,16 @@ class TestOptimizers:
             ("u", np.ones(5), None, r"gradient for tensor 'u' has shape \(5,\), not \(4,\)"),
             ("x", np.ones(2), None, "gradient for 'x', which is not a tensor"),
             ("w", np.ones((2, 2)), {"z": np.zeros(5)}, r"state.m has shape \(5,\), not the tensors' \(11,\)"),
+            ("w", np.ones((2, 2), np.float32), None, "gradient for tensor 'w' is float32, not float64"),
+            ("w", np.ones((2, 2)), {"z": np.zeros(11, np.float32)}, "state.m is float32, not the tensors' float64"),
         ],
     )
     def test_wrong_shape_or_name_refused_before_any_change(self, name, grad, stepped, message):
-        # A gradient of another shape, a name without a tensor, or a state
-        # whose moments were stepped on another model's tensors (``stepped``)
-        # is refused, after a good gradient, and nothing moves.
+        # A gradient of another shape or dtype, a name without a tensor, or a
+        # state whose moments were stepped on another model's tensors
+        # (``stepped``) is refused, after a good gradient, and nothing moves.
+        # A gradient of another dtype would otherwise take NumPy's slower
+        # mixed-precision loops into the tensors.
         t = {"a": np.full(3, 0.5), "w": np.full((2, 2), 0.5), "u": np.full(4, 0.5)}
         state = AdamState()
         stepped = t if stepped is None else stepped
@@ -768,6 +777,32 @@ class TestCheckpoint:
         # Saving the loaded model reproduces the identical file.
         q.save(str(tmp_path / "model2.json"))
         assert (tmp_path / "model2.json").read_bytes() == path.read_bytes()
+
+    def test_float32_round_trip_is_four_bytes_a_value(self, tmp_path):
+        p = ModelParams.initialize(tiny_config(dtype="float32"), seed=9)
+        path = tmp_path / "model.json"
+        p.save(str(path))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header)["config"]["dtype"] == "float32"
+        assert payload == p.values.astype("<f4").tobytes() and len(payload) == 4 * p.values.size
+        q = ModelParams.load(str(path))
+        assert q.config == p.config and q.values.dtype == np.float32
+        assert q.values.tobytes() == p.values.tobytes()
+        q.save(str(tmp_path / "model2.json"))
+        assert (tmp_path / "model2.json").read_bytes() == path.read_bytes()
+
+    def test_a_header_without_dtype_loads_as_float64(self, tmp_path):
+        # Version 2 checkpoints written before ``dtype`` was a key.
+        p = ModelParams.initialize(tiny_config(), seed=9)
+        path = tmp_path / "model.json"
+        p.save(str(path))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        old = json.loads(header)
+        del old["config"]["dtype"]
+        path.write_bytes(json.dumps(old, sort_keys=True).encode() + b"\n" + payload)
+        q = ModelParams.load(str(path))
+        assert q.config.dtype == "float64" and q.values.dtype == np.float64
+        assert q.values.tobytes() == p.values.tobytes()
 
     def test_layout_is_a_json_header_and_raw_float64(self, tmp_path):
         p = ModelParams.initialize(tiny_config(), seed=0)

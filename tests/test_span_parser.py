@@ -579,13 +579,15 @@ import numpy as np
 from uccatree.graph_model import Token
 from uccatree.neural_core import UNK, BoundParams, ModelConfig, ModelParams, embed, encode, split_scores
 from uccatree.span_parser import _split_table
-cfg = ModelConfig(words=[UNK, "a"], labels=["", "ROOT", "A"])
-bound = BoundParams(ModelParams.initialize(cfg, seed=1))
 equal = []
-for n in (70, 121):
-    enc = encode(embed(tuple(Token(form="a") for _ in range(n)), "en", bound), bound)
-    spans, table, blocked = _split_table(enc, bound)
-    equal.append(bool(np.array_equal(blocked, split_scores(enc, spans, bound).value[table])))
+for dtype in ("float64", "float32"):
+    cfg = ModelConfig(words=[UNK, "a"], labels=["", "ROOT", "A"], dtype=dtype)
+    bound = BoundParams(ModelParams.initialize(cfg, seed=1))
+    for n in (70, 121):
+        enc = encode(embed(tuple(Token(form="a") for _ in range(n)), "en", bound), bound)
+        spans, table, blocked = _split_table(enc, bound)
+        assert blocked.dtype == dtype
+        equal.append(bool(np.array_equal(blocked, split_scores(enc, spans, bound).value[table])))
 print(json.dumps(equal))
 """
 
@@ -597,8 +599,8 @@ class TestLongSentence:
     def test_blocks_score_as_one_call_with_one_blas_thread(self):
         # Several BLAS threads may split one call's rows between them and
         # round some differently, so the check runs with one, as the
-        # benchmark does.  Both lengths end on a ragged block.
-        assert run_python(BLOCKS_AS_ONE_CALL) == "[true, true]"
+        # benchmark does.  Both lengths end on a ragged block, at both dtypes.
+        assert run_python(BLOCKS_AS_ONE_CALL) == "[true, true, true, true]"
 
     def test_long_parse_memory_is_bounded(self):
         # Paper dimensions; one call over all 45,150 spans peaks at 433 MiB.

@@ -21,6 +21,7 @@ from uccatree.neural_core import (
     UNK,
     AdamState,
     BoundParams,
+    ModelConfig,
     ModelParams,
     OptimizationError,
     adam_step,
@@ -32,6 +33,7 @@ from uccatree.neural_core import (
 from uccatree.remote_recovery import loss_remote
 from uccatree.span_parser import loss_topdown
 from uccatree.training import (
+    TRAIN_DTYPE,
     Example,
     TrainConfig,
     build_model_config,
@@ -111,6 +113,10 @@ class TestConfig:
         assert (cfg.lstm_hidden, cfg.mlp_hidden, cfg.remote_mlp_dim) == (250, 250, 100)
         assert cfg.use_pos and cfg.use_ner and cfg.use_dep
         assert not cfg.multilingual and not cfg.share_span_hidden
+
+    def test_a_trained_model_is_float32_and_a_bare_model_config_float64(self):
+        config = build_model_config([simple_graph(["A", "P"], n=2)], TrainConfig())
+        assert config.dtype == TRAIN_DTYPE == "float32" and ModelConfig().dtype == "float64"
 
     def test_from_json_round_trip(self):
         cfg = TrainConfig.from_json({"seed": 7, "learning_rate": 0.5})
@@ -223,6 +229,29 @@ class TestSentenceLoss:
                     assert grads[name].tobytes() == grad.tobytes(), name
                 else:  # a tensor the loss does not reach
                     assert not grad.any(), name
+
+    def test_float32_reaches_every_array_but_the_scalar_losses(self, german_graph):
+        # A model that training builds is float32.  Every value and
+        # gradient on the tape, every gradient buffer and both Adam moments
+        # follow it; only the two losses and their sum are float64 scalars.
+        cfg = build_model_config([german_graph], TrainConfig())
+        params = ModelParams.initialize(cfg, seed=2)
+        ex = prepare_example(german_graph)
+        bound, enc = encode_sentence(ex.tokens, params)
+        losses = [loss_topdown(enc, ex.trace, bound), loss_remote(ex.pairs, ex.gold_remotes, enc, bound)]
+        losses.append(losses[0] + losses[1])
+        losses[2].backward()
+        f32 = np.dtype(np.float32)
+        for node in tape_vars(losses[2]):
+            want = (np.float64, ()) if any(node is loss for loss in losses) else (f32, node.shape)
+            assert (node.value.dtype, node.shape) == want
+            assert node.grad is None or node.grad.dtype == node.value.dtype
+        assert len(bound.grads()) > 10 and all(g.dtype == f32 for g in bound.grads().values())
+        adam = AdamState()
+        *parts, grads = sentence_loss(ex, params)
+        adam_step(params.tensors, grads, adam)
+        assert all(type(part) is float for part in parts)
+        assert {a.dtype for a in (params.values, params.gradients, adam.m, adam.v, *grads.values())} == {f32}
 
     def test_a_reused_buffer_shows_no_stale_gradient(self):
         # The nested tree has a wrong split point, so its step writes the
@@ -422,28 +451,28 @@ class TestPretrained:
         return str(path)
 
     def test_load_with_and_without_header(self, tmp_path):
-        words, matrix = load_pretrained(self.write_vectors(tmp_path, header=True))
+        words, matrix = load_pretrained(self.write_vectors(tmp_path, header=True), "float64")
         assert words == ["t1", "t2", "zzz"]
         assert matrix.shape == (4, 4)
         assert matrix[0].tolist() == [0.0, 0.0, 0.0, 0.0]
         assert matrix[1].tolist() == [1.0, 0.0, 0.0, 0.5]
         path2 = tmp_path / "noheader.txt"
         path2.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
-        words2, matrix2 = load_pretrained(str(path2))
+        words2, matrix2 = load_pretrained(str(path2), "float64")
         assert words2 == ["a", "b"] and matrix2.shape == (3, 2)
 
     def test_ragged_vector_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("a 1 2\nb 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected 2"):
-            load_pretrained(str(path))
+            load_pretrained(str(path), "float64")
 
     def test_trailing_space_and_tab_lines_load(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text(
             "3 3 \nthe 0.1 0.2 0.3 \nof\t0.4\t0.5\t0.6\n10\u00a0000 0.7 0.8 0.9\n", encoding="utf-8"
         )
-        words, matrix = load_pretrained(str(path))
+        words, matrix = load_pretrained(str(path), "float64")
         assert words == ["the", "of", "10\u00a0000"]
         assert matrix[1:].tolist() == [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
 
@@ -451,33 +480,44 @@ class TestPretrained:
         path = tmp_path / "vec.txt"
         path.write_text("the 0.1 x 0.3\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"vec\.txt:1: .*'x'"):
-            load_pretrained(str(path))
+            load_pretrained(str(path), "float64")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_component_names_its_line(self, tmp_path, value):
         path = tmp_path / "vec.txt"
         path.write_text(f"a 0.1 0.2\nthe 0.1 {value}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"vec\.txt:2: vector holds NaN or infinite values"):
-            load_pretrained(str(path))
+            load_pretrained(str(path), "float64")
+
+    def test_a_value_beyond_float32_names_its_line_before_training(self, tmp_path):
+        # 1e300 is finite in float64 but not in float32, a trained model's dtype.
+        path = tmp_path / "vec.txt"
+        path.write_text("t1 0.1 0.2\nt2 0.1 1e300\n", encoding="utf-8")
+        assert load_pretrained(str(path), "float64")[1][2, 1] == 1e300
+        with pytest.raises(ValueError, match=r"vec\.txt:2: vector holds NaN or infinite values"):
+            load_pretrained(str(path), TRAIN_DTYPE)
+        graphs = tiny_corpus()
+        with pytest.raises(ValueError, match=r"vec\.txt:2: vector holds NaN or infinite values"):
+            train(graphs, graphs, tiny_config(max_epochs=1, pretrained_path=str(path)))
 
     @pytest.mark.parametrize("line", [b"\xff\xfe 0.3 0.4", b"the 0.3 \xc3"])
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, line):
         path = tmp_path / "vec.txt"
         path.write_bytes(b"a 0.1 0.2\n" + line + b"\nb 0.5 0.6\n")
         with pytest.raises(ValueError, match=r"vec\.txt:2: bytes that are not UTF-8"):
-            load_pretrained(str(path))
+            load_pretrained(str(path), "float64")
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("", encoding="utf-8")
         with pytest.raises(ValueError, match="no vectors"):
-            load_pretrained(str(path))
+            load_pretrained(str(path), "float64")
 
     def test_each_word_reads_its_own_pretrained_row(self, tmp_path):
         # The vectors name t1, t2 and zzz in rows 1-3 below the zero row 0;
         # a word without a vector reads row 0.
         vecs = self.write_vectors(tmp_path)
-        _, matrix = load_pretrained(vecs)
+        _, matrix = load_pretrained(vecs, TRAIN_DTYPE)
         graphs = tiny_corpus()
         result = train(
             graphs, graphs,
@@ -495,7 +535,7 @@ class TestPretrained:
             tiny_config(learning_rate=0.5, max_epochs=1,
                         pretrained_path=vecs, freeze_pretrained=True),
         )
-        _, matrix = load_pretrained(vecs)
+        _, matrix = load_pretrained(vecs, TRAIN_DTYPE)
         assert np.array_equal(frozen.params.tensors["emb_pre"], matrix)
         tuned = train(
             graphs, graphs,
