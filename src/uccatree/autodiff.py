@@ -16,8 +16,8 @@ else by a copy.  A training step then maps no fresh gradient memory.
 The module owns one worker thread, started by the first call of
 :func:`paired`, which runs one job there while the caller runs another.
 ``bilstm`` runs a layer's reverse direction on it while the caller runs
-the forward one, and ``neural_core.adam_step`` the second half of each
-tensor's update.
+the forward one, and ``neural_core.adam_step`` the update of the second
+half of the reached values.
 
 Gradients are checked against central finite differences by
 :func:`gradcheck`; that numeric route is kept strictly independent of

@@ -164,15 +164,20 @@ def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def tensor_views(flat: np.ndarray, shapes: Mapping[str, tuple], what: str = "array") -> dict[str, np.ndarray]:
-    """Each tensor's view of ``flat``, a model's array of values, gradients or
+def tensor_ranges(flat: np.ndarray, shapes: Mapping[str, tuple], what: str = "array") -> dict[str, slice]:
+    """Each tensor's range of ``flat``, a model's array of values, gradients or
     Adam moments, where the tensors lie one after another in sorted-name order
-    (a checkpoint payload's).  A ``flat`` of another length raises, as ``what``."""
+    (a checkpoint payload's, and the dict's).  A ``flat`` of another length raises, as ``what``."""
     names = sorted(shapes)
     bounds = np.cumsum([0, *(math.prod(shapes[name]) for name in names)]).tolist()
     if flat.shape != (bounds[-1],):
         raise ValueError(f"{what} has shape {flat.shape}, not the tensors' ({bounds[-1]},)")
-    ranges = {name: slice(lo, hi) for name, lo, hi in zip(names, bounds, bounds[1:])}
+    return {name: slice(lo, hi) for name, lo, hi in zip(names, bounds, bounds[1:])}
+
+
+def tensor_views(flat: np.ndarray, shapes: Mapping[str, tuple], what: str = "array") -> dict[str, np.ndarray]:
+    """Each tensor's view of ``flat``, in the layout of :func:`tensor_ranges`."""
+    ranges = tensor_ranges(flat, shapes, what)
     return {name: flat[ranges[name]].reshape(shape) for name, shape in shapes.items()}
 
 
@@ -483,11 +488,12 @@ def biaffine(children: Var, parents: Var, w: Var) -> Var:
 
 
 def _finite(values: np.ndarray) -> bool:
-    # A sum of finite values is finite unless it overflows, so the
-    # elementwise test runs only when the one-pass sum is not finite.
+    # A sum of squares is finite unless a value is not or a square overflows,
+    # so the elementwise test runs only when the one BLAS pass is not finite.
+    flat = values.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = values.sum()
-    return bool(np.isfinite(total) or np.isfinite(values).all())
+        total = np.dot(flat, flat)
+    return bool(np.isfinite(total) or np.isfinite(flat).all())
 
 
 def finite_in(values, dtype: str) -> bool:
@@ -500,25 +506,35 @@ def finite_in(values, dtype: str) -> bool:
 @dataclass
 class AdamState:
     """Adam's step count and moments: ``m`` and ``v`` are None until the first
-    step, then each a zeroed array in the layout of :func:`tensor_views`."""
+    step, then each a zeroed array in the layout of :func:`tensor_ranges`."""
 
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
 
 
-# Elements per block of the Adam update.  A block costs 12 NumPy calls, and
-# each call releases and retakes the GIL that the other half's thread also
-# wants, so small blocks lose to the handoffs: at 2 Ki elements the two
-# threads took 67 ms over the 29 paper-size tensors, one thread 30 ms.
-# Large blocks lose the L2: a block's slices of the tensor, m, v and the
-# gradient and the scratch block are 40 bytes an element in float64, 2.5 MiB
-# at 64 Ki, against 2 MiB of L2 per core.  On a 2-core Xeon with one BLAS
-# thread the two threads took 16.3, 13.6, 13.4, 14.3 and 14.9 ms at 16, 32,
-# 64, 128 and 256 Ki (medians of 30 interleaved rounds).  In float32 (20
-# bytes an element) 32 to 256 Ki took 6.2 to 9.5 ms, with no size ahead of
-# 64 Ki by more than the spread between runs.
+# Elements per block of the Adam update.  A block costs 12 NumPy calls, each
+# releasing and retaking the GIL that the other thread also wants, so small
+# blocks lose to the handoffs (at 2 Ki the two threads took 67 ms over the
+# paper-size tensors, one thread 30 ms).  Large blocks lose the L2: a block's
+# slices of values, m, v and gradients and the scratch block take 20 bytes an
+# element in float32 and 40 in float64 (1.25 and 2.5 MiB at 64 Ki), against
+# 2 MiB of L2 per core.  Stepping runs in float32 on a 2-core Xeon with one
+# BLAS thread, the two threads took 10.9-12.2, 8.0-9.1, 7.8-8.7 and 8.5-9.3 ms
+# at 32, 64, 128 and 256 Ki (medians of two sweeps of 20 interleaved rounds):
+# none beat 64 Ki by more than the spread of its rounds.
 ADAM_BLOCK = 65536
+
+
+def _holder(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """A 1-D C-contiguous array holding ``arr``'s elements in order, and their start there: the
+    array that ``arr`` views, if it is one, else ``arr`` flattened (a copy if it is not contiguous)."""
+    base = arr.base
+    if isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == arr.dtype and base.flags.c_contiguous:
+        start, rest = divmod(arr.ctypes.data - base.ctypes.data, arr.itemsize)
+        if arr.flags.c_contiguous and not rest:
+            return base, start
+    return arr.reshape(-1), 0
 
 
 def adam_step(
@@ -534,29 +550,29 @@ def adam_step(
 
     The bias correction is folded into the step size and epsilon (Kingma
     & Ba, arXiv 1412.6980, end of section 2), so no corrected moment is
-    ever stored.  The flattened arrays are updated block by block through
-    a scratch block.  Only the tensors named in ``grads`` change.  A
-    non-finite gradient raises before any tensor or any optimizer state
-    changes, and so does a gradient for a name that ``tensors`` lacks or of
-    another shape or dtype than its tensor's, a tensor that is not
-    C-contiguous, and a moment of another length or dtype than all of
-    ``tensors`` (from another model).  The moments and the scratch blocks
-    are of the tensors' dtype.
+    ever stored.  Only the tensors named in ``grads`` change.  A
+    non-finite gradient raises, naming the first in ``grads``, before any
+    tensor or any optimizer state changes, and so does a gradient for a
+    name that ``tensors`` lacks or of another shape or dtype than its
+    tensor's, a tensor that is not C-contiguous, and a moment of another
+    length or dtype than all of ``tensors`` (from another model).  The
+    moments and the scratch blocks are of the tensors' dtype.
 
-    Each tensor is split at its midpoint: the caller checks, then updates,
-    flat elements ``[0, size // 2)`` and ``autodiff``'s worker thread
-    ``[size // 2, size)``.  Both halves are checked before either changes;
-    each reports its first non-finite tensor, and the error names the
-    earlier of the two in ``grads``.  Each thread updates through a scratch
-    block of its own, and each element's update reads only its own cells,
-    so the result is one thread's, bit for bit.
+    It steps runs: longest sequences of reached tensors, next to each other
+    in the layout of :func:`tensor_ranges`, whose values are adjacent in one
+    flat array and gradients in another, as a model's are.  The caller
+    checks, then updates, the first half (rounded down) of the reached values
+    in layout order, ``autodiff``'s worker thread the rest, each through a
+    scratch block of its own; both halves are checked before either changes.
+    Each element's update reads only its own cells, so the result is one
+    thread's, bit for bit.
     """
     shapes = {name: arr.shape for name, arr in tensors.items()}
     size = sum(map(math.prod, shapes.values()))
     dtype = np.result_type(*tensors.values()) if tensors else np.float64
     moments = (np.zeros(size, dtype), np.zeros(size, dtype)) if state.m is None else (state.m, state.v)
-    ms, vs = (tensor_views(flat, shapes, f"state.{what}") for flat, what in zip(moments, "mv"))
     for flat, what in zip(moments, "mv"):  # before anything changes
+        ranges = tensor_ranges(flat, shapes, f"state.{what}")
         if flat.dtype != dtype:
             raise ValueError(f"state.{what} is {flat.dtype}, not the tensors' {dtype}")
     for name, grad in grads.items():
@@ -569,34 +585,38 @@ def adam_step(
         if not tensors[name].flags.c_contiguous:
             raise ValueError(f"tensor {name!r} is not C-contiguous; Adam updates it in place")
 
-    def first_bad(half: int) -> int:
-        """Position in ``grads`` of the first gradient whose half is not finite."""
-        for position, grad in enumerate(grads.values()):
-            g = grad.reshape(-1)
-            start, stop = (0, g.size // 2, g.size)[half : half + 2]
-            if not _finite(g[start:stop]):
-                return position
-        return len(grads)
-
-    bad = min(ad.paired(lambda: first_bad(0), lambda: first_bad(1)))
-    if bad < len(grads):
-        raise OptimizationError(f"non-finite gradient for tensor {list(grads)[bad]!r}")
+    # Runs: values' and gradients' flat arrays, their offsets from the layout's, the layout range.
+    runs: list[list] = []
+    for name, span in ranges.items():
+        if name in grads:
+            (values, at), (gradient, g_at) = _holder(tensors[name]), _holder(grads[name])
+            shift, last = (at - span.start, g_at - span.start), runs[-1] if runs else None
+            if last and last[0] is values and last[1] is gradient and last[2] == shift and last[4] == span.start:
+                last[4] = span.stop
+            else:
+                runs.append([values, gradient, shift, span.start, span.stop])
+    # Each thread's part of each run, as slices of values, gradients, m and v.
+    middle, done, halves = sum(stop - start for *_, start, stop in runs) // 2, 0, ([], [])
+    for values, gradient, (a, b), start, stop in runs:
+        cut = min(start + max(middle - done, 0), stop)
+        done += stop - start
+        for half, (lo, hi) in enumerate(((start, cut), (cut, stop))):
+            halves[half].append((values[lo + a : hi + a], gradient[lo + b : hi + b], *(x[lo:hi] for x in moments)))
+    checks = [lambda part=part: all(_finite(g) for _, g, _, _ in part) for part in halves]
+    if not all(ad.paired(*checks)):
+        bad = next(name for name, grad in grads.items() if not _finite(grad))
+        raise OptimizationError(f"non-finite gradient for tensor {bad!r}")
     state.m, state.v = moments
     state.t += 1
-    t = state.t
-    correction = (1.0 - beta2**t) ** 0.5
-    step = lr * correction / (1.0 - beta1**t)
+    correction = (1.0 - beta2**state.t) ** 0.5
+    step = lr * correction / (1.0 - beta1**state.t)
     eps_hat = eps * correction
 
     def update(half: int) -> None:
         scratch = np.empty(ADAM_BLOCK, dtype)
-        for name, grad in grads.items():
-            # Flat views (C order); a gradient that is not contiguous is copied.
-            theta, g = tensors[name].reshape(-1), grad.reshape(-1)
-            m, v = ms[name].reshape(-1), vs[name].reshape(-1)
-            start, stop = (0, theta.size // 2, theta.size)[half : half + 2]
-            for lo in range(start, stop, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, stop)
+        for theta, g, m, v in halves[half]:
+            for lo in range(0, theta.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, theta.size)
                 gb, mb, vb, buf = g[lo:hi], m[lo:hi], v[lo:hi], scratch[: hi - lo]
                 mb *= beta1
                 np.multiply(gb, 1.0 - beta1, out=buf)

@@ -36,6 +36,7 @@ from uccatree.neural_core import (
     label_scores,
     span_affine,
     split_scores,
+    tensor_ranges,
     tensor_shapes,
     tensor_views,
 )
@@ -516,6 +517,36 @@ def moments(state: AdamState, tensors: dict[str, np.ndarray]) -> list[dict[str, 
     return [tensor_views(flat, shapes) for flat in (state.m, state.v)]
 
 
+def record_halves(monkeypatch, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> list[dict]:
+    """The flat positions of each tensor that each of Adam's four jobs
+    moves, with ``ad.paired`` running its two jobs one after the other:
+    the finite check's pair, then the update's."""
+    moved = []
+
+    def in_turn(here, there):  # ad.paired runs ``there`` on the worker
+        results = []
+        for job in (here, there):
+            before = {name: arr.copy() for name, arr in tensors.items()}
+            results.append(job())
+            moved.append({n: np.flatnonzero(tensors[n] != before[n]).tolist() for n in tensors})
+        return tuple(results)
+
+    monkeypatch.setattr(ad, "paired", in_turn)
+    adam_step(tensors, grads, AdamState())
+    return moved
+
+
+def expected_halves(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> list[dict]:
+    """:func:`record_halves` as Adam promises it: the check pair moves
+    nothing, the caller the first half (rounded down) of the reached values
+    in layout order, and the worker the rest."""
+    reached = [(name, i) for name in sorted(grads) for i in range(grads[name].size)]
+    halves = [{n: [] for n in tensors} for _ in range(4)]
+    for k, (name, i) in enumerate(reached):
+        halves[2 + (k >= len(reached) // 2)][name].append(i)
+    return halves
+
+
 class TestOptimizers:
     def test_adam_first_step_closed_form(self):
         lr, eps = 1e-3, 1e-8
@@ -701,28 +732,79 @@ class TestOptimizers:
         assert h.hexdigest() == digest
 
     def test_the_caller_updates_one_half_and_the_worker_the_other(self, monkeypatch):
-        sizes = {"a": 1, "b": 2, "c": 5, "d": 2 * ADAM_BLOCK + 3}
+        # Standalone arrays are runs of one each; the split still takes the
+        # first half of all reached values in layout order (sorted names).
+        sizes = {"d": 2 * ADAM_BLOCK + 3, "c": 5, "b": 2, "a": 1}
         tensors = {name: np.zeros(size) for name, size in sizes.items()}
-        moved = []
+        grads = {name: np.ones_like(arr) for name, arr in tensors.items()}
+        assert record_halves(monkeypatch, tensors, grads) == expected_halves(tensors, grads)
 
-        def in_turn(here, there):  # ad.paired runs ``there`` on the worker
-            results = []
-            for job in (here, there):
-                before = {name: arr.copy() for name, arr in tensors.items()}
-                results.append(job())
-                moved.append({n: np.flatnonzero(tensors[n] != before[n]).tolist() for n in tensors})
-            return tuple(results)
+    @pytest.mark.parametrize("unreached", [[], ["lstm1f_b"]], ids=["all reached", "one unreached"])
+    def test_a_models_run_is_split_across_tensor_boundaries(self, monkeypatch, unreached):
+        # A model's reached tensors form one run, or two around an unreached
+        # one: the finite check makes one pass per thread and run part, and
+        # the caller's half ends inside a tensor.
+        params = ModelParams.initialize(tiny_config(dtype="float32"), seed=1)
+        grads = {name: buf for name, buf in params.buffers.items() if name not in unreached}
+        params.gradients[...] = 1.0
+        checked = []
+        monkeypatch.setattr(nc, "_finite", lambda g: checked.append(g.size) or True)
+        halves = record_halves(monkeypatch, params.tensors, grads)
+        assert halves == expected_halves(params.tensors, grads)
+        assert len(checked) == 2 * (1 + len(unreached)) and sum(checked) == sum(g.size for g in grads.values())
+        assert sum(bool(moved) for moved in halves[2].values()) > 2
+        assert any(halves[2][name] and halves[3][name] for name in grads)
 
-        monkeypatch.setattr(ad, "paired", in_turn)
-        adam_step(tensors, {name: np.ones_like(arr) for name, arr in tensors.items()}, AdamState())
-        # The finite check's pair comes first and moves nothing.  A size-1
-        # tensor's midpoint is 0, so its one element is the worker's.
-        assert moved == [
-            {n: [] for n in sizes},
-            {n: [] for n in sizes},
-            {n: list(range(size // 2)) for n, size in sizes.items()},
-            {n: list(range(size // 2, size)) for n, size in sizes.items()},
-        ]
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("case", ["loaded", "unreached", "frozen", "transposed", "other array"])
+    def test_runs_step_as_runs_of_one(self, tmp_path, dtype, case):
+        # Four steps on a model's views, whose reached tensors form runs,
+        # leave the bits of four steps on standalone copies, runs of one.
+        cfg = tiny_config(dtype=dtype, pretrained_dim=2, pretrained_words=["a", "b"])
+        params = ModelParams.initialize(cfg, seed=4)
+        if case == "loaded":
+            params.save(str(tmp_path / "model.ckpt"))
+            params = ModelParams.load(str(tmp_path / "model.ckpt"))
+        skip = {"unreached": "lstm1f_b", "frozen": "emb_pre"}.get(case)
+        standalone = params.copy_tensors()
+        rng = np.random.default_rng(8)
+        states = AdamState(), AdamState()
+        for _ in range(4):
+            params.gradients[...] = rng.standard_normal(params.gradients.size) * 10.0 ** rng.uniform(-3, 1)
+            grads = {name: buf for name, buf in params.buffers.items() if name != skip}
+            if case == "transposed":
+                grads["lstm1b_wh"] = np.ascontiguousarray(grads["lstm1b_wh"].T).T
+            if case == "other array":  # at the offset the model's own gradient has
+                grads["lstm1b_wh"] = tensor_views(-params.gradients, tensor_shapes(cfg))["lstm1b_wh"]
+            adam_step(params.tensors, grads, states[0])
+            adam_step(standalone, {name: g.copy() for name, g in grads.items()}, states[1])
+        for name, arr in standalone.items():
+            assert params.tensors[name].tobytes() == arr.tobytes(), name
+        for ours, theirs in zip(moments(states[0], params.tensors), moments(states[1], standalone)):
+            assert all(ours[name].tobytes() == theirs[name].tobytes() for name in ours)
+        if skip:
+            assert params.tensors[skip].tobytes() == ModelParams.initialize(cfg, seed=4).tensors[skip].tobytes()
+            assert not any(part[skip].any() for part in moments(states[0], params.tensors))
+
+    def test_the_first_bad_gradient_in_grads_is_named_from_inside_a_run(self):
+        # Both bad tensors lie in the model's one run.  biaffine_w is first
+        # in the layout (the caller's half) but last in ``grads``
+        # (tensor_shapes order); lstm2f_wx lies in the worker's half.
+        params = ModelParams.initialize(tiny_config(dtype="float32"), seed=2)
+        ranges = tensor_ranges(params.values, tensor_shapes(params.config))
+        assert ranges["biaffine_w"].start == 0 and ranges["lstm2f_wx"].start > params.values.size // 2
+        state = AdamState()
+        params.gradients[...] = 0.5
+        grads = dict(params.buffers)
+        adam_step(params.tensors, grads, state)
+        values, m, v = params.values.copy(), state.m.copy(), state.v.copy()
+        grads["biaffine_w"][0, 0, 0] = np.inf
+        grads["lstm2f_wx"][-1, -1] = np.nan
+        assert list(grads).index("lstm2f_wx") < list(grads).index("biaffine_w")
+        with pytest.raises(OptimizationError, match="non-finite gradient for tensor 'lstm2f_wx'$"):
+            adam_step(params.tensors, grads, state)
+        assert state.t == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in ((params.values, values), (state.m, m), (state.v, v)))
 
     def test_non_finite_gradients_rejected(self):
         t = {"w": np.zeros(2)}
@@ -742,6 +824,18 @@ class TestOptimizers:
             warnings.simplefilter("error")
             assert _finite(np.full(4, 1e308))
 
+    def test_float32_values_whose_squares_overflow_pass_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _finite(np.full(4, 1e20, np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_and_opposite_infinities_are_not_finite(self, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _finite(np.array([1.0, np.nan, 2.0], dtype))
+            assert not _finite(np.array([np.inf, -np.inf], dtype))
+
     def test_bad_value_only_in_the_workers_half(self):
         t = {"a": np.full(3, 0.5), "w": np.full(6, 0.5)}
         state = AdamState()
@@ -752,8 +846,8 @@ class TestOptimizers:
 
     @pytest.mark.parametrize("first_half, second_half", [(0, 1), (1, 0)])
     def test_the_earlier_of_two_bad_tensors_is_named(self, first_half, second_half):
-        # One bad tensor in each thread's half, in either order: the caller
-        # names the one that comes first in ``grads``, whichever half it is in.
+        # One bad tensor in each thread's half (b in the caller's, d in the
+        # worker's), the bad value at either end: the one first in ``grads`` is named.
         grads = {name: np.ones(4) for name in ("a", "b", "c", "d")}
         grads["b"][3 * first_half] = np.inf
         grads["d"][3 * second_half] = np.nan
