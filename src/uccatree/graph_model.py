@@ -144,11 +144,12 @@ def _head_moved(label: object) -> bool:
 
 
 def token_problems(tokens: Sequence[Token]) -> list[str]:
-    """Why a token sequence cannot be a sentence: no tokens, a feature that
-    is not a string, or a form that is empty or breaks a line."""
+    """Why a token sequence cannot be a sentence: no tokens, two languages, a
+    feature that is not a string, or a form that is empty or breaks a line."""
     if not tokens:
         return ["sentence has no tokens"]
-    problems = []
+    langs = sorted({t.lang for t in tokens if isinstance(t.lang, str)})
+    problems = [f"tokens carry more than one language: {langs}"] if len(langs) > 1 else []
     for i, t in enumerate(tokens, start=1):
         if not all(isinstance(value, str) for value in vars(t).values()):
             problems.append(f"token {i} has a feature that is not a string")

@@ -364,15 +364,17 @@ def embed(
     a row of each lookup table the model has, in :attr:`ModelParams.lookups`
     order, then the external features.  The language table reads ``lang``.
 
-    Lookups of unseen strings fall back to the reserved row 0.  When the
-    model was built with external features, ``external`` must supply one
+    Lookups of unseen strings fall back to the reserved row 0.  Frozen
+    pretrained rows enter as plain values, which the loss never reaches.  When
+    the model was built with external features, ``external`` must supply one
     vector per token of the configured width; otherwise it must be None.
     """
     cfg = bound.config
-    parts = [
-        ad.index(bound[name], [vocab.lookup(lang if key == "lang" else getattr(t, key)) for t in tokens])
-        for name, (vocab, key) in bound.params.lookups.items()
-    ]
+    parts = []
+    for name, (vocab, key) in bound.params.lookups.items():
+        rows = [vocab.lookup(lang if key == "lang" else getattr(t, key)) for t in tokens]
+        frozen = name == "emb_pre" and cfg.freeze_pretrained  # read off the tape: no gradient
+        parts.append(Var(bound.params.tensors[name][rows]) if frozen else ad.index(bound[name], rows))
     if cfg.external_dim:
         if external is None:
             raise ValueError("model expects external feature vectors but none were given")
@@ -524,6 +526,7 @@ class AdamState:
 # at 32, 64, 128 and 256 Ki (medians of two sweeps of 20 interleaved rounds):
 # none beat 64 Ki by more than the spread of its rounds.
 ADAM_BLOCK = 65536
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults, fixed
 
 
 def _holder(arr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -542,11 +545,8 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
-    """Adam with bias correction, updating tensors, ``m`` and ``v`` in place.
+    """Adam with bias correction and the ``ADAM_*`` constants, updating tensors, ``m`` and ``v`` in place.
 
     The bias correction is folded into the step size and epsilon (Kingma
     & Ba, arXiv 1412.6980, end of section 2), so no corrected moment is
@@ -608,9 +608,9 @@ def adam_step(
         raise OptimizationError(f"non-finite gradient for tensor {bad!r}")
     state.m, state.v = moments
     state.t += 1
-    correction = (1.0 - beta2**state.t) ** 0.5
-    step = lr * correction / (1.0 - beta1**state.t)
-    eps_hat = eps * correction
+    correction = (1.0 - ADAM_BETA2**state.t) ** 0.5
+    step = lr * correction / (1.0 - ADAM_BETA1**state.t)
+    eps_hat = ADAM_EPS * correction
 
     def update(half: int) -> None:
         scratch = np.empty(ADAM_BLOCK, dtype)
@@ -618,11 +618,11 @@ def adam_step(
             for lo in range(0, theta.size, ADAM_BLOCK):
                 hi = min(lo + ADAM_BLOCK, theta.size)
                 gb, mb, vb, buf = g[lo:hi], m[lo:hi], v[lo:hi], scratch[: hi - lo]
-                mb *= beta1
-                np.multiply(gb, 1.0 - beta1, out=buf)
+                mb *= ADAM_BETA1
+                np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
                 mb += buf
-                vb *= beta2
-                np.multiply(gb, 1.0 - beta2, out=buf)
+                vb *= ADAM_BETA2
+                np.multiply(gb, 1.0 - ADAM_BETA2, out=buf)
                 buf *= gb
                 vb += buf
                 np.sqrt(vb, out=buf)

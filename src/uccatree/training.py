@@ -135,17 +135,17 @@ def _model_config_from_examples(
     )
 
 
-def load_pretrained(path: str, dtype: str) -> tuple[list[str], np.ndarray]:
+def load_pretrained(path: str) -> tuple[list[str], np.ndarray]:
     """Read text-format word vectors: one whitespace-separated ``word v1 .. vk``
     line per word.
 
-    A leading ``count dim`` header line is accepted and skipped, and every
-    value must be a number that is finite in ``dtype``.  Returns the word
-    list and a ``dtype`` matrix with a zero row 0 reserved for unknowns.
+    A leading ``count dim`` header line is accepted and skipped, blank lines
+    too; a word without a vector raises naming ``path:line``, and every value
+    must be a number that is finite in :data:`TRAIN_DTYPE`.  Returns the word
+    list and a :data:`TRAIN_DTYPE` matrix with a zero row 0 reserved for unknowns.
     """
     words: list[str] = []
     vectors: list[list[float]] = []
-    dim: int | None = None
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if re.search(r"[\ud800-\udfff]", line):  # where a byte was not UTF-8
@@ -159,27 +159,24 @@ def load_pretrained(path: str, dtype: str) -> tuple[list[str], np.ndarray]:
                     continue  # header line
                 except ValueError:
                     pass
-            if len(parts) < 2:
+            if not parts:
                 continue
             word, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: vector of width {len(values)}, expected {dim}"
-                )
+            if not values:
+                raise ValueError(f"{path}:{lineno}: word {word!r} has no vector")
+            if vectors and len(values) != len(vectors[0]):
+                raise ValueError(f"{path}:{lineno}: vector of width {len(values)}, expected {len(vectors[0])}")
             try:
                 vector = [float(v) for v in values]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not finite_in(vector, dtype):
+            if not finite_in(vector, TRAIN_DTYPE):
                 raise ValueError(f"{path}:{lineno}: vector holds NaN or infinite values")
             vectors.append(vector)
             words.append(word)
-    if dim is None:
+    if not vectors:
         raise ValueError(f"{path}: no vectors found")
-    matrix = np.vstack([np.zeros((1, dim), dtype), np.asarray(vectors, dtype=dtype)])
-    return words, matrix
+    return words, np.vstack([np.zeros((1, len(vectors[0])), TRAIN_DTYPE), np.asarray(vectors, TRAIN_DTYPE)])
 
 
 def sentence_loss(
@@ -271,7 +268,7 @@ def train(
     if (external_train is None) != (external_dev is None):
         given, missing = ("training", "dev") if external_dev is None else ("dev", "training")
         raise ValueError(f"external features given for the {given} set but not for the {missing} set")
-    pretrained = load_pretrained(config.pretrained_path, TRAIN_DTYPE) if config.pretrained_path else None
+    pretrained = load_pretrained(config.pretrained_path) if config.pretrained_path else None
     if external_train is not None:
         width = check_external(external_train, [g.tokens for g in train_graphs], "training set", TRAIN_DTYPE)
         check_external(external_dev, [g.tokens for g in dev_graphs], "dev set", TRAIN_DTYPE, width)
@@ -298,8 +295,6 @@ def train(
         for idx in order:
             joint, _, _, grads = sentence_loss(examples[int(idx)], params)
             epoch_loss += joint
-            if config.freeze_pretrained:
-                grads.pop("emb_pre", None)
             try:
                 adam_step(params.tensors, grads, adam, lr=config.learning_rate)
             except OptimizationError as exc:

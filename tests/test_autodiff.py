@@ -139,6 +139,24 @@ class TestLinear:
             ad.linear(Var(np.ones(4)), Var(np.ones((2, 4))))
 
 
+class TestLeaf:
+    def test_a_second_product_adds_to_the_first_in_the_buffer(self):
+        # One weight leaf feeds two products in one pass: the first writes
+        # the stale buffer, the second adds to it, as a plain Var's gradient.
+        r = rng(32)
+        w, x, y = r.standard_normal((5, 4)), r.standard_normal((3, 4)), r.standard_normal((2, 5))
+        gx, gy = r.standard_normal((3, 5)), r.standard_normal((2, 4))
+        buffer = np.full(w.shape, np.nan)
+        grads = []
+        for weight in (ad.Leaf(w, buffer), Var(w)):
+            loss = weighted(ad.linear(Var(x), weight), gx) + weighted(ad.matmul(Var(y), weight), gy)
+            loss.backward()
+            grads.append(weight.grad)
+        assert grads[0] is buffer
+        assert buffer.tobytes() == grads[1].tobytes()
+        assert np.allclose(buffer, gx.T @ x + y.T @ gy)
+
+
 class TestIndexScatter:
     """``index``'s backward is bit-equal to ``np.add.at`` into zeros."""
 

@@ -242,6 +242,19 @@ class TestValidate:
     def test_token_forms_may_hold_spaces_tabs_and_brackets(self):
         assert token_problems([Token(form=f) for f in ["a b", "a\tb", "(", "\x0b"]]) == []
 
+    def test_a_sentence_holds_one_language(self):
+        # A record stores one "lang", so a second language would not survive saving.
+        tokens = (Token(form="a", lang="en"), Token(form="b", lang="de"), Token(form="c", lang="en"))
+        assert token_problems(tokens) == ["tokens carry more than one language: ['de', 'en']"]
+        assert token_problems(tokens[::2]) == []
+        graph = UccaGraph(
+            tokens=tokens, root=4, nonterminals=frozenset({4}), edges=tuple(Edge(4, i, "") for i in (1, 2, 3))
+        )
+        assert graph.validate() == token_problems(tokens)
+        assert graph.to_json()["lang"] == "en" and UccaGraph.from_json(graph.to_json()) != graph
+        leaves = tuple(TreeNode(leaf=i) for i in (1, 2, 3))
+        assert ConstituentTree(tokens, TreeNode(label="ROOT", children=leaves)).validate() == token_problems(tokens)
+
 
 class TestCanonical:
     def test_renumbering_is_structure_preserving(self, german_graph):

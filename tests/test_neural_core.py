@@ -549,16 +549,17 @@ def expected_halves(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]
 
 class TestOptimizers:
     def test_adam_first_step_closed_form(self):
-        lr, eps = 1e-3, 1e-8
+        lr, eps = 1e-3, nc.ADAM_EPS
         theta = np.array([1.0, -2.0, 0.5])
         g = np.array([0.3, -4.0, 0.0])
         t = {"w": theta.copy()}
-        adam_step(t, {"w": g.copy()}, AdamState(), lr=lr, eps=eps)
+        adam_step(t, {"w": g.copy()}, AdamState(), lr=lr)
         expected = theta - lr * g / (np.abs(g) + eps)
         assert t["w"] == pytest.approx(expected, abs=1e-15)
 
     def test_adam_two_steps_match_manual_recurrence(self):
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        assert (nc.ADAM_BETA1, nc.ADAM_BETA2, nc.ADAM_EPS) == (b1, b2, eps)  # Kingma & Ba's defaults
         theta = np.array([0.7])
         grads = [np.array([0.2]), np.array([-0.4])]
         t = {"w": theta.copy()}
@@ -566,7 +567,7 @@ class TestOptimizers:
         m = v = np.zeros(1)
         want = theta.copy()
         for step, g in enumerate(grads, start=1):
-            adam_step(t, {"w": g.copy()}, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            adam_step(t, {"w": g.copy()}, state, lr=lr)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             want = want - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)
@@ -577,7 +578,7 @@ class TestOptimizers:
         # Three blocks and a partial one; gradients from 1e-9 to 1e2 keep
         # sqrt(v_hat) on both sides of eps.  All positive, so no update
         # cancels another and the relative error means something.
-        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = 1e-3, nc.ADAM_BETA1, nc.ADAM_BETA2, nc.ADAM_EPS
         size = 3 * ADAM_BLOCK + 7
         rng = np.random.default_rng(5)
         t = {"w": np.zeros(size)}
@@ -585,7 +586,7 @@ class TestOptimizers:
         m = v = want = np.zeros(size)
         for step in range(1, 4):
             g = 10.0 ** rng.uniform(-9, 2, size)
-            adam_step(t, {"w": g}, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            adam_step(t, {"w": g}, state, lr=lr)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             want = want - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)

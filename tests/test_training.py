@@ -451,51 +451,50 @@ class TestPretrained:
         return str(path)
 
     def test_load_with_and_without_header(self, tmp_path):
-        words, matrix = load_pretrained(self.write_vectors(tmp_path, header=True), "float64")
+        words, matrix = load_pretrained(self.write_vectors(tmp_path, header=True))
         assert words == ["t1", "t2", "zzz"]
-        assert matrix.shape == (4, 4)
+        assert matrix.shape == (4, 4) and matrix.dtype == TRAIN_DTYPE
         assert matrix[0].tolist() == [0.0, 0.0, 0.0, 0.0]
         assert matrix[1].tolist() == [1.0, 0.0, 0.0, 0.5]
         path2 = tmp_path / "noheader.txt"
         path2.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
-        words2, matrix2 = load_pretrained(str(path2), "float64")
+        words2, matrix2 = load_pretrained(str(path2))
         assert words2 == ["a", "b"] and matrix2.shape == (3, 2)
 
     def test_ragged_vector_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("a 1 2\nb 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected 2"):
-            load_pretrained(str(path), "float64")
+            load_pretrained(str(path))
 
     def test_trailing_space_and_tab_lines_load(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text(
-            "3 3 \nthe 0.1 0.2 0.3 \nof\t0.4\t0.5\t0.6\n10\u00a0000 0.7 0.8 0.9\n", encoding="utf-8"
+            "3 3 \nthe 0.1 0.2 0.3 \n\n \t\nof\t0.4\t0.5\t0.6\n10\u00a0000 0.7 0.8 0.9\n", encoding="utf-8"
         )
-        words, matrix = load_pretrained(str(path), "float64")
+        words, matrix = load_pretrained(str(path))
         assert words == ["the", "of", "10\u00a0000"]
-        assert matrix[1:].tolist() == [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+        assert matrix[1:].tolist() == np.float32([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]).tolist()
 
     def test_non_numeric_component_names_its_line(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("the 0.1 x 0.3\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"vec\.txt:1: .*'x'"):
-            load_pretrained(str(path), "float64")
+            load_pretrained(str(path))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_component_names_its_line(self, tmp_path, value):
         path = tmp_path / "vec.txt"
         path.write_text(f"a 0.1 0.2\nthe 0.1 {value}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"vec\.txt:2: vector holds NaN or infinite values"):
-            load_pretrained(str(path), "float64")
+            load_pretrained(str(path))
 
     def test_a_value_beyond_float32_names_its_line_before_training(self, tmp_path):
         # 1e300 is finite in float64 but not in float32, a trained model's dtype.
         path = tmp_path / "vec.txt"
         path.write_text("t1 0.1 0.2\nt2 0.1 1e300\n", encoding="utf-8")
-        assert load_pretrained(str(path), "float64")[1][2, 1] == 1e300
         with pytest.raises(ValueError, match=r"vec\.txt:2: vector holds NaN or infinite values"):
-            load_pretrained(str(path), TRAIN_DTYPE)
+            load_pretrained(str(path))
         graphs = tiny_corpus()
         with pytest.raises(ValueError, match=r"vec\.txt:2: vector holds NaN or infinite values"):
             train(graphs, graphs, tiny_config(max_epochs=1, pretrained_path=str(path)))
@@ -505,19 +504,25 @@ class TestPretrained:
         path = tmp_path / "vec.txt"
         path.write_bytes(b"a 0.1 0.2\n" + line + b"\nb 0.5 0.6\n")
         with pytest.raises(ValueError, match=r"vec\.txt:2: bytes that are not UTF-8"):
-            load_pretrained(str(path), "float64")
+            load_pretrained(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("", encoding="utf-8")
         with pytest.raises(ValueError, match="no vectors"):
-            load_pretrained(str(path), "float64")
+            load_pretrained(str(path))
+
+    def test_a_word_without_a_vector_names_its_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 0.1 0.2\nb\nc 0.3 0.4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"vec\.txt:2: word 'b' has no vector"):
+            load_pretrained(str(path))
 
     def test_each_word_reads_its_own_pretrained_row(self, tmp_path):
         # The vectors name t1, t2 and zzz in rows 1-3 below the zero row 0;
         # a word without a vector reads row 0.
         vecs = self.write_vectors(tmp_path)
-        _, matrix = load_pretrained(vecs, TRAIN_DTYPE)
+        _, matrix = load_pretrained(vecs)
         graphs = tiny_corpus()
         result = train(
             graphs, graphs,
@@ -535,7 +540,7 @@ class TestPretrained:
             tiny_config(learning_rate=0.5, max_epochs=1,
                         pretrained_path=vecs, freeze_pretrained=True),
         )
-        _, matrix = load_pretrained(vecs, TRAIN_DTYPE)
+        _, matrix = load_pretrained(vecs)
         assert np.array_equal(frozen.params.tensors["emb_pre"], matrix)
         tuned = train(
             graphs, graphs,
@@ -543,6 +548,20 @@ class TestPretrained:
                         pretrained_path=vecs, freeze_pretrained=False),
         )
         assert not np.array_equal(tuned.params.tensors["emb_pre"], matrix)
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_frozen_vectors_get_no_gradient(self, tmp_path, freeze):
+        # The loss never reaches a frozen table: no gradient is returned for
+        # it and its buffer is not written.
+        words, matrix = load_pretrained(self.write_vectors(tmp_path))
+        graphs = tiny_corpus()
+        cfg = build_model_config(graphs, tiny_config(freeze_pretrained=freeze))
+        cfg = dataclasses.replace(cfg, pretrained_dim=matrix.shape[1], pretrained_words=words)
+        params = ModelParams.initialize(cfg, seed=1, pretrained=matrix)
+        params.gradients[...] = np.nan
+        grads = sentence_loss(prepare_example(graphs[0]), params)[3]
+        assert ("emb_pre" in grads) is not freeze
+        assert bool(np.isnan(params.buffers["emb_pre"]).all()) == freeze
 
 
 class TestLongSentences:
